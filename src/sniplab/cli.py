@@ -66,8 +66,23 @@ class RunConfig:
                 raise UsageError(
                     f"--m-min {self.m_min} exceeds --m-max {self.m_max}"
                 )
+            if self.m_min < 2:
+                raise UsageError(f"--m-min must be at least 2, got {self.m_min}")
             if not 0.0 < self.window_frac <= 1.0:
                 raise UsageError(f"--l-frac must be in (0, 1], got {self.window_frac}")
+            if self.num_snippets < 2:
+                raise UsageError(
+                    f"sweep needs --k of at least 2 to score a length, got {self.num_snippets}"
+                )
+        if fixed:
+            if self.snippet_size < 2:
+                raise UsageError(f"--m must be at least 2, got {self.snippet_size}")
+            if self.window_size is not None and not 1 <= self.window_size <= self.snippet_size:
+                raise UsageError(
+                    f"--l must be in [1, --m={self.snippet_size}], got {self.window_size}"
+                )
+        if self.mpdist_k is not None and self.mpdist_k < 1:
+            raise UsageError(f"--mpdist-k must be at least 1, got {self.mpdist_k}")
         if self.num_snippets < 1:
             raise UsageError(f"--k must be at least 1, got {self.num_snippets}")
         if self.workers is not None and self.workers < 1:
@@ -275,6 +290,12 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(
+            "error: out of memory; try a longer --m or a shorter series",
+            file=sys.stderr,
+        )
         return 1
 
 

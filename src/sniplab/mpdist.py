@@ -3,10 +3,20 @@
 MPdist between two equal-length sequences is the k-th smallest element
 of the concatenated cross matrix-profile of their inner windows.  The
 profile of a segment is assembled in one streaming pass over the
-segment's distance rows: column minima give the series-side profile,
+segment's rows: column minima give the series-side profile,
 sliding-window minima along each row give the segment-side profiles of
 every series window at once, and an order-statistic selection finishes
 each position without sorting.
+
+All of that selection runs on negated correlations (see
+:mod:`sniplab.zdist`), not on distances.  The distance is a
+non-increasing function of the correlation under IEEE rounding, so
+minima and order statistics commute with it, and converting only the
+``n - snippet_size + 1`` selected values gives the same bits as
+converting every entry first.  For ``k = 1`` the k-th smallest is a
+plain minimum: the smallest of each row's sliding minimum equals the
+sliding minimum of the column minima, so the profile is that one
+sliding window and the per-row filter, merge and partition are skipped.
 """
 
 from __future__ import annotations
@@ -20,7 +30,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import minimum_filter1d
 
 from .series import TimeSeries, compute_sliding_stats
-from .zdist import DistanceRow, segment_distance_matrix
+from .zdist import DistanceRow, neg_correlation_to_distance, neg_correlations
+from .zdist import segment_distance_matrix  # noqa: F401  bench/layers.py wraps it by this name
 
 
 def default_window_size(snippet_size: int) -> int:
@@ -220,13 +231,25 @@ def mpdist_profile(
 
     seg_start = segment_index * m
     width = params.profile_width
-    rows = segment_distance_matrix(series, stats, seg_start, m)
-    series_side = rows.min(axis=0)                       # nearest segment window per column
-    segment_side = _sliding_min_rows(rows, width)        # nearest in-window column per row
-    series_side_windows = sliding_window_view(series_side, width)
-    merged = np.concatenate([segment_side, series_side_windows.T], axis=0)
-    if merged.shape[0] > params.k:
-        values = np.partition(merged, params.k - 1, axis=0)[params.k - 1]
+    k = params.k
+    neg_rho = neg_correlations(series, stats, seg_start, width)
+    series_side = neg_rho.min(axis=0)                    # nearest segment window per column
+    if k == 1:
+        best = _sliding_min_rows(series_side, width)
     else:
-        values = merged.max(axis=0)
+        # Both halves of the concatenated profile go into one buffer as
+        # wide as the rows, so the row filter writes its output in place.
+        # The filter centres its window (see _sliding_min_rows), so the
+        # leading windows sit from column width // 2 on.
+        merged = np.empty((2 * width, neg_rho.shape[1]))
+        minimum_filter1d(neg_rho, size=width, axis=-1, mode="nearest", output=merged[:width])
+        start = width // 2
+        merged = merged[:, start : start + series.n - m + 1]
+        merged[width:] = sliding_window_view(series_side, width).T
+        if 2 * width > k:
+            merged.partition(k - 1, axis=0)
+            best = merged[k - 1]
+        else:
+            best = merged.max(axis=0)
+    values = neg_correlation_to_distance(best, params.window_size)
     return MPdistProfile(segment_index=segment_index, values=values)

@@ -230,7 +230,11 @@ def kk_partition(weights, num_parts: int) -> Schedule:
     loads = [sum((vals[i] for i in part), Fraction(0)) for part in parts]
     # The differencing value must agree with the reconstruction; exact
     # arithmetic makes this an equality, not an approximation.
-    assert max(loads) - min(loads) == difference
+    if max(loads) - min(loads) != difference:
+        raise RuntimeError(
+            f"partition reconstructs a load gap of {max(loads) - min(loads)}, "
+            f"not the differencing value {difference}"
+        )
     return Schedule(
         assignments=tuple(tuple(part) for part in parts),
         predicted_loads=tuple(float(load) for load in loads),

@@ -19,6 +19,9 @@ import numpy as np
 from .mpdist import MPdistParams, MPdistProfile, mpdist_profile
 from .series import TimeSeries, compute_sliding_stats
 
+# Entries per block of the greedy step's temporaries (8 MB of float64).
+_BLOCK_ENTRIES = 1 << 20
+
 
 @dataclass(frozen=True)
 class SegmentSet:
@@ -197,19 +200,32 @@ def select_snippets(
 
     distances = np.vstack([p.values for p in profiles])
     num_windows = distances.shape[1]
+    # Whole-matrix temporaries would double the peak memory, so the
+    # greedy areas and the nearest-segment pass work in blocks.
+    block_rows = max(1, _BLOCK_ENTRIES // num_windows)
+    block_cols = max(1, _BLOCK_ENTRIES // segments.count)
+    clipped = np.empty((min(block_rows, segments.count), num_windows))
 
     chosen: list[int] = []
     available = np.ones(segments.count, dtype=bool)
     curve = np.full(num_windows, np.inf)
+    areas = np.empty(segments.count)
     for _ in range(num_snippets):
-        areas = np.minimum(distances, curve).sum(axis=1)
+        for lo in range(0, segments.count, block_rows):
+            block = distances[lo : lo + block_rows]
+            buf = clipped[: block.shape[0]]
+            np.minimum(block, curve, out=buf)
+            buf.sum(axis=1, out=areas[lo : lo + block.shape[0]])
         areas[~available] = np.inf
         best = int(np.argmin(areas))  # first occurrence: lowest index wins ties
         chosen.append(best)
         available[best] = False
         curve = np.minimum(curve, distances[best])
 
-    nearest = np.argmin(distances, axis=0)  # ties toward the lower segment index
+    nearest = np.empty(num_windows, dtype=np.intp)
+    for lo in range(0, num_windows, block_cols):
+        # ties toward the lower segment index
+        nearest[lo : lo + block_cols] = np.argmin(distances[:, lo : lo + block_cols], axis=0)
     counts = np.bincount(nearest, minlength=segments.count)
     window_starts = np.arange(num_windows, dtype=np.int64)
 

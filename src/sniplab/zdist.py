@@ -1,20 +1,31 @@
 """Z-normalized Euclidean distance rows between a segment and the series.
 
 The kernel computes, for the i-th length-``subseq_len`` window of a
-segment, its distance to every length-``subseq_len`` window of the
-series.  Distances come from the correlation identity
+segment, its Pearson correlation ``rho`` with every length-``subseq_len``
+window of the series, from the sliding dot products plus the
+precomputed window statistics.  Distances follow from the correlation
+identity
 
     dist = sqrt(2 * subseq_len * (1 - rho))
 
-with ``rho`` the Pearson correlation of the two windows, so a whole row
-needs only the sliding dot products plus the precomputed window
-statistics.  A direct route (explicitly z-normalize both windows, take
-the Euclidean distance) is kept selectable for cross-checking.
+The kernel stores ``-rho``, so the nearest window holds the smallest
+entry.  Every consumer of a segment's rows (column minima, sliding
+minima, order statistics) is order-based, and ``dist`` is a
+non-increasing function of ``rho`` even after IEEE rounding (each step
+of it rounds monotonically, and ``1 + (-rho) == 1 - rho`` exactly).
+Minima, maxima and order statistics therefore commute with the map:
+selecting on ``-rho`` and converting only the selected values with
+:func:`neg_correlation_to_distance` gives bit-for-bit the distances
+that selecting on converted rows would.  A direct route (explicitly
+z-normalize both windows, take the Euclidean distance) is kept
+selectable for cross-checking.
 
 Constant (zero-variance) windows z-normalize to the all-zero vector:
-two constant windows are at distance 0, and a constant window is at
-``sqrt(subseq_len)`` from any non-constant one.  This keeps flat idle
-stretches of a recording mutually similar instead of erroring out.
+two constant windows are at distance 0 (``rho = 1``), and a constant
+window is at ``sqrt(subseq_len)`` from any non-constant one
+(``rho = 0.5``, which maps to exactly that distance).  This keeps flat
+idle stretches of a recording mutually similar instead of erroring out.
+A window's own column gets ``rho = 1``, distance exactly 0.
 """
 
 from __future__ import annotations
@@ -95,32 +106,69 @@ def _shifted_dots(values, prev_dots, query_start, subseq_len):
     return out
 
 
-def _dots_to_distances(dots, stats, query_start, subseq_len, self_column=None):
-    """Turn a dot-product vector into a distance row via the correlation identity.
+def neg_correlations(
+    series: TimeSeries, stats: SlidingStats, first_query: int, num_rows: int
+) -> np.ndarray:
+    """Negated correlations of consecutive query windows against every series window.
 
-    The correlation denominator is ``sqrt(var_a * var_b)`` rather than
-    ``std_a * std_b``: when two windows have bit-equal content and the
-    intermediate sums are exact, ``sqrt(v * v)`` recovers ``v`` exactly
-    under IEEE rounding, so equal windows land at distance 0 no matter
-    where in the series they sit.  The std product would leave a residue
-    of order ``sqrt(eps)`` there.
+    Row ``i`` holds ``-rho`` between the window starting at
+    ``first_query + i`` and each series window, so smaller is nearer.
+    Row 0 starts from a full sliding-dot-product pass; every later row
+    reuses the previous row's dot products with an O(1) update per
+    column.  That recurrence accumulates round-off, so a later row can
+    differ in its last bits from the same query computed on its own
+    (``num_rows=1``), more so on series with a large offset.
+
+    ``rho`` is ``cov / sqrt(var_a * var_b)`` rather than
+    ``cov / (std_a * std_b)``: when two windows have bit-equal content
+    and the intermediate sums are exact, ``sqrt(v * v)`` recovers ``v``
+    exactly under IEEE rounding, so equal windows land at ``rho = 1``
+    no matter where in the series they sit.  The std product would
+    leave a residue of order ``sqrt(eps)`` there.  Negation is exact, so
+    each entry is bit-for-bit the negation of that ``rho``.
+
+    The caller checks that the query windows lie inside the series.
+
+    Returns
+    -------
+    ndarray of shape (num_rows, n - subseq_len + 1), entries in [-1, 1]
     """
-    q_mean = stats.means[query_start]
-    q_var = stats.variances[query_start]
-    constant = stats.variances == 0.0
-    if q_var == 0.0:
-        out = np.where(constant, 0.0, np.sqrt(subseq_len))
-    else:
-        cov = dots / subseq_len - q_mean * stats.means
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho = cov / np.sqrt(q_var * stats.variances)
-        np.clip(rho, -1.0, 1.0, out=rho)
-        out = np.sqrt(2.0 * subseq_len * (1.0 - rho))
-        if constant.any():
-            out[constant] = np.sqrt(subseq_len)
-    if self_column is not None:
-        out[self_column] = 0.0
+    subseq_len = stats.window_len
+    values = series.values
+    means = stats.means
+    variances = stats.variances
+    constant = np.flatnonzero(variances == 0.0)
+    out = np.empty((num_rows, values.size - subseq_len + 1))
+    dots = _sliding_dots(values, first_query, subseq_len)
+    scratch = np.empty_like(dots)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(num_rows):
+            query = first_query + i
+            if i:
+                dots = _shifted_dots(values, dots, query, subseq_len)
+            row = out[i]
+            q_var = variances[query]
+            if q_var == 0.0:
+                row.fill(-0.5)
+                row[constant] = -1.0
+            else:
+                # -cov = q_mean * means - dots / l, the exact negation of
+                # dots / l - q_mean * means under round-to-nearest.
+                np.multiply(means, means[query], out=row)
+                np.divide(dots, subseq_len, out=scratch)
+                np.subtract(row, scratch, out=row)
+                np.multiply(variances, q_var, out=scratch)
+                np.sqrt(scratch, out=scratch)
+                np.divide(row, scratch, out=row)
+                np.clip(row, -1.0, 1.0, out=row)
+                row[constant] = -0.5
+            row[query] = -1.0
     return out
+
+
+def neg_correlation_to_distance(neg_rho, subseq_len: int) -> np.ndarray:
+    """Distances ``sqrt(2 * subseq_len * (1 - rho))`` from negated correlations."""
+    return np.sqrt(2.0 * subseq_len * (1.0 + neg_rho))
 
 
 def _direct_row(values: np.ndarray, query_start: int, subseq_len: int) -> np.ndarray:
@@ -178,8 +226,8 @@ def distance_row(
             f"a series of length {n}"
         )
     if method == "sliding":
-        dots = _sliding_dots(series.values, query_start, subseq_len)
-        entries = _dots_to_distances(dots, stats, query_start, subseq_len, self_column=query_start)
+        neg_rho = neg_correlations(series, stats, query_start, 1)[0]
+        entries = neg_correlation_to_distance(neg_rho, subseq_len)
     elif method == "direct":
         entries = _direct_row(series.values, query_start, subseq_len)
         entries[query_start] = 0.0
@@ -193,10 +241,8 @@ def segment_distance_matrix(
 ) -> np.ndarray:
     """All distance rows of one segment, stacked.
 
-    Row 0 starts from a full sliding-dot-product pass; every later row
-    reuses the previous row's dot products with an O(1) update per
-    column.  Rows are independent of each other's order by construction,
-    so the result is identical to computing each row on its own.
+    The :func:`neg_correlations` rows of the segment's windows, each
+    entry mapped to its distance.
 
     Returns
     -------
@@ -214,12 +260,6 @@ def segment_distance_matrix(
             f"a series of length {n}"
         )
     num_rows = snippet_size - subseq_len + 1
-    rows = np.empty((num_rows, n - subseq_len + 1))
-    dots = _sliding_dots(series.values, seg_start, subseq_len)
-    rows[0] = _dots_to_distances(dots, stats, seg_start, subseq_len, self_column=seg_start)
-    for i in range(1, num_rows):
-        dots = _shifted_dots(series.values, dots, seg_start + i, subseq_len)
-        rows[i] = _dots_to_distances(
-            dots, stats, seg_start + i, subseq_len, self_column=seg_start + i
-        )
-    return rows
+    return neg_correlation_to_distance(
+        neg_correlations(series, stats, seg_start, num_rows), subseq_len
+    )

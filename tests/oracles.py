@@ -8,6 +8,8 @@ from itertools import combinations
 
 import numpy as np
 
+from sniplab.zdist import segment_distance_matrix
+
 
 def z_norm(values):
     """Population z-normalization; constant input maps to all zeros.
@@ -94,3 +96,25 @@ def exhaustive_min_area(profile_matrix, num_snippets):
     for subset in combinations(range(profile_matrix.shape[0]), num_snippets):
         best = min(best, float(profile_matrix[list(subset)].min(axis=0).sum()))
     return best
+
+
+def distance_space_profile(series, segment_index, params, stats):
+    """MPdist profile selected on distances rather than correlations.
+
+    Every entry of the segment's distance matrix is converted first,
+    then the column minima, per-row sliding minima and a full sort pick
+    the k-th smallest of each window's concatenated profile.  The
+    library selects on negated correlations instead; the two must agree
+    bit for bit.
+    """
+    m = params.snippet_size
+    width = params.profile_width
+    rows = segment_distance_matrix(series, stats, segment_index * m, m)
+    segment_side = np.vstack([brute_sliding_min(row, width) for row in rows])
+    series_side = rows.min(axis=0)
+    count = series.n - m + 1
+    series_side_windows = np.vstack([series_side[j : j + width] for j in range(count)]).T
+    merged = np.concatenate([segment_side, series_side_windows])
+    if merged.shape[0] > params.k:
+        return np.sort(merged, axis=0)[params.k - 1]
+    return merged.max(axis=0)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from sniplab import cli
 from sniplab.cli import main
 from sniplab.series import save_series
 from sniplab import TimeSeries
@@ -79,6 +80,32 @@ class TestDiscover:
         assert code == 2
         assert "--k" in err
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--m", "16", "--l", "17"], "--l"),
+            (["--m", "16", "--mpdist-k", "0"], "--mpdist-k"),
+            (["--m", "1"], "--m"),
+        ],
+    )
+    def test_bad_mpdist_flags_are_usage_errors(self, series_csv, capsys, flags, named):
+        path, _ = series_csv
+        code, _, err = _run(["discover", "--input", str(path)] + flags, capsys)
+        assert code == 2
+        assert named in err
+
+    def test_out_of_memory_is_runtime_error(self, series_csv, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "select_snippets", exhausted)
+        path, _ = series_csv
+        code, out, err = _run(["discover", "--input", str(path), "--m", "16"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: out of memory")
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_picks_length_from_grid(self, series_csv, tmp_path, capsys):
@@ -123,6 +150,19 @@ class TestSweep:
         )
         assert code == 2
         assert "--m-min" in err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--m-min", "8", "--m-max", "32", "--k", "1"], "--k"),
+            (["--m-min", "1", "--m-max", "8"], "--m-min"),
+        ],
+    )
+    def test_bad_length_flags_are_usage_errors(self, series_csv, capsys, flags, named):
+        path, _ = series_csv
+        code, _, err = _run(["sweep", "--input", str(path), "--no-log"] + flags, capsys)
+        assert code == 2
+        assert named in err
 
     def test_arith_grid_with_step(self, series_csv, capsys):
         path, _ = series_csv
@@ -179,6 +219,14 @@ class TestLabel:
         )
         assert code == 0
         assert out.split() == ["0"] * 512
+
+    def test_l_above_m_is_usage_error(self, series_csv, capsys):
+        path, _ = series_csv
+        code, _, err = _run(
+            ["label", "--input", str(path), "--m", "16", "--l", "32"], capsys
+        )
+        assert code == 2
+        assert "--l" in err
 
 
 class TestEval:

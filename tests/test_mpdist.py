@@ -10,6 +10,7 @@ from sniplab import (
     MPdistProfile,
     TimeSeries,
     column_minima,
+    compute_sliding_stats,
     default_order_stat,
     default_window_size,
     mpdist_at,
@@ -17,7 +18,7 @@ from sniplab import (
     row_sliding_minima,
 )
 from sniplab.mpdist import _sliding_min_rows
-from oracles import brute_sliding_min, naive_mpdist_profile
+from oracles import brute_sliding_min, distance_space_profile, naive_mpdist_profile
 from seriesgen import random_series
 
 
@@ -208,6 +209,43 @@ class TestMPdistProfile:
         prof = mpdist_profile(TimeSeries(values), 1, params)
         naive = naive_mpdist_profile(values, 1, 10, 5, 100)
         np.testing.assert_allclose(prof.values, naive, atol=1e-6)
+
+
+@st.composite
+def _series_with_flat_runs(draw):
+    """Noisy series with constant stretches and a large DC offset."""
+    n = draw(st.integers(min_value=12, max_value=160))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    if draw(st.booleans()):
+        values = np.round(values, 1)  # exact ties between windows
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        start = draw(st.integers(min_value=0, max_value=n - 1))
+        length = draw(st.integers(min_value=1, max_value=n // 3 + 1))
+        values[start : start + length] = values[start]
+    offset = draw(st.sampled_from([0.0, 1e3, -1e5, 1e6]))
+    return values + offset
+
+
+class TestMPdistProfileExact:
+    @given(_series_with_flat_runs(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_distance_space_selection(self, values, data):
+        # Selecting on correlations and converting only the result must
+        # give the same bits as selecting on converted distances.
+        series = TimeSeries(values)
+        m = data.draw(st.integers(min_value=2, max_value=series.n // 2))
+        l = data.draw(st.integers(min_value=1, max_value=m))
+        width = m - l + 1
+        k = data.draw(st.sampled_from([1, 2, max(1, 2 * width - 1), 2 * width, 2 * width + 1]))
+        params = MPdistParams(snippet_size=m, window_size=l, k=k)
+        stats = compute_sliding_stats(series, l)
+        seg = data.draw(st.integers(min_value=0, max_value=series.n // m - 1))
+        np.testing.assert_array_equal(
+            mpdist_profile(series, seg, params, stats=stats).values,
+            distance_space_profile(series, seg, params, stats),
+        )
 
 
 class TestMPdistProfileType:

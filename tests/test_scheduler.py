@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sniplab
 from sniplab import (
     CostModel,
     MPdistParams,
@@ -100,6 +105,33 @@ class TestKKPartition:
     def test_no_weights(self):
         with pytest.raises(ValueError, match="no weights"):
             kk_partition([], 2)
+
+    def test_inconsistent_difference_raises_under_optimize(self):
+        # The invariant check must survive `python -O`, which strips asserts.
+        child = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from sniplab import scheduler\n"
+            "assert sys.flags.optimize\n"
+            "scheduler._two_way_kk = lambda vals: ([(0,), (1,)], Fraction(99))\n"
+            "try:\n"
+            "    scheduler.kk_partition([3, 1], 2)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n"
+        )
+        src = str(Path(sniplab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", child],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "differencing value 99" in proc.stdout
 
     def test_fractional_weights_stay_exact(self):
         weights = [0.1, 0.2, 0.3, 0.4]
