@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Walk through the distance layer: z-normalized distances, distance rows,
-and the MPdist profile of a single segment.
+"""Walk through the distance layer: z-normalized distance rows and the
+MPdist profile of a single segment.
 
 Run from the repo root after installing the package:
 
@@ -15,7 +15,6 @@ from sniplab import (
     compute_sliding_stats,
     distance_row,
     mpdist_profile,
-    znorm_distance,
 )
 
 
@@ -23,24 +22,27 @@ def main():
     rng = np.random.default_rng(7)
 
     # --- z-normalized distance ignores offset and scale -------------------
+    # Lay a window a and a transformed copy b end to end: the distance row
+    # of the window at 0 holds distance(a, b) at entry len(a), exact up to
+    # round-off.
     a = rng.standard_normal(16)
-    b = 3.0 * a + 100.0
-    print("distance(a, 3a + 100) =", znorm_distance(a, b))
-    print("distance(a, -a)       =", round(znorm_distance(a, -a), 6))
+    for name, b in (("3a + 100", 3.0 * a + 100.0), ("-a", -a)):
+        pair = TimeSeries(np.concatenate([a, b]))
+        row = distance_row(pair, compute_sliding_stats(pair, a.size), 0, 0, a.size)
+        print(f"distance(a, {name}) =".ljust(24) + f"{row.entries[a.size]:.4f}")
     print("(the maximum possible value for length 16 is sqrt(4*16) = 8)")
     print()
 
     # --- one row of the all-pairs distance matrix -------------------------
     # Row r holds the distances from the window starting at r to every
-    # window of the series. The sliding method reuses dot products; the
-    # direct method z-normalizes every window from scratch. They agree.
+    # window of the series. Each row after the first reuses the previous
+    # row's dot products; a window's own entry is exactly 0.
     series = TimeSeries(rng.standard_normal(200))
     stats = compute_sliding_stats(series, window_len=12)
-    fast = distance_row(series, stats, 0, 5, 12, method="sliding")
-    slow = distance_row(series, stats, 0, 5, 12, method="direct")
-    print("row 5, sliding vs direct, max abs diff:",
-          np.max(np.abs(fast.entries - slow.entries)))
-    print("self distance (entry 5):", fast.entries[5])
+    row = distance_row(series, stats, 0, 5, 12)
+    print("self distance (entry 5):", row.entries[5])
+    others = np.delete(row.entries, 5)
+    print(f"other windows: min {others.min():.3f}, max {others.max():.3f}")
     print()
 
     # --- MPdist profile of a segment --------------------------------------

@@ -26,12 +26,9 @@ from .length_select import (
 from .mpdist import (
     MPdistParams,
     MPdistProfile,
-    column_minima,
     default_order_stat,
     default_window_size,
-    mpdist_at,
     mpdist_profile,
-    row_sliding_minima,
 )
 from .scheduler import (
     CostModel,
@@ -66,7 +63,6 @@ from .zdist import (
     DistanceRow,
     distance_row,
     segment_distance_matrix,
-    znorm_distance,
 )
 
 __version__ = "0.1.0"
@@ -87,7 +83,6 @@ __all__ = [
     "Snippet",
     "SnippetResult",
     "TimeSeries",
-    "column_minima",
     "compute_sliding_stats",
     "criterion_score",
     "default_cost",
@@ -104,12 +99,10 @@ __all__ = [
     "load_training_samples",
     "lpt_partition",
     "make_grid",
-    "mpdist_at",
     "mpdist_profile",
     "profile_area",
     "read_labels",
     "representativeness_curve",
-    "row_sliding_minima",
     "run_schedule",
     "save_series",
     "segment",
@@ -118,5 +111,4 @@ __all__ = [
     "select_length",
     "select_snippets",
     "write_labels",
-    "znorm_distance",
 ]

@@ -53,15 +53,14 @@ class LengthReport:
         }
 
 
-def criterion_score(result: SnippetResult, all_segment_profiles=None) -> float:
+def criterion_score(result: SnippetResult) -> float:
     """Inter-profile separation score of one snippet search.
 
     Parameters
     ----------
     result : SnippetResult
-    all_segment_profiles : sequence of MPdistProfile or arrays, optional
-        Profiles of every segment, used for the normalizer.  When
-        omitted, the maximum recorded on the result is used instead.
+        Its ``profile_max``, the largest entry over all segments'
+        profiles, is the normalizer.
 
     Returns
     -------
@@ -75,10 +74,7 @@ def criterion_score(result: SnippetResult, all_segment_profiles=None) -> float:
         raise ValueError(
             f"separation needs at least 2 snippets, got {len(result.profiles)}"
         )
-    if all_segment_profiles is None:
-        normalizer = result.profile_max
-    else:
-        normalizer = max(float(np.max(np.asarray(getattr(p, "values", p)))) for p in all_segment_profiles)
+    normalizer = result.profile_max
     if normalizer == 0.0:
         return 0.0
     total = 0.0

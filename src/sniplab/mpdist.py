@@ -22,7 +22,6 @@ sliding window and the per-row filter, merge and partition are skipped.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import minimum_filter1d
 
 from .series import TimeSeries, compute_sliding_stats
-from .zdist import DistanceRow, neg_correlation_to_distance, neg_correlations
+from .zdist import neg_correlation_to_distance, neg_correlations
 from .zdist import segment_distance_matrix  # noqa: F401  bench/layers.py wraps it by this name
 
 
@@ -104,87 +103,12 @@ class MPdistProfile:
         return int(self.values.size)
 
 
-def _as_rows(rows) -> np.ndarray:
-    if isinstance(rows, np.ndarray) and rows.ndim == 2:
-        return rows
-    arrays = [
-        np.asarray(r.entries if isinstance(r, DistanceRow) else r, dtype=np.float64)
-        for r in rows
-    ]
-    if not arrays:
-        raise ValueError("no distance rows given")
-    length = arrays[0].size
-    for i, a in enumerate(arrays):
-        if a.ndim != 1 or a.size != length:
-            raise ValueError(f"row {i} has length {a.size}, expected {length}")
-    return np.vstack(arrays)
-
-
-def column_minima(rows) -> np.ndarray:
-    """Columnwise minimum over a segment's distance rows.
-
-    Accepts a 2-D array or a sequence of equal-length rows
-    (:class:`DistanceRow` or plain arrays).
-    """
-    return _as_rows(rows).min(axis=0)
-
-
-def row_sliding_minima(row, window: int) -> np.ndarray:
-    """Minimum of every length-``window`` span of ``row``.
-
-    A monotonic double-ended queue of candidate indices keeps the total
-    cost linear in the row length; the result equals a per-window
-    brute-force scan.
-    """
-    row = np.asarray(getattr(row, "entries", row), dtype=np.float64)
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
-    if row.size < window:
-        raise ValueError(f"window {window} larger than row of length {row.size}")
-    out = np.empty(row.size - window + 1)
-    candidates: deque[int] = deque()
-    for j in range(row.size):
-        while candidates and row[candidates[-1]] >= row[j]:
-            candidates.pop()
-        candidates.append(j)
-        if candidates[0] <= j - window:
-            candidates.popleft()
-        if j >= window - 1:
-            out[j - window + 1] = row[candidates[0]]
-    return out
-
-
 def _sliding_min_rows(matrix: np.ndarray, window: int) -> np.ndarray:
-    # C-backed equivalent of row_sliding_minima applied to every row;
-    # the centering offset realigns the filter to leading windows.
+    # Minimum of every length-``window`` span along the last axis.  The
+    # filter centres its window; the offset realigns it to leading windows.
     filtered = minimum_filter1d(matrix, size=window, axis=-1, mode="nearest")
     start = window // 2
     return filtered[..., start : start + matrix.shape[-1] - window + 1]
-
-
-def mpdist_at(ab_part, ba_part, params: MPdistParams) -> float:
-    """MPdist value from the two halves of one window's concatenated profile.
-
-    ``ab_part`` holds, for each segment window, its distance to the
-    nearest window inside the series window; ``ba_part`` holds, for each
-    window of the series window, its distance to the nearest segment
-    window.  Both halves must have ``params.profile_width`` entries.
-    Selection is an order-statistic partition, not a sort; when the
-    concatenation has no more than ``k`` entries the maximum is returned
-    instead.
-    """
-    ab = np.asarray(getattr(ab_part, "entries", ab_part), dtype=np.float64)
-    ba = np.asarray(ba_part, dtype=np.float64)
-    if ab.size != ba.size:
-        raise ValueError(f"profile halves differ in length: {ab.size} vs {ba.size}")
-    if ab.size != params.profile_width:
-        raise ValueError(
-            f"profile halves have {ab.size} entries, expected {params.profile_width}"
-        )
-    merged = np.concatenate([ab, ba])
-    if merged.size > params.k:
-        return float(np.partition(merged, params.k - 1)[params.k - 1])
-    return float(merged.max())
 
 
 def mpdist_profile(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -135,41 +136,6 @@ def _check_weights(weights) -> list[Fraction]:
     return vals
 
 
-def _two_way_kk(weights: list[Fraction]) -> tuple[list[tuple[int, ...]], Fraction]:
-    # Largest differencing with a commitment forest: each differencing
-    # step says "these two nodes land on opposite sides", and the final
-    # survivor's value is the exact side difference.
-    heap = [(-w, i, i) for i, w in enumerate(weights)]
-    heapq.heapify(heap)
-    order = len(weights)
-    values = {i: w for i, w in enumerate(weights)}
-    opposite: dict[int, list[int]] = {i: [] for i in range(len(weights))}
-    while len(heap) > 1:
-        _, _, a = heapq.heappop(heap)
-        _, _, b = heapq.heappop(heap)
-        opposite[a].append(b)
-        opposite[b].append(a)
-        values[a] = values[a] - values[b]
-        heapq.heappush(heap, (-values[a], order, a))
-        order += 1
-    survivor = heap[0][2]
-    difference = values[survivor]
-
-    colors = {survivor: 0}
-    stack = [survivor]
-    while stack:
-        node = stack.pop()
-        for nxt in opposite[node]:
-            if nxt not in colors:
-                colors[nxt] = 1 - colors[node]
-                stack.append(nxt)
-    parts = (
-        tuple(i for i in range(len(weights)) if colors[i] == 0),
-        tuple(i for i in range(len(weights)) if colors[i] == 1),
-    )
-    return list(parts), difference
-
-
 def _multiway_kk(weights: list[Fraction], num_parts: int) -> tuple[list[tuple[int, ...]], Fraction]:
     # Tuple differencing: every heap entry is a partial partition held
     # as per-part sums (descending).  Merging two entries pairs the
@@ -201,10 +167,11 @@ def _multiway_kk(weights: list[Fraction], num_parts: int) -> tuple[list[tuple[in
 def kk_partition(weights, num_parts: int) -> Schedule:
     """Split weighted jobs across ``num_parts`` workers, Karmarkar-Karp style.
 
-    Two parts use the classic largest-differencing method with exact
-    rational arithmetic, so the reported ``difference`` equals the
-    reconstructed load gap exactly.  More parts use the tuple
-    generalization; one part is trivial.
+    Two or more parts use tuple differencing (Karmarkar & Karp 1982;
+    Korf 2009), which at two parts is the classic largest-differencing
+    method; one part is trivial.  All arithmetic is exact rational, so
+    the reported ``difference`` equals the reconstructed load gap
+    exactly.
 
     Parameters
     ----------
@@ -222,8 +189,6 @@ def kk_partition(weights, num_parts: int) -> Schedule:
     if num_parts == 1:
         parts = [tuple(range(len(vals)))]
         difference = Fraction(0)
-    elif num_parts == 2:
-        parts, difference = _two_way_kk(vals)
     else:
         parts, difference = _multiway_kk(vals, num_parts)
 
@@ -296,6 +261,11 @@ def _append_training_log(path, series_length: int, timings) -> None:
             )
 
 
+def _finite_number(value) -> bool:
+    # type() rather than isinstance(): a JSON true is no number.
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def load_training_samples(path, series_length: int | None = None):
     """Read a training log back as paired arrays.
 
@@ -309,15 +279,31 @@ def load_training_samples(path, series_length: int | None = None):
     Returns
     -------
     snippet_sizes, seconds : ndarray
+
+    Raises
+    ------
+    ValueError
+        If a line is not a JSON object with finite numeric ``m``, ``n``
+        and ``seconds``; the message names the 1-based line.
     """
     sizes = []
     seconds = []
     with open(path) as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            entry = json.loads(line)
+            try:
+                entry = json.loads(line)
+            except ValueError:
+                entry = None
+            if not isinstance(entry, dict) or not all(
+                _finite_number(entry.get(key)) for key in ("m", "n", "seconds")
+            ):
+                raise ValueError(
+                    f"training log {path}, line {line_no}: expected a JSON object "
+                    f"with finite numeric m, n and seconds"
+                )
             if series_length is not None and entry["n"] != series_length:
                 continue
             sizes.append(entry["m"])

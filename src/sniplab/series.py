@@ -60,28 +60,25 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class SlidingStats:
-    """Per-window mean, population standard deviation, and variance.
+    """Per-window mean and population variance.
 
-    ``means[i]``, ``stds[i]`` and ``variances[i]`` describe the window of
+    ``means[i]`` and ``variances[i]`` describe the window of
     ``window_len`` samples starting at position ``i``; there are
     ``n - window_len + 1`` windows.  A variance of exactly 0 identifies a
-    constant window.  The variance is kept alongside the std because the
-    correlation kernel divides by ``sqrt(var_a * var_b)``; squaring the
-    stds back would cost an extra rounding per entry.
+    constant window.  No std is kept: the correlation kernel divides by
+    ``sqrt(var_a * var_b)``, which a product of stds would round once
+    more per entry.
     """
 
     window_len: int
     means: np.ndarray
-    stds: np.ndarray
-    variances: np.ndarray | None = None
+    variances: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "means", _freeze(np.asarray(self.means, dtype=np.float64)))
-        object.__setattr__(self, "stds", _freeze(np.asarray(self.stds, dtype=np.float64)))
-        variances = self.variances
-        if variances is None:
-            variances = self.stds * self.stds
-        object.__setattr__(self, "variances", _freeze(np.asarray(variances, dtype=np.float64)))
+        object.__setattr__(
+            self, "variances", _freeze(np.asarray(self.variances, dtype=np.float64))
+        )
 
 
 def load_series(path, column: int = 0) -> TimeSeries:
@@ -150,12 +147,12 @@ def save_series(series: TimeSeries, path) -> None:
 
 
 def compute_sliding_stats(series: TimeSeries, window_len: int) -> SlidingStats:
-    """Mean and population standard deviation of every sliding window.
+    """Mean and population variance of every sliding window.
 
     Uses prefix sums of values and squares, so the whole sweep costs
     O(n); round-off can push a window's variance slightly negative, which
-    is clamped to 0.  A window whose samples are all equal gets a std of
-    exactly 0 (checked by sliding max == sliding min, not by the prefix
+    is clamped to 0.  A window whose samples are all equal gets a variance
+    of exactly 0 (checked by sliding max == sliding min, not by the prefix
     sums, whose round-off could leave a tiny residue), since downstream
     distance conventions key on that exact zero.
 
@@ -185,6 +182,4 @@ def compute_sliding_stats(series: TimeSeries, window_len: int) -> SlidingStats:
     lo = minimum_filter1d(x, window_len, mode="nearest")[shift : shift + count]
     hi = maximum_filter1d(x, window_len, mode="nearest")[shift : shift + count]
     variances[lo == hi] = 0.0
-    return SlidingStats(
-        window_len=window_len, means=means, stds=np.sqrt(variances), variances=variances
-    )
+    return SlidingStats(window_len=window_len, means=means, variances=variances)

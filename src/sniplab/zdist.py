@@ -16,9 +16,7 @@ of it rounds monotonically, and ``1 + (-rho) == 1 - rho`` exactly).
 Minima, maxima and order statistics therefore commute with the map:
 selecting on ``-rho`` and converting only the selected values with
 :func:`neg_correlation_to_distance` gives bit-for-bit the distances
-that selecting on converted rows would.  A direct route (explicitly
-z-normalize both windows, take the Euclidean distance) is kept
-selectable for cross-checking.
+that selecting on converted rows would.
 
 Constant (zero-variance) windows z-normalize to the all-zero vector:
 two constant windows are at distance 0 (``rho = 1``), and a constant
@@ -49,37 +47,6 @@ class DistanceRow:
 
     row_index: int
     entries: np.ndarray
-
-
-def znorm_distance(a, b) -> float:
-    """Euclidean distance between population-z-normalized copies of two windows.
-
-    Reference implementation: no shared state, no incremental updates.
-
-    Raises
-    ------
-    ValueError
-        If the windows are empty or of different lengths.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("windows must be one-dimensional")
-    if a.size != b.size:
-        raise ValueError(f"window length mismatch: {a.size} vs {b.size}")
-    if a.size == 0:
-        raise ValueError("windows must be non-empty")
-    return float(np.linalg.norm(_znorm(a) - _znorm(b)))
-
-
-def _znorm(x: np.ndarray) -> np.ndarray:
-    # Constant means all samples equal; testing std against 0 would miss
-    # that, since even a two-pass std leaves round-off residue.  The std
-    # check on top catches windows whose spread underflows to nothing.
-    std = x.std()
-    if std == 0.0 or x.max() == x.min():
-        return np.zeros_like(x)
-    return (x - x.mean()) / std
 
 
 def _sliding_dots(values: np.ndarray, query_start: int, subseq_len: int) -> np.ndarray:
@@ -171,27 +138,16 @@ def neg_correlation_to_distance(neg_rho, subseq_len: int) -> np.ndarray:
     return np.sqrt(2.0 * subseq_len * (1.0 + neg_rho))
 
 
-def _direct_row(values: np.ndarray, query_start: int, subseq_len: int) -> np.ndarray:
-    """Distance row by explicit z-normalization, O(subseq_len) per entry."""
-    windows = sliding_window_view(values, subseq_len)
-    means = windows.mean(axis=1, keepdims=True)
-    stds = windows.std(axis=1, keepdims=True)
-    flat = windows.max(axis=1, keepdims=True) == windows.min(axis=1, keepdims=True)
-    safe = np.where(flat, 1.0, stds)
-    normalized = np.where(flat, 0.0, (windows - means) / safe)
-    query = _znorm(values[query_start : query_start + subseq_len])
-    return np.linalg.norm(normalized - query, axis=1)
-
-
 def distance_row(
     series: TimeSeries,
     stats: SlidingStats,
     seg_start: int,
     row_offset: int,
     subseq_len: int,
-    method: str = "sliding",
 ) -> DistanceRow:
     """Distances from one segment window to every series window.
+
+    One :func:`neg_correlations` row, converted to distances.
 
     Parameters
     ----------
@@ -204,10 +160,6 @@ def distance_row(
         Offset of the query window inside the segment.
     subseq_len : int
         Window length.
-    method : {"sliding", "direct"}
-        "sliding" evaluates the correlation identity from dot products;
-        "direct" z-normalizes both windows explicitly.  Both agree to
-        within 1e-6 and exist so either can check the other.
 
     Returns
     -------
@@ -225,14 +177,8 @@ def distance_row(
             f"query window [{query_start}, {query_start + subseq_len}) is outside "
             f"a series of length {n}"
         )
-    if method == "sliding":
-        neg_rho = neg_correlations(series, stats, query_start, 1)[0]
-        entries = neg_correlation_to_distance(neg_rho, subseq_len)
-    elif method == "direct":
-        entries = _direct_row(series.values, query_start, subseq_len)
-        entries[query_start] = 0.0
-    else:
-        raise ValueError(f"unknown method {method!r}, expected 'sliding' or 'direct'")
+    neg_rho = neg_correlations(series, stats, query_start, 1)[0]
+    entries = neg_correlation_to_distance(neg_rho, subseq_len)
     return DistanceRow(row_index=row_offset, entries=entries)
 
 

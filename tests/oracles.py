@@ -16,12 +16,15 @@ def z_norm(values):
 
     Constant is "all samples equal", not "std rounds to zero": a
     two-pass std of equal samples can leave a 1e-15 residue that would
-    otherwise get normalized into a garbage unit-variance vector.
+    otherwise get normalized into a garbage unit-variance vector.  A
+    spread so small that the std underflows to 0 counts as constant
+    too, as the library's zero variance does.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.max() == values.min():
+    std = values.std()
+    if std == 0.0 or values.max() == values.min():
         return np.zeros_like(values)
-    return (values - values.mean()) / values.std()
+    return (values - values.mean()) / std
 
 
 def znorm_euclid(a, b):

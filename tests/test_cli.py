@@ -195,6 +195,26 @@ class TestSweep:
         assert code == 0
         assert second == first
 
+    @pytest.mark.parametrize(
+        "bad_line", ['{"m": 8}', "[1, 2]", '{"m": 16, "n": 512, "seconds": NaN}']
+    )
+    def test_malformed_training_log_is_runtime_error(self, series_csv, tmp_path, capsys, bad_line):
+        path, _ = series_csv
+        log = tmp_path / "timings.jsonl"
+        log.write_text('{"m": 8, "n": 512, "seconds": 0.1}\n' + bad_line + "\n")
+        code, out, err = _run(
+            [
+                "sweep", "--input", str(path),
+                "--m-min", "8", "--m-max", "32",
+                "--training-log", str(log),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "line 2" in err
+
 
 class TestLabel:
     def test_labels_whole_series(self, series_csv, tmp_path, capsys):

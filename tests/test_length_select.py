@@ -53,11 +53,6 @@ class TestCriterionScore:
         result = _result_from_profiles(rows, profile_max=4.0)
         assert criterion_score(result) == pytest.approx(3.0)
 
-    def test_explicit_normalizer_overrides(self):
-        result = _result_from_profiles([[0.0, 2.0], [2.0, 0.0]], profile_max=2.0)
-        extra = [np.array([8.0, 1.0]), np.array([0.5, 0.5])]
-        assert criterion_score(result, all_segment_profiles=extra) == pytest.approx(0.5)
-
     def test_flat_series_scores_zero(self):
         result = _result_from_profiles([[0.0, 0.0], [0.0, 0.0]], profile_max=0.0)
         assert criterion_score(result) == 0.0

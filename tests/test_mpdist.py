@@ -9,13 +9,10 @@ from sniplab import (
     MPdistParams,
     MPdistProfile,
     TimeSeries,
-    column_minima,
     compute_sliding_stats,
     default_order_stat,
     default_window_size,
-    mpdist_at,
     mpdist_profile,
-    row_sliding_minima,
 )
 from sniplab.mpdist import _sliding_min_rows
 from oracles import brute_sliding_min, distance_space_profile, naive_mpdist_profile
@@ -62,43 +59,20 @@ class TestMPdistParams:
             MPdistParams(snippet_size=8, k=0)
 
 
-class TestColumnMinima:
-    def test_example(self):
-        np.testing.assert_array_equal(
-            column_minima([[1.0, 4.0, 2.0], [3.0, 0.0, 5.0]]), [1.0, 0.0, 2.0]
-        )
-
-    def test_single_row(self):
-        np.testing.assert_array_equal(column_minima([[2.0, 7.0]]), [2.0, 7.0])
-
-    def test_constant_rows(self):
-        np.testing.assert_array_equal(
-            column_minima(np.full((3, 4), 2.5)), np.full(4, 2.5)
-        )
-
-    def test_ragged_rows_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            column_minima([np.array([1.0, 2.0]), np.array([1.0])])
-
-
 class TestRowSlidingMinima:
     def test_example(self):
         np.testing.assert_array_equal(
-            row_sliding_minima([3.0, 1.0, 2.0, 5.0, 4.0], 2), [1.0, 1.0, 2.0, 4.0]
+            _sliding_min_rows(np.array([3.0, 1.0, 2.0, 5.0, 4.0]), 2), [1.0, 1.0, 2.0, 4.0]
         )
 
     def test_window_one_is_identity(self):
         row = np.array([5.0, 1.0, 7.0])
-        np.testing.assert_array_equal(row_sliding_minima(row, 1), row)
+        np.testing.assert_array_equal(_sliding_min_rows(row, 1), row)
 
     def test_decreasing_row(self):
         np.testing.assert_array_equal(
-            row_sliding_minima([5.0, 4.0, 3.0, 2.0], 2), [4.0, 3.0, 2.0]
+            _sliding_min_rows(np.array([5.0, 4.0, 3.0, 2.0]), 2), [4.0, 3.0, 2.0]
         )
-
-    def test_window_too_large(self):
-        with pytest.raises(ValueError, match="window"):
-            row_sliding_minima([1.0, 2.0], 3)
 
     @given(
         st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=80),
@@ -108,50 +82,19 @@ class TestRowSlidingMinima:
     def test_matches_brute_force(self, row, data):
         window = data.draw(st.integers(min_value=1, max_value=len(row)))
         np.testing.assert_array_equal(
-            row_sliding_minima(row, window), brute_sliding_min(row, window)
+            _sliding_min_rows(np.array(row), window), brute_sliding_min(row, window)
         )
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matrix_path_matches_deque_path(self, seed):
-        # The batched filter used in the hot path must agree with the
-        # one-row contract implementation.
+        # The batched filter used in the hot path must agree row by row
+        # with a per-window scan.
         rng = np.random.default_rng(seed)
         rows = rng.standard_normal((5, int(rng.integers(4, 60))))
         window = int(rng.integers(1, rows.shape[1] + 1))
         batched = _sliding_min_rows(rows, window)
         for i in range(rows.shape[0]):
-            np.testing.assert_array_equal(batched[i], row_sliding_minima(rows[i], window))
-
-
-class TestMPdistAt:
-    def test_all_zero(self):
-        p = MPdistParams(snippet_size=3, window_size=2, k=1)
-        assert mpdist_at([0.0, 0.0], [0.0, 0.0], p) == 0.0
-
-    def test_kth_smallest(self):
-        p = MPdistParams(snippet_size=3, window_size=2, k=1)
-        assert mpdist_at([0.1, 0.4], [0.2, 0.3], p) == pytest.approx(0.1)
-
-    def test_max_fallback(self):
-        p = MPdistParams(snippet_size=3, window_size=2, k=9)
-        assert mpdist_at([0.1, 0.4], [0.2, 0.3], p) == pytest.approx(0.4)
-
-    def test_fallback_is_exact_max(self):
-        rng = np.random.default_rng(1)
-        ab = rng.uniform(0, 5, 4)
-        ba = rng.uniform(0, 5, 4)
-        p = MPdistParams(snippet_size=5, window_size=2, k=8)
-        assert mpdist_at(ab, ba, p) == max(ab.max(), ba.max())
-
-    def test_part_length_mismatch(self):
-        p = MPdistParams(snippet_size=3, window_size=2)
-        with pytest.raises(ValueError, match="halves"):
-            mpdist_at([0.1], [0.2, 0.3], p)
-
-    def test_parts_must_match_params(self):
-        p = MPdistParams(snippet_size=5, window_size=2)  # profile width 4
-        with pytest.raises(ValueError):
-            mpdist_at([0.1, 0.2], [0.3, 0.4], p)
+            np.testing.assert_array_equal(batched[i], brute_sliding_min(rows[i], window))
 
 
 class TestMPdistProfile:

@@ -113,7 +113,7 @@ class TestKKPartition:
             "from fractions import Fraction\n"
             "from sniplab import scheduler\n"
             "assert sys.flags.optimize\n"
-            "scheduler._two_way_kk = lambda vals: ([(0,), (1,)], Fraction(99))\n"
+            "scheduler._multiway_kk = lambda vals, parts: ([(0,), (1,)], Fraction(99))\n"
             "try:\n"
             "    scheduler.kk_partition([3, 1], 2)\n"
             "except RuntimeError as exc:\n"

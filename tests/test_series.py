@@ -93,18 +93,18 @@ class TestSlidingStats:
     def test_small_example(self):
         stats = compute_sliding_stats(TimeSeries([1.0, 2.0, 3.0, 4.0]), 2)
         np.testing.assert_allclose(stats.means, [1.5, 2.5, 3.5])
-        np.testing.assert_allclose(stats.stds, [0.5, 0.5, 0.5])
+        np.testing.assert_allclose(np.sqrt(stats.variances), [0.5, 0.5, 0.5])
 
     def test_constant_series(self):
         stats = compute_sliding_stats(TimeSeries([5.0, 5.0, 5.0]), 2)
-        np.testing.assert_array_equal(stats.stds, [0.0, 0.0])
+        np.testing.assert_array_equal(np.sqrt(stats.variances), [0.0, 0.0])
 
     def test_full_window(self):
         values = np.array([1.0, 4.0, 2.0, 7.0])
         stats = compute_sliding_stats(TimeSeries(values), 4)
         assert stats.means.size == 1
         np.testing.assert_allclose(stats.means[0], values.mean())
-        np.testing.assert_allclose(stats.stds[0], values.std())
+        np.testing.assert_allclose(np.sqrt(stats.variances)[0], values.std())
 
     def test_window_out_of_range(self):
         s = TimeSeries([1.0, 2.0, 3.0])
@@ -122,12 +122,12 @@ class TestSlidingStats:
         stats = compute_sliding_stats(TimeSeries(values), window)
         means, stds = two_pass_stats(values, window)
         np.testing.assert_allclose(stats.means, means, atol=1e-9)
-        np.testing.assert_allclose(stats.stds, stds, atol=1e-9)
+        np.testing.assert_allclose(np.sqrt(stats.variances), stds, atol=1e-9)
 
     def test_variance_roundoff_clamped(self):
         # A huge offset makes naive prefix-sum variance go slightly negative.
         values = np.full(64, 1e9)
         values[::7] += 1e-3
         stats = compute_sliding_stats(TimeSeries(values), 8)
-        assert np.all(stats.stds >= 0)
-        assert np.all(np.isfinite(stats.stds))
+        assert np.all(np.sqrt(stats.variances) >= 0)
+        assert np.all(np.isfinite(np.sqrt(stats.variances)))

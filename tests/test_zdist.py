@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sniplab import TimeSeries, compute_sliding_stats, distance_row, znorm_distance
+from sniplab import TimeSeries, compute_sliding_stats, distance_row
 from sniplab.zdist import segment_distance_matrix
 from oracles import naive_distance_row, znorm_euclid
 
@@ -20,32 +20,24 @@ def _finite_floats(min_size, max_size):
 
 class TestZnormDistance:
     def test_identical(self):
-        assert znorm_distance([1.0, 5.0, 2.0], [1.0, 5.0, 2.0]) == 0.0
+        assert znorm_euclid([1.0, 5.0, 2.0], [1.0, 5.0, 2.0]) == 0.0
 
     def test_spec_value(self):
-        d = znorm_distance([1.0, 2.0, 3.0], [3.0, 2.0, 1.0])
+        d = znorm_euclid([1.0, 2.0, 3.0], [3.0, 2.0, 1.0])
         assert d == pytest.approx(2 * math.sqrt(3), abs=1e-12)
 
     def test_both_constant(self):
-        assert znorm_distance([4.0, 4.0], [9.0, 9.0]) == 0.0
+        assert znorm_euclid([4.0, 4.0], [9.0, 9.0]) == 0.0
 
     def test_constant_vs_nonconstant(self):
-        d = znorm_distance([7.0, 7.0, 7.0, 7.0], [0.0, 1.0, 2.0, 3.0])
+        d = znorm_euclid([7.0, 7.0, 7.0, 7.0], [0.0, 1.0, 2.0, 3.0])
         assert d == pytest.approx(2.0, abs=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            znorm_distance([1.0, 2.0], [1.0, 2.0, 3.0])
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            znorm_distance([], [])
 
     @given(_finite_floats(2, 32), st.data())
     @settings(max_examples=60, deadline=None)
     def test_symmetry(self, a, data):
         b = data.draw(_finite_floats(len(a), len(a)))
-        assert znorm_distance(a, b) == znorm_distance(b, a)
+        assert znorm_euclid(a, b) == znorm_euclid(b, a)
 
     @given(
         _finite_floats(2, 16),
@@ -60,15 +52,15 @@ class TestZnormDistance:
         # rounding away against beta) is a different window entirely;
         # keep the map well-conditioned.
         assume(alpha * (b.max() - b.min()) > 1e-3 * (1 + abs(beta)))
-        base = znorm_distance(a, b)
-        assert znorm_distance(a, alpha * b + beta) == pytest.approx(base, abs=1e-6)
+        base = znorm_euclid(a, b)
+        assert znorm_euclid(a, alpha * b + beta) == pytest.approx(base, abs=1e-6)
 
 
 class TestDistanceRow:
-    def _row(self, values, seg_start, offset, l, method="sliding"):
+    def _row(self, values, seg_start, offset, l):
         series = TimeSeries(values)
         stats = compute_sliding_stats(series, l)
-        return distance_row(series, stats, seg_start, offset, l, method=method)
+        return distance_row(series, stats, seg_start, offset, l)
 
     def test_self_column_is_exact_zero(self):
         rng = np.random.default_rng(0)
@@ -90,13 +82,9 @@ class TestDistanceRow:
     def test_methods_agree(self):
         rng = np.random.default_rng(3)
         values = rng.standard_normal(200)
-        fast = self._row(values, 20, 4, 16, method="sliding")
-        direct = self._row(values, 20, 4, 16, method="direct")
-        np.testing.assert_allclose(fast.entries, direct.entries, atol=1e-9)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            self._row(np.arange(20.0), 0, 0, 4, method="fft")
+        fast = self._row(values, 20, 4, 16)
+        direct = naive_distance_row(values, 24, 16)
+        np.testing.assert_allclose(fast.entries, direct, atol=1e-9)
 
     def test_stats_window_mismatch(self):
         series = TimeSeries(np.arange(20.0))
