@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Compare two ways of splitting a length sweep across workers.
+"""Compare two ways of splitting priced jobs across workers ahead of time.
 
-Each candidate snippet length costs a different amount of work. The
-largest-differencing method (Karmarkar-Karp) balances the per-worker sums
-much tighter than the greedy longest-processing-time rule, so no worker
-sits idle at the end of a sweep.
+The largest-differencing method (Karmarkar-Karp) usually balances the
+per-worker sums tighter than the greedy longest-processing-time rule.
+On near-equal weights, such as the operation-count estimate of every
+length on a pow2 grid, both rules reach the same spread.
 
     python3 demos/05_balancing.py
 """
@@ -16,6 +16,13 @@ def spread(schedule):
     return max(schedule.predicted_loads) - min(schedule.predicted_loads)
 
 
+def compare(weights, workers):
+    kk = kk_partition(weights, workers)
+    lpt = lpt_partition(weights, workers)
+    print(f"  {workers} workers: kk spread {spread(kk):.3g}, "
+          f"lpt spread {spread(lpt):.3g}")
+
+
 def main():
     # --- the textbook example ---------------------------------------------
     weights = [8.0, 7.0, 6.0, 5.0, 4.0]
@@ -25,27 +32,27 @@ def main():
               f"spread {spread(schedule):g}")
     print()
 
-    # --- a sweep's actual cost profile -------------------------------------
-    # Cost grows with m for fixed n, so a pow2 grid has wildly uneven jobs.
+    # --- flat weights: the operation-count estimate of a pow2 grid --------
+    # Every length costs about n^2 / 2 distance entries, whatever m is.
     n = 200_000
     grid = [2 ** e for e in range(5, 13)]
-    costs = [float(default_cost(n, m, m // 2)) for m in grid]
+    costs = [default_cost(n, m, m // 2) for m in grid]
     print("grid:", grid)
-    print("job costs (billions):", [round(c / 1e9, 2) for c in costs])
-    print()
-
+    print("estimated costs (billions):", [round(c / 1e9, 2) for c in costs])
     for workers in (2, 4):
-        kk = kk_partition(costs, workers)
-        lpt = lpt_partition(costs, workers)
-        print(f"{workers} workers: kk spread {spread(kk):.3g}, "
-              f"lpt spread {spread(lpt):.3g}")
-        for w, jobs in enumerate(kk.assignments):
-            lengths = [grid[j] for j in jobs]
-            print(f"  kk worker {w} handles lengths {lengths}")
-
+        compare(costs, workers)
     print()
-    print("the sweep itself calls these through run_schedule, which also")
-    print("records observed times to refine the cost model for next runs")
+
+    # --- uneven weights ---------------------------------------------------
+    uneven = [72, 94, 88, 51, 94, 97, 97, 9, 45, 61]
+    print("uneven weights:", uneven)
+    for workers in (2, 3, 4):
+        compare(uneven, workers)
+    print()
+
+    print("a sweep does not split its lengths ahead of time: run_schedule")
+    print("hands them to worker processes from a work queue, so each idle")
+    print("worker takes the next length whatever the lengths really cost")
 
 
 if __name__ == "__main__":

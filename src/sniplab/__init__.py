@@ -31,10 +31,8 @@ from .mpdist import (
     mpdist_profile,
 )
 from .scheduler import (
-    CostModel,
     Schedule,
     default_cost,
-    fit_cost_model,
     kk_partition,
     load_training_samples,
     lpt_partition,
@@ -69,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassReport",
-    "CostModel",
     "DistanceRow",
     "EvalReport",
     "LabelSequence",
@@ -92,7 +89,6 @@ __all__ = [
     "evaluate",
     "export_curve_csv",
     "export_profiles_csv",
-    "fit_cost_model",
     "kk_partition",
     "label_series",
     "load_series",

@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
 from .labeling import evaluate, label_series, read_labels, write_labels
 from .length_select import make_grid, select_length
 from .mpdist import MPdistParams
-from .scheduler import TRAINING_LOG_ENV, fit_cost_model, load_training_samples
+from .scheduler import env_workers
 from .series import load_series
 from .snippets import export_curve_csv, export_profiles_csv, select_snippets
 
@@ -118,19 +117,14 @@ def cmd_discover(config: RunConfig) -> int:
 
 
 def cmd_sweep(config: RunConfig) -> int:
+    workers = config.workers
+    if workers is None:
+        try:
+            workers = env_workers()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     series = load_series(config.input, column=config.column)
     grid = make_grid(config.m_min, config.m_max, rule=config.grid_rule, step=config.step)
-
-    log_path = config.training_log or os.environ.get(TRAINING_LOG_ENV)
-    cost_model = None
-    if log_path and not config.no_log:
-        try:
-            sizes, seconds = load_training_samples(log_path, series.n)
-        except FileNotFoundError:
-            sizes = seconds = ()
-        if len(set(map(float, sizes))) >= 3:
-            cost_model = fit_cost_model(sizes, seconds, degree=2)
-
     frac = config.window_frac
 
     def window_rule(m: int) -> int:
@@ -141,9 +135,8 @@ def cmd_sweep(config: RunConfig) -> int:
         grid,
         config.num_snippets,
         window_rule=window_rule,
-        workers=config.workers,
-        cost_model=cost_model,
-        training_log=False if config.no_log else log_path,
+        workers=workers,
+        training_log=False if config.no_log else config.training_log,
     )
     _emit_json(report.to_dict(), config.output)
     winner = results[report.m_best]

@@ -14,7 +14,6 @@ macro average.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,10 +236,3 @@ def read_labels(path) -> LabelSequence:
 def write_labels(labels: LabelSequence, path) -> None:
     """Write labels as one integer per line."""
     np.savetxt(path, labels.labels, fmt="%d")
-
-
-def write_report(report: EvalReport, path) -> None:
-    """Write an evaluation report as JSON."""
-    with open(path, "w") as handle:
-        json.dump(report.to_dict(), handle, indent=2)
-        handle.write("\n")

@@ -116,7 +116,6 @@ def select_length(
     *,
     window_rule: Callable[[int], int] = default_window_size,
     workers: int | None = None,
-    cost_model=None,
     training_log=None,
 ) -> tuple[LengthReport, dict[int, SnippetResult]]:
     """Run a snippet search per grid length and rank the lengths.
@@ -131,9 +130,8 @@ def select_length(
     window_rule : callable, optional
         Maps a snippet length to its inner window length.
     workers : int, optional
-        Worker processes for the searches; forwarded to the scheduler.
-    cost_model : CostModel, optional
-        Predicts per-length cost for load balancing.
+        Worker processes for the searches, which take the lengths from
+        a work queue in grid order; forwarded to the scheduler.
     training_log : path, optional
         Where the scheduler appends measured timings.
 
@@ -158,12 +156,7 @@ def select_length(
 
     jobs = [MPdistParams(snippet_size=m, window_size=window_rule(m)) for m in grid]
     results = run_schedule(
-        series,
-        jobs,
-        num_snippets,
-        workers=workers,
-        cost_model=cost_model,
-        training_log=training_log,
+        series, jobs, num_snippets, workers=workers, training_log=training_log
     )
 
     candidates = tuple(

@@ -1,12 +1,12 @@
-"""Load balancing for batches of snippet searches.
+"""Running batches of snippet searches, and job partitioners.
 
-A length sweep runs one search per candidate length, and the searches
-differ wildly in cost.  Each search is priced either by a fitted
-polynomial cost model or by an operation-count estimate, the priced
-jobs are split across workers with the Karmarkar-Karp differencing
-method, and each worker burns through its own job list in a separate
-process.  Measured timings can be appended to a training log so later
-runs fit a better model.
+A length sweep runs one search per candidate length.  Several workers
+take the searches from a work queue in the order given, each the next
+job when it is idle, so the split follows how long the searches really
+take (list scheduling, Graham 1969).  Measured timings can be appended
+to a training log.  The Karmarkar-Karp and longest-processing-time
+partitioners, which split priced jobs ahead of time, are utilities
+off the sweep path.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .mpdist import MPdistParams, default_window_size
 from .series import TimeSeries
@@ -32,64 +31,8 @@ TRAINING_LOG_ENV = "SNIPLAB_TRAINING_LOG"
 WORKERS_ENV = "SNIPLAB_WORKERS"
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Polynomial in the snippet length that predicts search seconds.
-
-    Coefficients are in ascending order of power, so ``coefficients[i]``
-    multiplies ``snippet_size ** i``.
-    """
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=np.float64)
-        if coeffs.ndim != 1 or coeffs.size == 0:
-            raise ValueError("coefficients must be a non-empty 1-D sequence")
-        coeffs = coeffs.copy()
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return int(self.coefficients.size - 1)
-
-    def predict(self, snippet_size: int) -> float:
-        """Evaluate the polynomial at one snippet length."""
-        return float(npoly.polyval(float(snippet_size), self.coefficients))
-
-
-def fit_cost_model(snippet_sizes, seconds, degree: int = 2) -> CostModel:
-    """Least-squares polynomial fit of measured timings.
-
-    Parameters
-    ----------
-    snippet_sizes, seconds : array-like
-        Paired observations, e.g. from :func:`load_training_samples`.
-    degree : int, optional
-        Polynomial degree; needs at least ``degree + 1`` distinct
-        snippet lengths.
-    """
-    m = np.asarray(snippet_sizes, dtype=np.float64)
-    t = np.asarray(seconds, dtype=np.float64)
-    if m.shape != t.shape or m.ndim != 1:
-        raise ValueError(
-            f"snippet sizes and seconds must be matching 1-D arrays, got shapes "
-            f"{m.shape} and {t.shape}"
-        )
-    if degree < 0:
-        raise ValueError(f"degree must be non-negative, got {degree}")
-    distinct = np.unique(m).size
-    if distinct < degree + 1:
-        raise ValueError(
-            f"need at least {degree + 1} distinct snippet lengths for a degree "
-            f"{degree} fit, got {distinct}"
-        )
-    return CostModel(coefficients=npoly.polyfit(m, t, degree))
-
-
 def default_cost(series_length: int, snippet_size: int, window_size: int | None = None) -> float:
-    """Operation-count estimate of one search, for when no model is fit.
+    """Operation-count estimate of one search.
 
     Counts one distance-matrix build per segment: each matrix has
     ``snippet_size - window_size + 1`` rows of
@@ -227,19 +170,16 @@ def lpt_partition(weights, num_parts: int) -> Schedule:
     )
 
 
-def _run_jobs(series: TimeSeries, jobs: list[MPdistParams], num_snippets: int):
-    """Run one worker's job list, timing each search."""
-    out = []
-    for params in jobs:
-        started = time.perf_counter()
-        try:
-            result = select_snippets(series, params, num_snippets)
-        except Exception as exc:
-            raise RuntimeError(
-                f"snippet search failed for m={params.snippet_size}: {exc}"
-            ) from exc
-        out.append((params, result, time.perf_counter() - started))
-    return out
+def _run_job(series: TimeSeries, params: MPdistParams, num_snippets: int):
+    """Run one snippet search, timing it."""
+    started = time.perf_counter()
+    try:
+        result = select_snippets(series, params, num_snippets)
+    except Exception as exc:
+        raise RuntimeError(
+            f"snippet search failed for m={params.snippet_size}: {exc}"
+        ) from exc
+    return params, result, time.perf_counter() - started
 
 
 def _append_training_log(path, series_length: int, timings) -> None:
@@ -311,30 +251,40 @@ def load_training_samples(path, series_length: int | None = None):
     return np.asarray(sizes, dtype=np.float64), np.asarray(seconds, dtype=np.float64)
 
 
+def env_workers() -> int:
+    """Worker count from ``SNIPLAB_WORKERS``, 1 when unset.
+
+    Raises ``ValueError`` naming the variable unless it is a positive
+    integer.
+    """
+    raw = os.environ.get(WORKERS_ENV, "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def run_schedule(
     series: TimeSeries,
     jobs,
     num_snippets: int,
     *,
     workers: int | None = None,
-    cost_model: CostModel | None = None,
     training_log=None,
 ) -> dict[int, SnippetResult]:
-    """Run a batch of snippet searches, balanced across worker processes.
+    """Run a batch of snippet searches from a work queue of worker processes.
 
     Parameters
     ----------
     series : TimeSeries
     jobs : sequence of MPdistParams
-        One search per entry; snippet lengths must be unique.
+        One search per entry; snippet lengths must be unique.  Workers
+        take the jobs in this order, each the next one when it is idle.
     num_snippets : int
         Snippets per search.
     workers : int, optional
         Worker process count; defaults to the ``SNIPLAB_WORKERS``
-        environment variable, else 1.  A single worker runs inline.
-    cost_model : CostModel, optional
-        Prices each job for the partitioner; without one, an
-        operation-count estimate is used.
+        environment variable, else 1.  At most one process per job is
+        started, and a single worker runs the jobs inline.
     training_log : path-like, optional
         JSON-lines file receiving one ``{m, n, l, seconds, timestamp}``
         entry per finished search.  Defaults to the
@@ -344,8 +294,13 @@ def run_schedule(
     Returns
     -------
     dict
-        Snippet length to its search result.  The content is
-        independent of the worker count.
+        Snippet length to its search result, in increasing length.  The
+        content is independent of the worker count.
+
+    Raises
+    ------
+    RuntimeError
+        If a search fails; the message names its snippet length.
     """
     jobs = list(jobs)
     if not jobs:
@@ -354,37 +309,23 @@ def run_schedule(
     if len(set(sizes)) != len(sizes):
         raise ValueError(f"duplicate snippet lengths in job list: {sizes}")
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+        workers = env_workers()
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     if training_log is None:
         training_log = os.environ.get(TRAINING_LOG_ENV)
 
-    weights = []
-    for params in jobs:
-        if cost_model is not None:
-            w = max(cost_model.predict(params.snippet_size), 0.0)
-        else:
-            w = default_cost(series.n, params.snippet_size, params.window_size)
-        weights.append(w)
-    schedule = kk_partition(weights, min(workers, len(jobs)) if workers > 1 else 1)
-
-    timings = []
+    workers = min(workers, len(jobs))
     if workers == 1:
-        timings.extend(_run_jobs(series, jobs, num_snippets))
+        timings = [_run_job(series, params, num_snippets) for params in jobs]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        job_lists = [
-            [jobs[i] for i in part] for part in schedule.assignments if part
-        ]
-        with ProcessPoolExecutor(max_workers=len(job_lists)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_run_jobs, series, job_list, num_snippets)
-                for job_list in job_lists
+                pool.submit(_run_job, series, params, num_snippets) for params in jobs
             ]
-            for future in futures:
-                timings.extend(future.result())
+            timings = [future.result() for future in futures]
 
     if training_log:
         _append_training_log(training_log, series.n, timings)

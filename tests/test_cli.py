@@ -189,31 +189,22 @@ class TestSweep:
         assert code == 0
         entries = [json.loads(line) for line in log.read_text().splitlines()]
         assert sorted(e["m"] for e in entries) == [8, 16, 32]
-        # Second run has 3 distinct lengths logged, so it fits a cost
-        # model from them; the report must not depend on that.
+        # The second run appends to the same log; its report must not change.
         code, second, _ = _run(argv, capsys)
         assert code == 0
         assert second == first
 
-    @pytest.mark.parametrize(
-        "bad_line", ['{"m": 8}', "[1, 2]", '{"m": 16, "n": 512, "seconds": NaN}']
-    )
-    def test_malformed_training_log_is_runtime_error(self, series_csv, tmp_path, capsys, bad_line):
+    @pytest.mark.parametrize("value", ["two", "0"])
+    def test_bad_workers_env_is_usage_error(self, series_csv, capsys, monkeypatch, value):
         path, _ = series_csv
-        log = tmp_path / "timings.jsonl"
-        log.write_text('{"m": 8, "n": 512, "seconds": 0.1}\n' + bad_line + "\n")
+        monkeypatch.setenv("SNIPLAB_WORKERS", value)
         code, out, err = _run(
-            [
-                "sweep", "--input", str(path),
-                "--m-min", "8", "--m-max", "32",
-                "--training-log", str(log),
-            ],
+            ["sweep", "--input", str(path), "--m-min", "8", "--m-max", "32", "--no-log"],
             capsys,
         )
-        assert code == 1
+        assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "line 2" in err
+        assert err.startswith("error: SNIPLAB_WORKERS") and err.count("\n") == 1
 
 
 class TestLabel:

@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 
 import sniplab
 from sniplab import (
-    CostModel,
     MPdistParams,
     TimeSeries,
     default_cost,
-    fit_cost_model,
     kk_partition,
     load_training_samples,
     lpt_partition,
@@ -26,42 +24,6 @@ from seriesgen import two_regime_series
 
 
 class TestCostModel:
-    def test_fit_recovers_line(self):
-        sizes = np.array([8.0, 16.0, 32.0, 64.0])
-        model = fit_cost_model(sizes, 2.0 * sizes + 1.0, degree=1)
-        np.testing.assert_allclose(model.coefficients, [1.0, 2.0], atol=1e-9)
-        assert model.degree == 1
-        assert model.predict(100) == pytest.approx(201.0)
-
-    def test_fit_recovers_square(self):
-        sizes = np.array([8.0, 16.0, 32.0, 64.0, 128.0])
-        model = fit_cost_model(sizes, sizes**2)
-        np.testing.assert_allclose(model.coefficients, [0.0, 0.0, 1.0], atol=1e-7)
-
-    def test_fit_beats_grid_search_on_noisy_data(self):
-        rng = np.random.default_rng(0)
-        sizes = np.linspace(8, 256, 25)
-        seconds = 0.5 + 0.01 * sizes + 2e-4 * sizes**2 + rng.normal(0, 0.05, sizes.size)
-        model = fit_cost_model(sizes, seconds)
-
-        def residual(coefs):
-            pred = coefs[0] + coefs[1] * sizes + coefs[2] * sizes**2
-            return float(((pred - seconds) ** 2).sum())
-
-        fitted = residual(model.coefficients)
-        for c0 in np.linspace(0.3, 0.7, 9):
-            for c1 in np.linspace(0.005, 0.015, 9):
-                for c2 in np.linspace(1e-4, 3e-4, 9):
-                    assert fitted <= residual((c0, c1, c2)) + 1e-9
-
-    def test_too_few_distinct_sizes(self):
-        with pytest.raises(ValueError, match="distinct"):
-            fit_cost_model([16, 16, 16], [1.0, 1.1, 0.9], degree=2)
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError, match="matching"):
-            fit_cost_model([8, 16], [1.0], degree=1)
-
     def test_default_cost_formula(self):
         # 1000-point series, m=100, l=50: 51 rows by 951 cols, 10 segments
         assert default_cost(1000, 100, 50) == 51.0 * 951.0 * 10.0
@@ -237,11 +199,26 @@ class TestRunSchedule:
         sizes_all, _ = load_training_samples(log)
         assert sizes_all.size == 3
 
-    def test_cost_model_guides_partition(self):
-        series = self._series()
-        jobs = [MPdistParams(snippet_size=m) for m in (8, 16, 32, 64)]
-        model = CostModel(coefficients=(0.0, 1.0))  # cost proportional to m
-        results = run_schedule(
-            series, jobs, 2, workers=2, cost_model=model, training_log=False
-        )
-        assert list(results) == [8, 16, 32, 64]
+    def test_worker_failure_names_length(self):
+        # m=400 on n=512 leaves one segment, too few for two snippets.
+        jobs = [MPdistParams(snippet_size=m) for m in (16, 400)]
+        with pytest.raises(RuntimeError, match="m=400"):
+            run_schedule(self._series(), jobs, 2, workers=2, training_log=False)
+
+    @pytest.mark.parametrize("value", ["two", "0"])
+    def test_bad_workers_env_names_variable(self, monkeypatch, value):
+        from sniplab.scheduler import WORKERS_ENV
+
+        monkeypatch.setenv(WORKERS_ENV, value)
+        jobs = [MPdistParams(snippet_size=16)]
+        with pytest.raises(ValueError, match=WORKERS_ENV):
+            run_schedule(self._series(), jobs, 2, training_log=False)
+
+    @pytest.mark.parametrize(
+        "bad_line", ['{"m": 8}', "[1, 2]", '{"m": 16, "n": 512, "seconds": NaN}']
+    )
+    def test_malformed_log_line(self, tmp_path, bad_line):
+        log = tmp_path / "timings.jsonl"
+        log.write_text('{"m": 8, "n": 512, "seconds": 0.1}\n' + bad_line + "\n")
+        with pytest.raises(ValueError, match="line 2"):
+            load_training_samples(log)
