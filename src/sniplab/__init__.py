@@ -52,7 +52,6 @@ from .snippets import (
     export_curve_csv,
     export_profiles_csv,
     profile_area,
-    representativeness_curve,
     segment,
     segment_profiles,
     select_snippets,
@@ -98,7 +97,6 @@ __all__ = [
     "mpdist_profile",
     "profile_area",
     "read_labels",
-    "representativeness_curve",
     "run_schedule",
     "save_series",
     "segment",

@@ -73,6 +73,8 @@ class RunConfig:
                 raise UsageError(
                     f"sweep needs --k of at least 2 to score a length, got {self.num_snippets}"
                 )
+            if self.step is not None and (self.grid_rule != "arith" or self.step < 1):
+                raise UsageError(f"--step must be at least 1 with --grid arith, got {self.step}")
         if fixed:
             if self.snippet_size < 2:
                 raise UsageError(f"--m must be at least 2, got {self.snippet_size}")
@@ -80,6 +82,8 @@ class RunConfig:
                 raise UsageError(
                     f"--l must be in [1, --m={self.snippet_size}], got {self.window_size}"
                 )
+        if self.column < 0:
+            raise UsageError(f"--column must be non-negative, got {self.column}")
         if self.mpdist_k is not None and self.mpdist_k < 1:
             raise UsageError(f"--mpdist-k must be at least 1, got {self.mpdist_k}")
         if self.num_snippets < 1:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import _freeze
-from .snippets import SnippetResult
+from .snippets import SnippetResult, _nearest_rows
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,7 @@ def label_series(result: SnippetResult, series_length: int | None = None) -> Lab
             f"series length {series_length} does not match the result's "
             f"{result.series_length}"
         )
-    stacked = np.vstack([p.values for p in result.profiles])
-    window_labels = np.argmin(stacked, axis=0)
+    window_labels = _nearest_rows([p.values for p in result.profiles])
     labels = np.empty(series_length, dtype=np.int64)
     labels[: window_labels.size] = window_labels
     labels[window_labels.size :] = window_labels[-1]

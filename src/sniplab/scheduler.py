@@ -300,7 +300,8 @@ def run_schedule(
     Raises
     ------
     RuntimeError
-        If a search fails; the message names its snippet length.
+        If a search fails; the message names its snippet length.  No job
+        starts after the failure, and the ones already running finish.
     """
     jobs = list(jobs)
     if not jobs:
@@ -319,13 +320,20 @@ def run_schedule(
     if workers == 1:
         timings = [_run_job(series, params, num_snippets) for params in jobs]
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_job, series, params, num_snippets) for params in jobs
-            ]
-            timings = [future.result() for future in futures]
+            # Hand each idle worker the next job and queue none, so that a
+            # failure is raised once the jobs running beside it end.
+            queue, futures, running = list(jobs), [], set()
+            while queue or running:
+                while queue and len(running) < workers:
+                    futures.append(pool.submit(_run_job, series, queue.pop(0), num_snippets))
+                    running.add(futures[-1])
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    future.result()
+        timings = [future.result() for future in futures]
 
     if training_log:
         _append_training_log(training_log, series.n, timings)

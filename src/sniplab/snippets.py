@@ -19,9 +19,6 @@ import numpy as np
 from .mpdist import MPdistParams, MPdistProfile, mpdist_profile
 from .series import TimeSeries, compute_sliding_stats
 
-# Entries per block of the greedy step's temporaries (8 MB of float64).
-_BLOCK_ENTRIES = 1 << 20
-
 
 @dataclass(frozen=True)
 class SegmentSet:
@@ -119,31 +116,11 @@ def segment(series: TimeSeries, snippet_size: int) -> SegmentSet:
     return SegmentSet(snippet_size=snippet_size, starts=starts)
 
 
-def segment_profiles(
-    series: TimeSeries, params: MPdistParams, stats=None
-) -> list[MPdistProfile]:
+def segment_profiles(series: TimeSeries, params: MPdistParams) -> list[MPdistProfile]:
     """MPdist profile of every segment, sharing one statistics pass."""
     segments = segment(series, params.snippet_size)
-    if stats is None:
-        stats = compute_sliding_stats(series, params.window_size)
-    return [
-        mpdist_profile(series, i, params, stats=stats) for i in range(segments.count)
-    ]
-
-
-def representativeness_curve(profiles) -> np.ndarray:
-    """Pointwise minimum over a non-empty set of equal-length profiles."""
-    arrays = [
-        np.asarray(p.values if isinstance(p, MPdistProfile) else p, dtype=np.float64)
-        for p in profiles
-    ]
-    if not arrays:
-        raise ValueError("profile subset must be non-empty")
-    length = arrays[0].size
-    for i, a in enumerate(arrays):
-        if a.size != length:
-            raise ValueError(f"profile {i} has length {a.size}, expected {length}")
-    return np.minimum.reduce(arrays)
+    stats = compute_sliding_stats(series, params.window_size)
+    return [mpdist_profile(series, i, params, stats=stats) for i in range(segments.count)]
 
 
 def profile_area(curve) -> float:
@@ -154,13 +131,26 @@ def profile_area(curve) -> float:
     return float(curve.sum())
 
 
+def _nearest_rows(rows) -> np.ndarray:
+    """Per column, the position of the smallest of equal-length ``rows``.
+
+    Ties go to the lower position, as with ``argmin`` over the stacked
+    rows, but no stacked copy is made.
+    """
+    best = np.array(rows[0], dtype=np.float64)
+    nearest = np.zeros(best.size, dtype=np.intp)
+    for position in range(1, len(rows)):
+        np.copyto(nearest, position, where=rows[position] < best)
+        np.minimum(best, rows[position], out=best)
+    return nearest
+
+
 def select_snippets(
     series: TimeSeries,
     params: MPdistParams,
     num_snippets: int,
     *,
     profiles: list[MPdistProfile] | None = None,
-    stats=None,
 ) -> SnippetResult:
     """Pick the ``num_snippets`` most representative segments.
 
@@ -169,7 +159,8 @@ def select_snippets(
     the lower segment index).  Afterwards every window is attributed to
     its nearest segment over all segments, again breaking ties toward
     the lower index, and the chosen snippets are ordered by descending
-    coverage fraction.
+    coverage fraction.  Both passes read the profiles in place; no
+    stacked copy of them is made.
 
     Parameters
     ----------
@@ -179,8 +170,8 @@ def select_snippets(
         Between 1 and the number of segments.
     profiles : list of MPdistProfile, optional
         Precomputed per-segment profiles, if the caller already has them.
-    stats : SlidingStats, optional
-        Forwarded to the profile computation.
+        A wrong count, or a profile that is not ``n - snippet_size + 1``
+        long, raises ``ValueError``.
 
     Returns
     -------
@@ -192,57 +183,42 @@ def select_snippets(
             f"snippet count {num_snippets} out of range [1, {segments.count}]"
         )
     if profiles is None:
-        profiles = segment_profiles(series, params, stats=stats)
+        profiles = segment_profiles(series, params)
     if len(profiles) != segments.count:
         raise ValueError(
             f"got {len(profiles)} profiles for {segments.count} segments"
         )
-
-    distances = np.vstack([p.values for p in profiles])
-    num_windows = distances.shape[1]
-    # Whole-matrix temporaries would double the peak memory, so the
-    # greedy areas and the nearest-segment pass work in blocks.
-    block_rows = max(1, _BLOCK_ENTRIES // num_windows)
-    block_cols = max(1, _BLOCK_ENTRIES // segments.count)
-    clipped = np.empty((min(block_rows, segments.count), num_windows))
+    num_windows = series.n - params.snippet_size + 1
+    rows = [p.values for p in profiles]
+    for i, row in enumerate(rows):
+        if row.size != num_windows:
+            raise ValueError(f"profile {i} has length {row.size}, expected {num_windows}")
 
     chosen: list[int] = []
-    available = np.ones(segments.count, dtype=bool)
     curve = np.full(num_windows, np.inf)
+    scratch = np.empty(num_windows)
     areas = np.empty(segments.count)
     for _ in range(num_snippets):
-        for lo in range(0, segments.count, block_rows):
-            block = distances[lo : lo + block_rows]
-            buf = clipped[: block.shape[0]]
-            np.minimum(block, curve, out=buf)
-            buf.sum(axis=1, out=areas[lo : lo + block.shape[0]])
-        areas[~available] = np.inf
+        for i, row in enumerate(rows):
+            areas[i] = np.minimum(row, curve, out=scratch).sum()
+        areas[chosen] = np.inf
         best = int(np.argmin(areas))  # first occurrence: lowest index wins ties
         chosen.append(best)
-        available[best] = False
-        curve = np.minimum(curve, distances[best])
+        curve = np.minimum(curve, rows[best])
 
-    nearest = np.empty(num_windows, dtype=np.intp)
-    for lo in range(0, num_windows, block_cols):
-        # ties toward the lower segment index
-        nearest[lo : lo + block_cols] = np.argmin(distances[:, lo : lo + block_cols], axis=0)
+    nearest = _nearest_rows(rows)
     counts = np.bincount(nearest, minlength=segments.count)
-    window_starts = np.arange(num_windows, dtype=np.int64)
-
-    snippets = []
-    for index in chosen:
-        neighbors = window_starts[nearest == index]
-        snippets.append(
-            Snippet(
-                index=index,
-                start=int(segments.starts[index]),
-                length=params.snippet_size,
-                frac=counts[index] / num_windows,
-                neighbors=neighbors,
-            )
+    snippets = [
+        Snippet(
+            index=index,
+            start=int(segments.starts[index]),
+            length=params.snippet_size,
+            frac=counts[index] / num_windows,
+            neighbors=np.flatnonzero(nearest == index),
         )
-    order = sorted(range(len(snippets)), key=lambda i: (-snippets[i].frac, snippets[i].index))
-    snippets = tuple(snippets[i] for i in order)
+        for index in chosen
+    ]
+    snippets = tuple(sorted(snippets, key=lambda s: (-s.frac, s.index)))
     ordered_profiles = tuple(profiles[s.index] for s in snippets)
 
     return SnippetResult(
@@ -254,7 +230,7 @@ def select_snippets(
         curve=curve,
         profile_area=profile_area(curve),
         profiles=ordered_profiles,
-        profile_max=float(distances.max()),
+        profile_max=max(float(row.max()) for row in rows),
         segment_window_counts=counts,
         unassigned_windows=int(num_windows - counts[chosen].sum()),
     )

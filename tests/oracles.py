@@ -121,3 +121,27 @@ def distance_space_profile(series, segment_index, params, stats):
     if merged.shape[0] > params.k:
         return np.sort(merged, axis=0)[params.k - 1]
     return merged.max(axis=0)
+
+
+def stacked_selection(profile_matrix, num_snippets):
+    """Greedy selection and nearest-segment attribution on a stacked matrix.
+
+    The plain algorithm on an explicit segments-by-windows array: each
+    round adds the row with the smallest area under the running minimum
+    (ties to the lower row), then every column goes to its ``argmin``
+    row.  Returns the chosen rows in greedy order, the final curve, the
+    per-window nearest row, the per-row window counts and the largest
+    entry.
+    """
+    matrix = np.asarray(profile_matrix, dtype=np.float64)
+    chosen = []
+    curve = np.full(matrix.shape[1], np.inf)
+    for _ in range(num_snippets):
+        areas = np.minimum(matrix, curve).sum(axis=1)
+        areas[chosen] = np.inf
+        best = int(np.argmin(areas))
+        chosen.append(best)
+        curve = np.minimum(curve, matrix[best])
+    nearest = np.argmin(matrix, axis=0)
+    counts = np.bincount(nearest, minlength=matrix.shape[0])
+    return chosen, curve, nearest, counts, float(matrix.max())

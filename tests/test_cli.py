@@ -94,6 +94,14 @@ class TestDiscover:
         assert code == 2
         assert named in err
 
+    def test_negative_column_is_usage_error(self, series_csv, capsys):
+        path, _ = series_csv
+        code, _, err = _run(
+            ["discover", "--input", str(path), "--m", "16", "--column", "-1"], capsys
+        )
+        assert code == 2
+        assert "--column" in err
+
     def test_out_of_memory_is_runtime_error(self, series_csv, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -163,6 +171,20 @@ class TestSweep:
         code, _, err = _run(["sweep", "--input", str(path), "--no-log"] + flags, capsys)
         assert code == 2
         assert named in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--grid", "arith", "--step", "0"], ["--grid", "arith", "--step", "-3"], ["--step", "5"]],
+    )
+    def test_bad_step_is_usage_error(self, series_csv, capsys, flags):
+        path, _ = series_csv
+        code, out, err = _run(
+            ["sweep", "--input", str(path), "--m-min", "8", "--m-max", "32", "--no-log"] + flags,
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--step" in err
 
     def test_arith_grid_with_step(self, series_csv, capsys):
         path, _ = series_csv

@@ -1,7 +1,9 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from sniplab import (
     lpt_partition,
     run_schedule,
 )
+from sniplab import scheduler
 from seriesgen import two_regime_series
 
 
@@ -204,6 +207,31 @@ class TestRunSchedule:
         jobs = [MPdistParams(snippet_size=m) for m in (16, 400)]
         with pytest.raises(RuntimeError, match="m=400"):
             run_schedule(self._series(), jobs, 2, workers=2, training_log=False)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched search reaches the workers only through fork",
+    )
+    def test_failure_starts_no_further_jobs(self, tmp_path, monkeypatch):
+        # Each started job leaves a file behind; the valid ones are slow.
+        search = scheduler.select_snippets
+
+        def recorded(series, params, num_snippets):
+            (tmp_path / str(params.snippet_size)).touch()
+            if params.snippet_size <= 256:
+                time.sleep(0.3)
+            return search(series, params, num_snippets)
+
+        monkeypatch.setattr(scheduler, "select_snippets", recorded)
+        sizes = [400] + list(range(8, 18))
+        jobs = [MPdistParams(snippet_size=m) for m in sizes]
+        with pytest.raises(RuntimeError, match="m=400"):
+            run_schedule(self._series(), jobs, 2, workers=2, training_log=False)
+        # Two workers start m=400 and m=8; one more may start if m=8
+        # happened to finish first.  Nothing starts after the failure.
+        started = {int(p.name) for p in tmp_path.iterdir()}
+        assert 400 in started
+        assert len(started) <= 3 < len(jobs)
 
     @pytest.mark.parametrize("value", ["two", "0"])
     def test_bad_workers_env_names_variable(self, monkeypatch, value):

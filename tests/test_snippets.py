@@ -1,20 +1,24 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sniplab import (
     MPdistParams,
+    MPdistProfile,
     TimeSeries,
     export_curve_csv,
     export_profiles_csv,
+    label_series,
     profile_area,
-    representativeness_curve,
     segment,
     segment_profiles,
     select_snippets,
 )
-from oracles import exhaustive_min_area
+from oracles import exhaustive_min_area, stacked_selection
 from seriesgen import random_series, two_regime_series
 
 
@@ -42,31 +46,6 @@ class TestSegment:
 
 
 class TestCurveAndArea:
-    def test_curve_example(self):
-        curve = representativeness_curve([[1.0, 3.0, 2.0], [2.0, 1.0, 4.0]])
-        np.testing.assert_array_equal(curve, [1.0, 1.0, 2.0])
-
-    def test_singleton(self):
-        np.testing.assert_array_equal(
-            representativeness_curve([[5.0, 6.0]]), [5.0, 6.0]
-        )
-
-    def test_adding_profile_never_raises_curve(self):
-        rng = np.random.default_rng(0)
-        a = rng.uniform(0, 4, 30)
-        b = rng.uniform(0, 4, 30)
-        base = representativeness_curve([a])
-        joined = representativeness_curve([a, b])
-        assert np.all(joined <= base)
-
-    def test_empty_subset(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            representativeness_curve([])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            representativeness_curve([[1.0, 2.0], [1.0]])
-
     def test_area_example(self):
         assert profile_area([1.0, 1.0, 2.0]) == 4.0
 
@@ -167,6 +146,30 @@ class TestSelectSnippets:
         with pytest.raises(ValueError, match="snippet count"):
             select_snippets(series, MPdistParams(snippet_size=10), 5)
 
+    def test_profile_of_wrong_length_rejected(self):
+        rng = np.random.default_rng(11)
+        series = TimeSeries(random_series(rng, 60))
+        params = MPdistParams(snippet_size=10)
+        profiles = segment_profiles(series, params)
+        profiles[2] = MPdistProfile(segment_index=2, values=profiles[2].values[:-1])
+        with pytest.raises(ValueError, match="profile 2 has length 50, expected 51"):
+            select_snippets(series, params, 2, profiles=profiles)
+
+    def test_profiles_held_once(self):
+        # 500 segments of 3,993 windows: 16 MB of profiles.  The greedy
+        # step and the attribution must not stack a second copy.
+        rng = np.random.default_rng(12)
+        series = TimeSeries(random_series(rng, 4000))
+        params = MPdistParams(snippet_size=8)
+        profile_bytes = 500 * (4000 - 8 + 1) * 8
+        tracemalloc.start()
+        try:
+            select_snippets(series, params, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * profile_bytes
+
     def test_neighbors_are_window_starts(self):
         rng = np.random.default_rng(9)
         series = TimeSeries(random_series(rng, 100))
@@ -175,6 +178,62 @@ class TestSelectSnippets:
         assert all_neighbors.size == np.unique(all_neighbors).size
         assert all_neighbors.min() >= 0
         assert all_neighbors.max() <= 100 - 10
+
+
+@st.composite
+def _selection_case(draw):
+    """A series, its MPdist parameters and a snippet count.
+
+    Flavors: plain noise; a noise-free tiled pattern, whose segment
+    profiles tie bit for bit; values rounded to a coarse grid at a 1e3
+    offset, so windows repeat exactly; noise with constant runs.
+    """
+    m = draw(st.integers(min_value=4, max_value=40))
+    num_segments = draw(st.integers(min_value=2, max_value=12))
+    n = m * num_segments + draw(st.integers(min_value=0, max_value=m - 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    flavor = draw(st.sampled_from(["noise", "tiled", "rounded", "flat"]))
+    if flavor == "tiled":
+        period = draw(st.sampled_from([m, max(2, m // 2), 2 * m]))
+        values = np.tile(np.round(rng.standard_normal(period) * 8) / 8, n // period + 1)[:n]
+    elif flavor == "rounded":
+        values = 1e3 + np.round(rng.standard_normal(n) * 2) / 2
+    else:
+        values = rng.standard_normal(n)
+        if flavor == "flat":
+            for _ in range(draw(st.integers(min_value=1, max_value=3))):
+                start = int(rng.integers(0, n - 1))
+                values[start : start + int(rng.integers(2, m + 2))] = values[start]
+    params = MPdistParams(snippet_size=m, k=draw(st.sampled_from([None, 1, 3])))
+    num_snippets = draw(st.integers(min_value=1, max_value=min(5, num_segments)))
+    return TimeSeries(values), params, num_snippets
+
+
+class TestExactSelection:
+    @given(_selection_case())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_stacked_oracle(self, case):
+        series, params, num_snippets = case
+        profiles = segment_profiles(series, params)
+        result = select_snippets(series, params, num_snippets, profiles=profiles)
+        matrix = np.vstack([p.values for p in profiles])
+        chosen, curve, nearest, counts, largest = stacked_selection(matrix, num_snippets)
+        num_windows = matrix.shape[1]
+
+        order = sorted(chosen, key=lambda i: (-counts[i], i))
+        assert [s.index for s in result.snippets] == order
+        assert [s.frac for s in result.snippets] == [counts[i] / num_windows for i in order]
+        for snippet in result.snippets:
+            np.testing.assert_array_equal(snippet.neighbors, np.flatnonzero(nearest == snippet.index))
+        np.testing.assert_array_equal(result.segment_window_counts, counts)
+        np.testing.assert_array_equal(result.curve, curve)
+        assert result.profile_max == largest
+        assert result.unassigned_windows == num_windows - counts[chosen].sum()
+
+        labels = label_series(result).labels
+        expected = np.argmin(np.vstack([p.values for p in result.profiles]), axis=0)
+        np.testing.assert_array_equal(labels[:num_windows], expected)
+        assert np.all(labels[num_windows:] == expected[-1])
 
 
 class TestSerialization:
