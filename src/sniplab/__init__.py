@@ -46,13 +46,12 @@ from .series import (
     save_series,
 )
 from .snippets import (
-    SegmentSet,
     Snippet,
     SnippetResult,
     export_curve_csv,
     export_profiles_csv,
     profile_area,
-    segment,
+    segment_count,
     segment_profiles,
     select_snippets,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "MPdistParams",
     "MPdistProfile",
     "Schedule",
-    "SegmentSet",
     "SlidingStats",
     "Snippet",
     "SnippetResult",
@@ -99,7 +97,7 @@ __all__ = [
     "read_labels",
     "run_schedule",
     "save_series",
-    "segment",
+    "segment_count",
     "segment_distance_matrix",
     "segment_profiles",
     "select_length",

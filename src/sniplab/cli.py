@@ -1,7 +1,10 @@
 """Command-line surface: discover, sweep, label, eval.
 
-Exit codes: 0 on success, 1 on a runtime failure (bad file, numeric
-error), 2 on a usage error (bad flags).  All JSON documents carry a
+Exit codes: 0 on success, 1 on bad data or a runtime failure (unreadable
+file, numeric error), 2 on a bad flag or a bad ``SNIPLAB_WORKERS``.  For
+a bad flag argparse prints the usage line and names the flag: argparse
+checks each flag's own bounds while parsing, and :func:`flag_conflict`
+checks the rules between flags right after.  All JSON documents carry a
 top-level ``"schema": 1`` and are stable byte-for-byte across worker
 counts; only the append-only training log differs between runs, and
 ``--no-log`` turns it off.
@@ -13,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .labeling import evaluate, label_series, read_labels, write_labels
 from .length_select import make_grid, select_length
@@ -23,73 +25,38 @@ from .series import load_series
 from .snippets import export_curve_csv, export_profiles_csv, select_snippets
 
 
-class UsageError(ValueError):
-    """Bad flag combination; maps to exit code 2."""
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs of one invocation."""
+def fraction(text: str) -> float:
+    """argparse type: a float in (0, 1]; ``nan`` is rejected."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
 
-    command: str
-    input: str | None = None
-    column: int = 0
-    snippet_size: int | None = None
-    m_min: int | None = None
-    m_max: int | None = None
-    grid_rule: str = "pow2"
-    step: int | None = None
-    window_size: int | None = None
-    window_frac: float = 0.5
-    num_snippets: int = 2
-    mpdist_k: int | None = None
-    workers: int | None = None
-    output: str | None = None
-    output_snippets: str | None = None
-    export_curve: str | None = None
-    export_profiles: str | None = None
-    training_log: str | None = None
-    no_log: bool = False
-    pred: str | None = None
-    truth: str | None = None
 
-    def __post_init__(self):
-        fixed = self.snippet_size is not None
-        ranged = self.m_min is not None or self.m_max is not None
-        if fixed and ranged:
-            raise UsageError("give either a fixed --m or a sweep range, not both")
-        if self.command == "sweep":
-            if self.m_min is None or self.m_max is None:
-                raise UsageError("sweep needs both --m-min and --m-max")
-            if self.m_min > self.m_max:
-                raise UsageError(
-                    f"--m-min {self.m_min} exceeds --m-max {self.m_max}"
-                )
-            if self.m_min < 2:
-                raise UsageError(f"--m-min must be at least 2, got {self.m_min}")
-            if not 0.0 < self.window_frac <= 1.0:
-                raise UsageError(f"--l-frac must be in (0, 1], got {self.window_frac}")
-            if self.num_snippets < 2:
-                raise UsageError(
-                    f"sweep needs --k of at least 2 to score a length, got {self.num_snippets}"
-                )
-            if self.step is not None and (self.grid_rule != "arith" or self.step < 1):
-                raise UsageError(f"--step must be at least 1 with --grid arith, got {self.step}")
-        if fixed:
-            if self.snippet_size < 2:
-                raise UsageError(f"--m must be at least 2, got {self.snippet_size}")
-            if self.window_size is not None and not 1 <= self.window_size <= self.snippet_size:
-                raise UsageError(
-                    f"--l must be in [1, --m={self.snippet_size}], got {self.window_size}"
-                )
-        if self.column < 0:
-            raise UsageError(f"--column must be non-negative, got {self.column}")
-        if self.mpdist_k is not None and self.mpdist_k < 1:
-            raise UsageError(f"--mpdist-k must be at least 1, got {self.mpdist_k}")
-        if self.num_snippets < 1:
-            raise UsageError(f"--k must be at least 1, got {self.num_snippets}")
-        if self.workers is not None and self.workers < 1:
-            raise UsageError(f"--workers must be at least 1, got {self.workers}")
+def flag_conflict(args: argparse.Namespace) -> str | None:
+    """The first rule between flags that ``args`` breaks, or None."""
+    if getattr(args, "l", None) is not None and args.l > args.m:
+        return f"--l must be at most --m={args.m}, got {args.l}"
+    if args.command == "sweep":
+        if args.m_min > args.m_max:
+            return f"--m-min {args.m_min} exceeds --m-max {args.m_max}"
+        if args.k < 2:
+            return f"sweep needs --k of at least 2 to score a length, got {args.k}"
+        if args.step is not None and args.grid != "arith":
+            return f"--step needs --grid arith, got --grid {args.grid}"
+    return None
 
 
 def _emit_json(doc: dict, path: str | None) -> None:
@@ -101,35 +68,29 @@ def _emit_json(doc: dict, path: str | None) -> None:
             handle.write(text)
 
 
-def _discover_params(config: RunConfig) -> MPdistParams:
+def _discover_params(args: argparse.Namespace) -> MPdistParams:
     return MPdistParams(
-        snippet_size=config.snippet_size,
-        window_size=config.window_size,
-        k=config.mpdist_k,
+        snippet_size=args.m,
+        window_size=args.l,
+        k=args.mpdist_k,
     )
 
 
-def cmd_discover(config: RunConfig) -> int:
-    series = load_series(config.input, column=config.column)
-    result = select_snippets(series, _discover_params(config), config.num_snippets)
-    _emit_json(result.to_dict(), config.output)
-    if config.export_curve:
-        export_curve_csv(result, config.export_curve)
-    if config.export_profiles:
-        export_profiles_csv(result, config.export_profiles)
+def cmd_discover(args: argparse.Namespace) -> int:
+    series = load_series(args.input, column=args.column)
+    result = select_snippets(series, _discover_params(args), args.k)
+    _emit_json(result.to_dict(), args.output)
+    if args.export_curve:
+        export_curve_csv(result, args.export_curve)
+    if args.export_profiles:
+        export_profiles_csv(result, args.export_profiles)
     return 0
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    workers = config.workers
-    if workers is None:
-        try:
-            workers = env_workers()
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    series = load_series(config.input, column=config.column)
-    grid = make_grid(config.m_min, config.m_max, rule=config.grid_rule, step=config.step)
-    frac = config.window_frac
+def cmd_sweep(args: argparse.Namespace) -> int:
+    series = load_series(args.input, column=args.column)
+    grid = make_grid(args.m_min, args.m_max, rule=args.grid, step=args.step)
+    frac = args.l_frac
 
     def window_rule(m: int) -> int:
         return max(1, min(m, math.ceil(m * frac)))
@@ -137,39 +98,39 @@ def cmd_sweep(config: RunConfig) -> int:
     report, results = select_length(
         series,
         grid,
-        config.num_snippets,
+        args.k,
         window_rule=window_rule,
-        workers=workers,
-        training_log=False if config.no_log else config.training_log,
+        workers=args.workers,
+        training_log=False if args.no_log else args.training_log,
     )
-    _emit_json(report.to_dict(), config.output)
+    _emit_json(report.to_dict(), args.output)
     winner = results[report.m_best]
-    if config.output_snippets:
-        _emit_json(winner.to_dict(), config.output_snippets)
-    if config.export_curve:
-        export_curve_csv(winner, config.export_curve)
-    if config.export_profiles:
-        export_profiles_csv(winner, config.export_profiles)
+    if args.output_snippets:
+        _emit_json(winner.to_dict(), args.output_snippets)
+    if args.export_curve:
+        export_curve_csv(winner, args.export_curve)
+    if args.export_profiles:
+        export_profiles_csv(winner, args.export_profiles)
     return 0
 
 
-def cmd_label(config: RunConfig) -> int:
-    series = load_series(config.input, column=config.column)
-    result = select_snippets(series, _discover_params(config), config.num_snippets)
+def cmd_label(args: argparse.Namespace) -> int:
+    series = load_series(args.input, column=args.column)
+    result = select_snippets(series, _discover_params(args), args.k)
     labels = label_series(result)
-    if config.output is None:
+    if args.output is None:
         for value in labels.labels:
             sys.stdout.write(f"{value}\n")
     else:
-        write_labels(labels, config.output)
+        write_labels(labels, args.output)
     return 0
 
 
-def cmd_eval(config: RunConfig) -> int:
-    pred = read_labels(config.pred)
-    truth = read_labels(config.truth)
+def cmd_eval(args: argparse.Namespace) -> int:
+    pred = read_labels(args.pred)
+    truth = read_labels(args.truth)
     report = evaluate(pred, truth)
-    _emit_json(report.to_dict(), config.output)
+    _emit_json(report.to_dict(), args.output)
     return 0
 
 
@@ -182,17 +143,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_input(p):
         p.add_argument("--input", required=True, help="series CSV, one value per line")
-        p.add_argument("--column", type=int, default=0, help="CSV column to read")
+        p.add_argument("--column", type=_at_least(0), default=0, help="CSV column to read")
 
     def add_fixed_m(p):
-        p.add_argument("--m", type=int, required=True, dest="m", help="snippet length")
-        p.add_argument("--l", type=int, default=None, dest="l",
+        p.add_argument("--m", type=_at_least(2), required=True, dest="m", help="snippet length")
+        p.add_argument("--l", type=_at_least(1), default=None, dest="l",
                        help="inner window length (default: half of --m, rounded up)")
-        p.add_argument("--mpdist-k", type=int, default=None,
+        p.add_argument("--mpdist-k", type=_at_least(1), default=None,
                        help="MPdist order statistic (default: 5%% of 2m)")
 
     def add_k(p):
-        p.add_argument("--k", type=int, default=2, dest="k", help="number of snippets")
+        p.add_argument("--k", type=_at_least(1), default=2, dest="k", help="number of snippets")
 
     def add_output(p):
         p.add_argument("--output", default=None, help="write here instead of stdout")
@@ -209,13 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     add_k(p)
     add_output(p)
-    p.add_argument("--m-min", type=int, required=True, help="smallest candidate length")
+    p.add_argument("--m-min", type=_at_least(2), required=True, help="smallest candidate length")
     p.add_argument("--m-max", type=int, required=True, help="largest candidate length")
     p.add_argument("--grid", choices=("pow2", "arith"), default="pow2")
-    p.add_argument("--step", type=int, default=None, help="spacing for --grid arith")
-    p.add_argument("--l-frac", type=float, default=0.5,
+    p.add_argument("--step", type=_at_least(1), default=None, help="spacing for --grid arith")
+    p.add_argument("--l-frac", type=fraction, default=0.5,
                    help="inner window length as a fraction of each candidate length")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_at_least(1), default=None,
                    help="worker processes (default: SNIPLAB_WORKERS or 1)")
     p.add_argument("--training-log", default=None,
                    help="JSON-lines timing log (default: SNIPLAB_TRAINING_LOG)")
@@ -239,32 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        column=getattr(args, "column", 0),
-        snippet_size=getattr(args, "m", None),
-        m_min=getattr(args, "m_min", None),
-        m_max=getattr(args, "m_max", None),
-        grid_rule=getattr(args, "grid", "pow2"),
-        step=getattr(args, "step", None),
-        window_size=getattr(args, "l", None),
-        window_frac=getattr(args, "l_frac", 0.5),
-        num_snippets=getattr(args, "k", 2),
-        mpdist_k=getattr(args, "mpdist_k", None),
-        workers=getattr(args, "workers", None),
-        output=getattr(args, "output", None),
-        output_snippets=getattr(args, "output_snippets", None),
-        export_curve=getattr(args, "export_curve", None),
-        export_profiles=getattr(args, "export_profiles", None),
-        training_log=getattr(args, "training_log", None),
-        no_log=getattr(args, "no_log", False),
-        pred=getattr(args, "pred", None),
-        truth=getattr(args, "truth", None),
-    )
-
-
 _COMMANDS = {
     "discover": cmd_discover,
     "sweep": cmd_sweep,
@@ -277,14 +212,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        conflict = flag_conflict(args)
+        if conflict is not None:
+            parser.error(conflict)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if args.command == "sweep" and args.workers is None:
+        try:
+            args.workers = env_workers()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[config.command](config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

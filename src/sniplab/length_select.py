@@ -18,8 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .mpdist import MPdistParams, default_window_size
+from .scheduler import run_schedule
 from .series import TimeSeries
-from .snippets import SnippetResult
+from .snippets import SnippetResult, segment_count
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,6 @@ def select_length(
     results : dict
         The full search result per length, keyed by snippet length.
     """
-    from .scheduler import run_schedule
-
     grid = [int(m) for m in grid]
     if not grid:
         raise ValueError("length grid is empty")
@@ -154,6 +153,8 @@ def select_length(
             f"length selection needs at least 2 snippets per search, got {num_snippets}"
         )
 
+    for m in grid:  # reject a too-long length before any search runs
+        segment_count(series, m)
     jobs = [MPdistParams(snippet_size=m, window_size=window_rule(m)) for m in grid]
     results = run_schedule(
         series, jobs, num_snippets, workers=workers, training_log=training_log

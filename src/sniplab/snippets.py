@@ -21,22 +21,6 @@ from .series import TimeSeries, compute_sliding_stats
 
 
 @dataclass(frozen=True)
-class SegmentSet:
-    """The non-overlapping length-``snippet_size`` segments of a series.
-
-    Starts are zero-based; a trailing remainder shorter than the snippet
-    size is not segmented (it is still covered by sliding windows).
-    """
-
-    snippet_size: int
-    starts: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return int(self.starts.size)
-
-
-@dataclass(frozen=True)
 class Snippet:
     """A chosen segment with its coverage attribution.
 
@@ -98,10 +82,13 @@ class SnippetResult:
         }
 
 
-def segment(series: TimeSeries, snippet_size: int) -> SegmentSet:
-    """Cut the series into non-overlapping segments of ``snippet_size``.
+def segment_count(series: TimeSeries, snippet_size: int) -> int:
+    """Number of non-overlapping segments of ``snippet_size`` in the series.
 
-    Requires at least two segments, so ``2 <= snippet_size <= n / 2``.
+    Segment ``i`` starts at ``i * snippet_size``.  A trailing remainder
+    shorter than the snippet size is not segmented (it is still covered
+    by sliding windows).  Requires at least two segments, so
+    ``2 <= snippet_size <= n / 2``.
     """
     n = series.n
     if snippet_size < 2:
@@ -112,15 +99,14 @@ def segment(series: TimeSeries, snippet_size: int) -> SegmentSet:
             f"snippet size {snippet_size} leaves only {count} segment(s) of a "
             f"series of length {n}; need at least 2"
         )
-    starts = np.arange(count, dtype=np.int64) * snippet_size
-    return SegmentSet(snippet_size=snippet_size, starts=starts)
+    return count
 
 
 def segment_profiles(series: TimeSeries, params: MPdistParams) -> list[MPdistProfile]:
     """MPdist profile of every segment, sharing one statistics pass."""
-    segments = segment(series, params.snippet_size)
+    num_segments = segment_count(series, params.snippet_size)
     stats = compute_sliding_stats(series, params.window_size)
-    return [mpdist_profile(series, i, params, stats=stats) for i in range(segments.count)]
+    return [mpdist_profile(series, i, params, stats=stats) for i in range(num_segments)]
 
 
 def profile_area(curve) -> float:
@@ -177,16 +163,16 @@ def select_snippets(
     -------
     SnippetResult
     """
-    segments = segment(series, params.snippet_size)
-    if not 1 <= num_snippets <= segments.count:
+    num_segments = segment_count(series, params.snippet_size)
+    if not 1 <= num_snippets <= num_segments:
         raise ValueError(
-            f"snippet count {num_snippets} out of range [1, {segments.count}]"
+            f"snippet count {num_snippets} out of range [1, {num_segments}]"
         )
     if profiles is None:
         profiles = segment_profiles(series, params)
-    if len(profiles) != segments.count:
+    if len(profiles) != num_segments:
         raise ValueError(
-            f"got {len(profiles)} profiles for {segments.count} segments"
+            f"got {len(profiles)} profiles for {num_segments} segments"
         )
     num_windows = series.n - params.snippet_size + 1
     rows = [p.values for p in profiles]
@@ -197,7 +183,7 @@ def select_snippets(
     chosen: list[int] = []
     curve = np.full(num_windows, np.inf)
     scratch = np.empty(num_windows)
-    areas = np.empty(segments.count)
+    areas = np.empty(num_segments)
     for _ in range(num_snippets):
         for i, row in enumerate(rows):
             areas[i] = np.minimum(row, curve, out=scratch).sum()
@@ -207,11 +193,11 @@ def select_snippets(
         curve = np.minimum(curve, rows[best])
 
     nearest = _nearest_rows(rows)
-    counts = np.bincount(nearest, minlength=segments.count)
+    counts = np.bincount(nearest, minlength=num_segments)
     snippets = [
         Snippet(
             index=index,
-            start=int(segments.starts[index]),
+            start=index * params.snippet_size,
             length=params.snippet_size,
             frac=counts[index] / num_windows,
             neighbors=np.flatnonzero(nearest == index),

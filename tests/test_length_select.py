@@ -10,6 +10,7 @@ from sniplab import (
     make_grid,
     select_length,
 )
+from sniplab import scheduler
 from seriesgen import two_regime_series
 
 
@@ -136,6 +137,20 @@ class TestSelectLength:
     def test_single_snippet_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             select_length(TimeSeries(np.arange(64.0)), [8], 1)
+
+    def test_too_long_length_rejected_before_any_search(self, monkeypatch):
+        calls = []
+        search = scheduler.select_snippets
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "select_snippets", counted)
+        values, _ = two_regime_series(n=300, period=16, block_len=60, noise=0.05, seed=8)
+        with pytest.raises(ValueError, match="snippet size 400"):
+            select_length(TimeSeries(values), [8, 16, 400], 2, workers=1, training_log=False)
+        assert calls == []
 
     def test_json_document(self):
         values, _ = two_regime_series(n=512, period=16, block_len=64, noise=0.05, seed=7)
