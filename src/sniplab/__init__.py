@@ -50,7 +50,6 @@ from .snippets import (
     SnippetResult,
     export_curve_csv,
     export_profiles_csv,
-    profile_area,
     segment_count,
     segment_profiles,
     select_snippets,
@@ -93,7 +92,6 @@ __all__ = [
     "lpt_partition",
     "make_grid",
     "mpdist_profile",
-    "profile_area",
     "read_labels",
     "run_schedule",
     "save_series",

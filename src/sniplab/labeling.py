@@ -6,15 +6,15 @@ at them, and the trailing points with no window of their own inherit
 the last window's label.  Snippet ids are positions in the result's
 ordering, so id 0 is the highest-coverage snippet.
 
-Scoring first matches predicted classes to truth classes greedily by
-confusion-matrix overlap (ids carry no inherent meaning), then reports
-per-class precision, recall, and F1 with guarded divisions, plus the
-macro average.
+Scoring counts one truth-by-predicted confusion matrix, matches
+predicted classes to truth classes greedily by its overlaps (ids carry
+no inherent meaning), then reads per-class precision, recall, and F1
+off the same matrix with guarded divisions, plus the macro average.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,13 +42,13 @@ class LabelSequence:
     def n(self) -> int:
         return int(self.labels.size)
 
-    def classes(self) -> np.ndarray:
-        return np.unique(self.labels)
-
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Counts and scores for one truth class after matching."""
+    """Counts and scores for one truth class after matching.
+
+    The field order is the key order of each class in the JSON report.
+    """
 
     truth_class: int
     predicted_class: int | None
@@ -71,30 +71,16 @@ class EvalReport:
         return {
             "schema": 1,
             "macro_f1": self.macro_f1,
-            "classes": [
-                {
-                    "truth_class": c.truth_class,
-                    "predicted_class": c.predicted_class,
-                    "tp": c.tp,
-                    "fp": c.fp,
-                    "fn": c.fn,
-                    "precision": c.precision,
-                    "recall": c.recall,
-                    "f1": c.f1,
-                }
-                for c in self.classes
-            ],
+            "classes": [asdict(c) for c in self.classes],
         }
 
 
-def label_series(result: SnippetResult, series_length: int | None = None) -> LabelSequence:
+def label_series(result: SnippetResult) -> LabelSequence:
     """Label every point of the series a snippet result was built from.
 
     Parameters
     ----------
     result : SnippetResult
-    series_length : int, optional
-        Sanity check against the length recorded on the result.
 
     Returns
     -------
@@ -103,57 +89,11 @@ def label_series(result: SnippetResult, series_length: int | None = None) -> Lab
         ``result.snippets`` (0 is the highest-coverage snippet);
         profile ties go to the lower position.
     """
-    if series_length is None:
-        series_length = result.series_length
-    elif series_length != result.series_length:
-        raise ValueError(
-            f"series length {series_length} does not match the result's "
-            f"{result.series_length}"
-        )
     window_labels = _nearest_rows([p.values for p in result.profiles])
-    labels = np.empty(series_length, dtype=np.int64)
+    labels = np.empty(result.series_length, dtype=np.int64)
     labels[: window_labels.size] = window_labels
     labels[window_labels.size :] = window_labels[-1]
     return LabelSequence(labels=labels)
-
-
-def _match_classes(truth: np.ndarray, pred: np.ndarray):
-    """Greedy maximal-overlap assignment of predicted to truth classes."""
-    truth_classes = np.unique(truth)
-    pred_classes = np.unique(pred)
-    # Per predicted class, its overlap with every truth class.  Ties in
-    # a single cell are broken by this whole column rather than by the
-    # predicted id: ids are arbitrary, and renaming them must not change
-    # the report.  Two predicted classes with equal columns are fully
-    # interchangeable, so the id tie-break after that is harmless.
-    columns = {}
-    for p in pred_classes:
-        mask = pred == p
-        columns[int(p)] = tuple(
-            int(np.count_nonzero(truth[mask] == c)) for c in truth_classes
-        )
-    cells = []
-    for ti, c in enumerate(truth_classes):
-        for p in pred_classes:
-            count = columns[int(p)][ti]
-            if count > 0:
-                cells.append((count, int(c), int(p)))
-    cells.sort(
-        key=lambda cell: (
-            -cell[0],
-            cell[1],
-            tuple(-o for o in columns[cell[2]]),
-            cell[2],
-        )
-    )
-    matched: dict[int, int] = {}
-    used_pred: set[int] = set()
-    for count, c, p in cells:
-        if c in matched or p in used_pred:
-            continue
-        matched[c] = p
-        used_pred.add(p)
-    return truth_classes, matched
 
 
 def evaluate(pred: LabelSequence, truth: LabelSequence) -> EvalReport:
@@ -176,31 +116,47 @@ def evaluate(pred: LabelSequence, truth: LabelSequence) -> EvalReport:
         raise ValueError(
             f"predicted labels have length {pred.n} but truth has length {truth.n}"
         )
-    p_arr = pred.labels
-    t_arr = truth.labels
-    truth_classes, matched = _match_classes(t_arr, p_arr)
+    truth_classes, t_idx = np.unique(truth.labels, return_inverse=True)
+    pred_classes, p_idx = np.unique(pred.labels, return_inverse=True)
+    width = pred_classes.size
+    confusion = np.bincount(
+        t_idx * width + p_idx, minlength=truth_classes.size * width
+    ).reshape(truth_classes.size, width)
+    cells = confusion.tolist()
+    row_sums = confusion.sum(axis=1).tolist()
+    col_sums = confusion.sum(axis=0).tolist()
+
+    # Greedy matching on the nonzero cells by descending overlap.  Ties
+    # in a cell go to the lower truth class, then are broken by the
+    # predicted class's whole column rather than by its id: ids are
+    # arbitrary, and renaming them must not change the report.  Two
+    # predicted classes with equal columns are fully interchangeable, so
+    # the id tie-break after that is harmless.
+    columns = [tuple(-count for count in column) for column in confusion.T.tolist()]
+    order = sorted(
+        ((t, p) for t, row in enumerate(cells) for p, count in enumerate(row) if count),
+        key=lambda tp: (-cells[tp[0]][tp[1]], tp[0], columns[tp[1]], tp[1]),
+    )
+    matched: dict[int, int] = {}
+    used: set[int] = set()
+    for t, p in order:
+        if t not in matched and p not in used:
+            matched[t] = p
+            used.add(p)
 
     reports = []
-    for c in truth_classes:
-        c = int(c)
-        truth_mask = t_arr == c
-        if c in matched:
-            p = matched[c]
-            pred_mask = p_arr == p
-            tp = int(np.count_nonzero(truth_mask & pred_mask))
-            fp = int(np.count_nonzero(pred_mask)) - tp
-        else:
-            p = None
-            tp = 0
-            fp = 0
-        fn = int(np.count_nonzero(truth_mask)) - tp
+    for t, c in enumerate(truth_classes.tolist()):
+        p = matched.get(t)
+        tp = cells[t][p] if p is not None else 0
+        fp = col_sums[p] - tp if p is not None else 0
+        fn = row_sums[t] - tp
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * precision * recall / (precision + recall) if tp else 0.0
         reports.append(
             ClassReport(
                 truth_class=c,
-                predicted_class=p,
+                predicted_class=None if p is None else pred_classes[p].item(),
                 tp=tp,
                 fp=fp,
                 fn=fn,

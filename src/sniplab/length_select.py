@@ -153,8 +153,12 @@ def select_length(
             f"length selection needs at least 2 snippets per search, got {num_snippets}"
         )
 
-    for m in grid:  # reject a too-long length before any search runs
-        segment_count(series, m)
+    for m in grid:  # reject a length that cannot be searched before any search runs
+        if (count := segment_count(series, m)) < num_snippets:
+            raise ValueError(
+                f"snippet size {m} leaves {count} segments, "
+                f"fewer than the {num_snippets} snippets asked for"
+            )
     jobs = [MPdistParams(snippet_size=m, window_size=window_rule(m)) for m in grid]
     results = run_schedule(
         series, jobs, num_snippets, workers=workers, training_log=training_log

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import minimum_filter1d
 
-from .series import TimeSeries, compute_sliding_stats
+from .series import TimeSeries, _freeze, compute_sliding_stats
 from .zdist import neg_correlation_to_distance, neg_correlations
 from .zdist import segment_distance_matrix  # noqa: F401  bench/layers.py wraps it by this name
 
@@ -95,9 +95,7 @@ class MPdistProfile:
             raise ValueError(f"profile must be a non-empty vector, got shape {values.shape}")
         if values.min() < 0:
             raise ValueError(f"profile entries must be non-negative, min is {values.min()}")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _freeze(values))
 
     def __len__(self) -> int:
         return int(self.values.size)

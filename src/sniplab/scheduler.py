@@ -59,10 +59,6 @@ class Schedule:
     difference: Fraction
 
     @property
-    def num_workers(self) -> int:
-        return len(self.assignments)
-
-    @property
     def makespan(self) -> float:
         return max(self.predicted_loads)
 
@@ -110,11 +106,11 @@ def _multiway_kk(weights: list[Fraction], num_parts: int) -> tuple[list[tuple[in
 def kk_partition(weights, num_parts: int) -> Schedule:
     """Split weighted jobs across ``num_parts`` workers, Karmarkar-Karp style.
 
-    Two or more parts use tuple differencing (Karmarkar & Karp 1982;
+    Any number of parts uses tuple differencing (Karmarkar & Karp 1982;
     Korf 2009), which at two parts is the classic largest-differencing
-    method; one part is trivial.  All arithmetic is exact rational, so
-    the reported ``difference`` equals the reconstructed load gap
-    exactly.
+    method and at one part puts every job in that part with a difference
+    of 0.  All arithmetic is exact rational, so the reported
+    ``difference`` equals the reconstructed load gap exactly.
 
     Parameters
     ----------
@@ -129,11 +125,7 @@ def kk_partition(weights, num_parts: int) -> Schedule:
     vals = _check_weights(weights)
     if num_parts < 1:
         raise ValueError(f"need at least one part, got {num_parts}")
-    if num_parts == 1:
-        parts = [tuple(range(len(vals)))]
-        difference = Fraction(0)
-    else:
-        parts, difference = _multiway_kk(vals, num_parts)
+    parts, difference = _multiway_kk(vals, num_parts)
 
     loads = [sum((vals[i] for i in part), Fraction(0)) for part in parts]
     # The differencing value must agree with the reconstruction; exact

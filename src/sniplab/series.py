@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
-
 def _freeze(values: np.ndarray) -> np.ndarray:
     values = np.array(values)
     values.flags.writeable = False
@@ -29,13 +28,13 @@ class TimeSeries:
     Parameters
     ----------
     values : array_like
-        The samples, at least two, all finite.
-    coordinate_id : int
-        Which column of the source file this coordinate came from.
+        The samples, at least two, all finite.  Unless all are zero, the
+        largest magnitude must lie in [1e-75, 1e75]: the correlation
+        kernel multiplies two window variances, which overflow or
+        underflow beyond that.
     """
 
     values: np.ndarray
-    coordinate_id: int = 0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -46,16 +45,18 @@ class TimeSeries:
         if not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
             raise ValueError(f"non-finite sample at position {bad}")
+        peak = float(np.abs(values).max())
+        if peak and not 1e-75 <= peak <= 1e75:
+            raise ValueError(
+                f"largest sample magnitude {peak:.6g} is outside [1e-75, 1e75]; "
+                f"rescale the series"
+            )
         object.__setattr__(self, "values", _freeze(values))
 
     @property
     def n(self) -> int:
         """Number of samples."""
         return int(self.values.size)
-
-    def scaled(self, factor: float) -> "TimeSeries":
-        """A copy with every sample multiplied by ``factor``."""
-        return TimeSeries(self.values * factor, coordinate_id=self.coordinate_id)
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ def load_series(path, column: int = 0) -> TimeSeries:
 
     if len(values) < 2:
         raise ValueError(f"series in {path} has {len(values)} samples, need at least 2")
-    return TimeSeries(np.asarray(values), coordinate_id=column)
+    return TimeSeries(np.asarray(values))
 
 
 def save_series(series: TimeSeries, path) -> None:

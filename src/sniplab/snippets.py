@@ -109,14 +109,6 @@ def segment_profiles(series: TimeSeries, params: MPdistParams) -> list[MPdistPro
     return [mpdist_profile(series, i, params, stats=stats) for i in range(num_segments)]
 
 
-def profile_area(curve) -> float:
-    """Sum of a representativeness curve; the greedy selection objective."""
-    curve = np.asarray(curve, dtype=np.float64)
-    if curve.size == 0:
-        raise ValueError("curve must be non-empty")
-    return float(curve.sum())
-
-
 def _nearest_rows(rows) -> np.ndarray:
     """Per column, the position of the smallest of equal-length ``rows``.
 
@@ -214,7 +206,7 @@ def select_snippets(
         series_length=series.n,
         snippets=snippets,
         curve=curve,
-        profile_area=profile_area(curve),
+        profile_area=float(curve.sum()),
         profiles=ordered_profiles,
         profile_max=max(float(row.max()) for row in rows),
         segment_window_counts=counts,

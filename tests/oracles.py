@@ -145,3 +145,75 @@ def stacked_selection(profile_matrix, num_snippets):
     nearest = np.argmin(matrix, axis=0)
     counts = np.bincount(nearest, minlength=matrix.shape[0])
     return chosen, curve, nearest, counts, float(matrix.max())
+
+
+def _mask_loop_match(truth, pred):
+    """Greedy maximal-overlap matching, one boolean mask per class pair."""
+    truth_classes = np.unique(truth)
+    pred_classes = np.unique(pred)
+    columns = {}
+    for p in pred_classes:
+        mask = pred == p
+        columns[int(p)] = tuple(
+            int(np.count_nonzero(truth[mask] == c)) for c in truth_classes
+        )
+    cells = []
+    for ti, c in enumerate(truth_classes):
+        for p in pred_classes:
+            count = columns[int(p)][ti]
+            if count > 0:
+                cells.append((count, int(c), int(p)))
+    cells.sort(
+        key=lambda cell: (-cell[0], cell[1], tuple(-o for o in columns[cell[2]]), cell[2])
+    )
+    matched = {}
+    used_pred = set()
+    for count, c, p in cells:
+        if c in matched or p in used_pred:
+            continue
+        matched[c] = p
+        used_pred.add(p)
+    return truth_classes, matched
+
+
+def mask_loop_report(pred, truth):
+    """Evaluation document of a predicted labeling, by per-class mask passes.
+
+    ``pred`` and ``truth`` are equal-length integer arrays.  Classes are
+    matched greedily by descending overlap (ties: lower truth class, then
+    the larger predicted column, then the lower predicted id); each truth
+    class then counts tp, fp and fn with full passes over the labels.
+    Returns the same document as ``EvalReport.to_dict``.
+    """
+    truth = np.asarray(truth)
+    pred = np.asarray(pred)
+    truth_classes, matched = _mask_loop_match(truth, pred)
+    classes = []
+    for c in truth_classes:
+        c = int(c)
+        truth_mask = truth == c
+        p = matched.get(c)
+        if p is None:
+            tp = fp = 0
+        else:
+            pred_mask = pred == p
+            tp = int(np.count_nonzero(truth_mask & pred_mask))
+            fp = int(np.count_nonzero(pred_mask)) - tp
+        fn = int(np.count_nonzero(truth_mask)) - tp
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if tp else 0.0
+        classes.append(
+            {
+                "truth_class": c,
+                "predicted_class": p,
+                "tp": tp,
+                "fp": fp,
+                "fn": fn,
+                "precision": precision,
+                "recall": recall,
+                "f1": f1,
+            }
+        )
+    macro = float(np.mean([entry["f1"] for entry in classes]))
+    return {"schema": 1, "macro_f1": macro, "classes": classes}

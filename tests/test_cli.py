@@ -105,6 +105,16 @@ class TestDiscover:
         assert code == 2
         assert "--column" in err.splitlines()[-1]
 
+    def test_huge_magnitude_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        values, _ = two_regime_series(n=256, period=16, block_len=64, noise=0.05, seed=3)
+        path.write_text("".join(f"{v * 1e200!r}\n" for v in values))
+        code, out, err = _run(["discover", "--input", str(path), "--m", "16"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+
     def test_out_of_memory_is_runtime_error(self, series_csv, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError

@@ -13,6 +13,7 @@ from sniplab import (
     select_snippets,
     write_labels,
 )
+from oracles import mask_loop_report
 from seriesgen import two_regime_series
 
 
@@ -20,7 +21,7 @@ class TestLabelSequence:
     def test_basic(self):
         seq = LabelSequence(np.array([0, 1, 1, 0]))
         assert seq.n == 4
-        np.testing.assert_array_equal(seq.classes(), [0, 1])
+        np.testing.assert_array_equal(np.unique(seq.labels), [0, 1])
 
     def test_rejects_floats(self):
         with pytest.raises(ValueError, match="integers"):
@@ -57,7 +58,7 @@ class TestLabelSeries:
     def test_single_snippet_labels_everything_zero(self):
         result, _, _ = self._result(block_len=128, num_snippets=1)
         labels = label_series(result)
-        assert set(labels.classes()) == {0}
+        assert set(np.unique(labels.labels)) == {0}
 
     def test_trailing_points_inherit_last_window(self):
         result, series, _ = self._result(block_len=128, num_snippets=2)
@@ -74,11 +75,6 @@ class TestLabelSeries:
         true_flips = np.flatnonzero(np.diff(regime)) + 1
         assert changes.size == true_flips.size
         assert np.all(np.abs(changes - true_flips) < 16)
-
-    def test_length_check(self):
-        result, _, _ = self._result(block_len=128, num_snippets=2)
-        with pytest.raises(ValueError, match="does not match"):
-            label_series(result, series_length=100)
 
 
 class TestEvaluate:
@@ -134,6 +130,30 @@ class TestEvaluate:
                 LabelSequence(np.zeros(5, dtype=np.int64)),
             )
         assert "3" in str(err.value) and "5" in str(err.value)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_mask_loop_reference(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=60))
+        truth_ids = data.draw(st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True))
+        # Up to seven predicted ids, far apart in int64: more predicted than
+        # truth classes, or fewer, so that some truth class goes unmatched.
+        pred_ids = data.draw(
+            st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=7, unique=True)
+        )
+        truth = data.draw(st.lists(st.sampled_from(truth_ids), min_size=n, max_size=n))
+        if data.draw(st.booleans()):
+            # The truth under renamed ids, with some points moved.
+            rename = {c: pred_ids[i % len(pred_ids)] for i, c in enumerate(truth_ids)}
+            pred = [rename[c] for c in truth]
+            for position in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
+                pred[position] = data.draw(st.sampled_from(pred_ids))
+        else:
+            pred = data.draw(st.lists(st.sampled_from(pred_ids), min_size=n, max_size=n))
+        pred = np.asarray(pred, dtype=np.int64)
+        truth = np.asarray(truth, dtype=np.int64)
+        report = evaluate(LabelSequence(pred), LabelSequence(truth))
+        assert report.to_dict() == mask_loop_report(pred, truth)
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=4, max_size=60))
     @settings(max_examples=60, deadline=None)

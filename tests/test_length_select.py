@@ -148,8 +148,13 @@ class TestSelectLength:
 
         monkeypatch.setattr(scheduler, "select_snippets", counted)
         values, _ = two_regime_series(n=300, period=16, block_len=60, noise=0.05, seed=8)
-        with pytest.raises(ValueError, match="snippet size 400"):
-            select_length(TimeSeries(values), [8, 16, 400], 2, workers=1, training_log=False)
+        # Too long for two segments, and too long for the snippet count.
+        for grid, num_snippets, named in (([8, 16, 400], 2, "snippet size 400"),
+                                          ([8, 16, 128], 3, "snippet size 128")):
+            with pytest.raises(ValueError, match=named):
+                select_length(
+                    TimeSeries(values), grid, num_snippets, workers=1, training_log=False
+                )
         assert calls == []
 
     def test_json_document(self):

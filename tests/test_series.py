@@ -31,11 +31,15 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="position 0"):
             TimeSeries([np.inf, 2.0])
 
-    def test_scaled(self):
-        s = TimeSeries([1.0, -2.0], coordinate_id=3)
-        out = s.scaled(2.5)
-        np.testing.assert_allclose(out.values, [2.5, -5.0])
-        assert out.coordinate_id == 3
+    @pytest.mark.parametrize("peak", [1e76, 1e-76, -1e76])
+    def test_rejects_magnitude_out_of_range(self, peak):
+        with pytest.raises(ValueError, match=r"outside \[1e-75, 1e75\]") as err:
+            TimeSeries([0.0, peak, peak / 2])
+        assert f"{abs(peak):g}" in str(err.value)
+
+    @pytest.mark.parametrize("peak", [1e75, 1e-75, 0.0])
+    def test_accepts_bounds_and_all_zeros(self, peak):
+        assert TimeSeries([0.0, peak, -peak]).n == 3
 
 
 class TestLoadSeries:
@@ -67,7 +71,6 @@ class TestLoadSeries:
         path.write_text("1.0,10.0\n2.0,20.0\n3.0,30.0\n")
         s = load_series(path, column=1)
         np.testing.assert_array_equal(s.values, [10.0, 20.0, 30.0])
-        assert s.coordinate_id == 1
 
     def test_column_out_of_range(self, tmp_path):
         path = tmp_path / "s.csv"

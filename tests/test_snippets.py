@@ -13,7 +13,6 @@ from sniplab import (
     export_curve_csv,
     export_profiles_csv,
     label_series,
-    profile_area,
     segment_count,
     segment_profiles,
     select_snippets,
@@ -40,20 +39,6 @@ class TestSegment:
     def test_tiny_snippet_rejected(self):
         with pytest.raises(ValueError):
             segment_count(TimeSeries(np.arange(8.0)), 1)
-
-
-class TestCurveAndArea:
-    def test_area_example(self):
-        assert profile_area([1.0, 1.0, 2.0]) == 4.0
-
-    def test_area_zero_curve(self):
-        assert profile_area(np.zeros(5)) == 0.0
-
-    def test_area_monotone_under_union(self):
-        rng = np.random.default_rng(1)
-        a = rng.uniform(0, 4, 30)
-        b = rng.uniform(0, 4, 30)
-        assert profile_area(np.minimum(a, b)) <= profile_area(a)
 
 
 class TestSelectSnippets:
@@ -175,6 +160,20 @@ class TestSelectSnippets:
         assert all_neighbors.size == np.unique(all_neighbors).size
         assert all_neighbors.min() >= 0
         assert all_neighbors.max() <= 100 - 10
+
+    @pytest.mark.parametrize("power", [200, -200])
+    def test_power_of_two_scaling_changes_no_bit(self, power):
+        # Scaling by 2**power is exact, and the series stays inside the
+        # accepted magnitudes, so no variance product over- or underflows.
+        rng = np.random.default_rng(4)
+        x = np.sin(2 * np.pi * np.arange(400) / 37) + 0.1 * rng.standard_normal(400)
+        params = MPdistParams(snippet_size=20)
+        base = select_snippets(TimeSeries(x), params, 3)
+        scaled = select_snippets(TimeSeries(x * 2.0**power), params, 3)
+        assert scaled.to_dict() == base.to_dict()
+        assert scaled.curve.tobytes() == base.curve.tobytes()
+        for a, b in zip(scaled.profiles, base.profiles):
+            assert a.values.tobytes() == b.values.tobytes()
 
 
 @st.composite
