@@ -7,17 +7,27 @@ representativeness curve, and its sum (the profile area) is the greedy
 objective.  Snippets are the segments that shrink the area fastest.
 Every window is then attributed to its nearest segment, which gives
 each snippet its neighbor set and coverage fraction.
+
+All profiles together are n²/m entries, too many to hold in float64
+for small m on a long series.  When there are more segments than
+profile width, they are held as 16-bit codes; each greedy round bounds
+every area from the codes and recomputes only the near-tied candidates
+exactly, so the result is still bit for bit the float64 greedy's.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mpdist import MPdistParams, MPdistProfile, mpdist_profile
 from .series import TimeSeries, compute_sliding_stats
+
+# Largest 16-bit code; a profile entry of 2*sqrt(l) maps to it.
+_CODE_MAX = 65535
 
 
 @dataclass(frozen=True)
@@ -112,15 +122,103 @@ def segment_profiles(series: TimeSeries, params: MPdistParams) -> list[MPdistPro
 def _nearest_rows(rows) -> np.ndarray:
     """Per column, the position of the smallest of equal-length ``rows``.
 
-    Ties go to the lower position, as with ``argmin`` over the stacked
-    rows, but no stacked copy is made.
+    ``rows`` may be any iterable, a generator included: each row is read
+    once, in order, and need not be kept.  Ties go to the lower position,
+    as with ``argmin`` over the stacked rows, but no stacked copy is made.
     """
-    best = np.array(rows[0], dtype=np.float64)
+    rows = iter(rows)
+    best = np.array(next(rows), dtype=np.float64)
     nearest = np.zeros(best.size, dtype=np.intp)
-    for position in range(1, len(rows)):
-        np.copyto(nearest, position, where=rows[position] < best)
-        np.minimum(best, rows[position], out=best)
+    for position, row in enumerate(rows, start=1):
+        np.copyto(nearest, position, where=row < best)
+        np.minimum(best, row, out=best)
     return nearest
+
+
+class _ExactRows:
+    """Every profile held whole in float64; its area bounds are exact."""
+
+    def __init__(self):
+        self.profiles: list[MPdistProfile] = []
+
+    def keep(self, profile: MPdistProfile, area: float) -> None:
+        self.profiles.append(profile)
+
+    def bounds(self, curve: np.ndarray, scratch: np.ndarray):
+        areas = np.array(
+            [np.minimum(p.values, curve, out=scratch).sum() for p in self.profiles]
+        )
+        return areas, areas
+
+    def profile(self, index: int) -> MPdistProfile:
+        return self.profiles[index]
+
+
+class _CodedRows:
+    """Every profile held as 16-bit codes and recomputed exactly on demand.
+
+    Entry ``v`` is stored as ``floor(v / step)`` with
+    ``step = 2 * sqrt(l) / 65535``, so the code ``c`` of every profile
+    entry, all of which lie in ``[0, 2 * sqrt(l)]``, places it in
+    ``[c * step, (c + 1) * step)``.  The profile with the smallest exact
+    round-1 area is kept in float64, since round 1 always picks it.
+    """
+
+    # Decoded entries per block when bounding areas: two float64 buffers
+    # of this size stay small next to the codes.
+    BLOCK_ENTRIES = 1 << 15
+
+    def __init__(self, series, params, stats, num_segments, num_windows):
+        self.series = series
+        self.params = params
+        self.stats = stats
+        self.step = 2.0 * math.sqrt(params.window_size) / _CODE_MAX
+        self.codes = np.empty((num_segments, num_windows), dtype=np.uint16)
+        self.lead: MPdistProfile | None = None
+        self.lead_area = np.inf
+
+    def keep(self, profile: MPdistProfile, area: float) -> None:
+        levels = np.divide(profile.values, self.step)
+        self.codes[profile.segment_index] = np.minimum(levels, _CODE_MAX, out=levels)
+        if area < self.lead_area:
+            self.lead, self.lead_area = profile, area
+
+    def bounds(self, curve: np.ndarray, scratch: np.ndarray):
+        """Lower and upper bounds on every area, in units of ``step``.
+
+        With ``e_j = min(v_j, curve_j)`` and ``λ_j = curve_j / step``,
+        ``sum min(c_j, λ_j)`` and ``sum min(c_j + 1, λ_j)`` enclose
+        ``sum e_j / step`` up to the rounding of the quotients ``v_j /
+        step`` and ``curve_j / step``, a relative ``eps / 2`` per entry.
+        The exact greedy sums the same ``e_j`` in float64, and these
+        bounds sum their terms in float64 too; any order of summing N
+        non-negative terms is off by at most a relative ``N * eps / 2``.
+        Widening both bounds by ``(N + 8) * eps`` times the upper bound
+        covers the entries' rounding and both sums, so the float64 area
+        the exact greedy computes for every segment, divided by
+        ``step``, lies within them.
+        """
+        num_segments, num_windows = self.codes.shape
+        level = np.divide(curve, self.step, out=scratch)
+        rows = max(1, self.BLOCK_ENTRIES // num_windows)
+        decoded = np.empty((rows, num_windows))
+        clipped = np.empty((rows, num_windows))
+        lower = np.empty(num_segments)
+        upper = np.empty(num_segments)
+        for start in range(0, num_segments, rows):
+            stop = min(start + rows, num_segments)
+            block, low = decoded[: stop - start], clipped[: stop - start]
+            np.copyto(block, self.codes[start:stop])
+            lower[start:stop] = np.minimum(block, level, out=low).sum(axis=1)
+            block += 1.0
+            upper[start:stop] = np.minimum(block, level, out=block).sum(axis=1)
+        margin = (num_windows + 8) * np.finfo(np.float64).eps * upper
+        return lower - margin, upper + margin
+
+    def profile(self, index: int) -> MPdistProfile:
+        if self.lead.segment_index == index:
+            return self.lead
+        return mpdist_profile(self.series, index, self.params, stats=self.stats)
 
 
 def select_snippets(
@@ -134,11 +232,21 @@ def select_snippets(
 
     Greedy minimization: at each step the segment whose profile most
     reduces the current curve's area joins the chosen set (ties toward
-    the lower segment index).  Afterwards every window is attributed to
-    its nearest segment over all segments, again breaking ties toward
-    the lower index, and the chosen snippets are ordered by descending
-    coverage fraction.  Both passes read the profiles in place; no
-    stacked copy of them is made.
+    the lower segment index).  Every window is attributed to its nearest
+    segment over all segments, again breaking ties toward the lower
+    index, and the chosen snippets are ordered by descending coverage
+    fraction.
+
+    Each segment is profiled once, in one streaming pass that takes its
+    exact round-1 area, its largest entry and its share of the
+    attribution.  When there are more segments than
+    ``params.profile_width``, the pass keeps each profile only as 16-bit
+    codes (2 bytes per entry instead of 8); every later round bounds all
+    areas from the codes and recomputes exactly the few segments whose
+    lower bound reaches the smallest upper bound.  Otherwise the float64
+    profiles are kept, which then costs no more than profiling a single
+    segment.  Either way the picks, curve and attribution are bit for
+    bit those of the plain float64 greedy.
 
     Parameters
     ----------
@@ -147,9 +255,10 @@ def select_snippets(
     num_snippets : int
         Between 1 and the number of segments.
     profiles : list of MPdistProfile, optional
-        Precomputed per-segment profiles, if the caller already has them.
-        A wrong count, or a profile that is not ``n - snippet_size + 1``
-        long, raises ``ValueError``.
+        Precomputed per-segment profiles, if the caller already has them;
+        they are read in place.  A wrong count, an entry at position
+        ``i`` that is not segment ``i``'s, or a profile that is not
+        ``n - snippet_size + 1`` long raises ``ValueError``.
 
     Returns
     -------
@@ -160,31 +269,72 @@ def select_snippets(
         raise ValueError(
             f"snippet count {num_snippets} out of range [1, {num_segments}]"
         )
-    if profiles is None:
-        profiles = segment_profiles(series, params)
-    if len(profiles) != num_segments:
-        raise ValueError(
-            f"got {len(profiles)} profiles for {num_segments} segments"
-        )
     num_windows = series.n - params.snippet_size + 1
-    rows = [p.values for p in profiles]
-    for i, row in enumerate(rows):
-        if row.size != num_windows:
-            raise ValueError(f"profile {i} has length {row.size}, expected {num_windows}")
+    if profiles is None:
+        stats = compute_sliding_stats(series, params.window_size)
+        source = (mpdist_profile(series, i, params, stats=stats) for i in range(num_segments))
+        if num_segments <= params.profile_width:
+            store = _ExactRows()
+        else:
+            store = _CodedRows(series, params, stats, num_segments, num_windows)
+    else:
+        if len(profiles) != num_segments:
+            raise ValueError(
+                f"got {len(profiles)} profiles for {num_segments} segments"
+            )
+        for i, profile in enumerate(profiles):
+            if profile.segment_index != i:
+                raise ValueError(
+                    f"profile at position {i} is for segment {profile.segment_index}"
+                )
+            if len(profile) != num_windows:
+                raise ValueError(
+                    f"profile {i} has length {len(profile)}, expected {num_windows}"
+                )
+        source = profiles
+        store = _ExactRows()
 
-    chosen: list[int] = []
+    round_one = np.empty(num_segments)
+    maxima = np.empty(num_segments)
+
+    def profile_pass():
+        for i, profile in enumerate(source):
+            round_one[i] = profile.values.sum()
+            maxima[i] = profile.values.max()
+            store.keep(profile, round_one[i])
+            yield profile.values
+
+    nearest = _nearest_rows(profile_pass())
+
+    # Round 1 runs on the exact areas of the pass.  Every later round
+    # bounds the areas from the store and recomputes exactly each
+    # candidate whose lower bound reaches the smallest upper bound.  A
+    # pruned candidate cannot be the float64 greedy's pick: the pick's
+    # area is at most every other area, so at most the smallest upper
+    # bound, and its lower bound is at most its area; a pruned lower
+    # bound exceeds that upper bound.  The same holds for a candidate
+    # tied with the pick, so the lowest index among the recomputed
+    # equals the float64 argmin.  (`_CodedRows.bounds` says why code
+    # rounding and summation order stay inside the bounds.)
+    chosen: dict[int, MPdistProfile] = {}  # segment index -> profile, in pick order
     curve = np.full(num_windows, np.inf)
     scratch = np.empty(num_windows)
-    areas = np.empty(num_segments)
     for _ in range(num_snippets):
-        for i, row in enumerate(rows):
-            areas[i] = np.minimum(row, curve, out=scratch).sum()
-        areas[chosen] = np.inf
-        best = int(np.argmin(areas))  # first occurrence: lowest index wins ties
-        chosen.append(best)
-        curve = np.minimum(curve, rows[best])
+        if chosen:
+            lower, upper = store.bounds(curve, scratch)
+            lower[list(chosen)] = upper[list(chosen)] = np.inf
+            candidates = np.flatnonzero(lower <= upper.min())
+        else:
+            candidates = [np.argmin(round_one)]
+        best, best_area = None, np.inf
+        for index in candidates:
+            profile = store.profile(int(index))
+            area = np.minimum(profile.values, curve, out=scratch).sum()
+            if best is None or area < best_area:
+                best, best_area = profile, area
+        chosen[best.segment_index] = best
+        np.minimum(curve, best.values, out=curve)
 
-    nearest = _nearest_rows(rows)
     counts = np.bincount(nearest, minlength=num_segments)
     snippets = [
         Snippet(
@@ -197,7 +347,7 @@ def select_snippets(
         for index in chosen
     ]
     snippets = tuple(sorted(snippets, key=lambda s: (-s.frac, s.index)))
-    ordered_profiles = tuple(profiles[s.index] for s in snippets)
+    ordered_profiles = tuple(chosen[s.index] for s in snippets)
 
     return SnippetResult(
         snippet_size=params.snippet_size,
@@ -208,9 +358,9 @@ def select_snippets(
         curve=curve,
         profile_area=float(curve.sum()),
         profiles=ordered_profiles,
-        profile_max=max(float(row.max()) for row in rows),
+        profile_max=float(maxima.max()),
         segment_window_counts=counts,
-        unassigned_windows=int(num_windows - counts[chosen].sum()),
+        unassigned_windows=int(num_windows - counts[list(chosen)].sum()),
     )
 
 

@@ -17,6 +17,7 @@ from sniplab import (
     segment_profiles,
     select_snippets,
 )
+from sniplab import snippets
 from oracles import exhaustive_min_area, stacked_selection
 from seriesgen import random_series, two_regime_series
 
@@ -137,9 +138,18 @@ class TestSelectSnippets:
         with pytest.raises(ValueError, match="profile 2 has length 50, expected 51"):
             select_snippets(series, params, 2, profiles=profiles)
 
+    def test_profile_out_of_order_rejected(self):
+        rng = np.random.default_rng(13)
+        series = TimeSeries(random_series(rng, 200))
+        params = MPdistParams(snippet_size=20)
+        profiles = segment_profiles(series, params)[::-1]
+        with pytest.raises(ValueError, match="profile at position 0 is for segment 9"):
+            select_snippets(series, params, 2, profiles=profiles)
+
     def test_profiles_held_once(self):
-        # 500 segments of 3,993 windows: 16 MB of profiles.  The greedy
-        # step and the attribution must not stack a second copy.
+        # 500 segments of 3,993 windows: 16 MB of float64 profiles.  With
+        # more segments than the profile width (5) they are held as
+        # 16-bit codes, a quarter of that, and nothing else of their size.
         rng = np.random.default_rng(12)
         series = TimeSeries(random_series(rng, 4000))
         params = MPdistParams(snippet_size=8)
@@ -150,7 +160,7 @@ class TestSelectSnippets:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * profile_bytes
+        assert peak <= 0.35 * profile_bytes
 
     def test_neighbors_are_window_starts(self):
         rng = np.random.default_rng(9)
@@ -181,17 +191,28 @@ def _selection_case(draw):
     """A series, its MPdist parameters and a snippet count.
 
     Flavors: plain noise; a noise-free tiled pattern, whose segment
-    profiles tie bit for bit; values rounded to a coarse grid at a 1e3
-    offset, so windows repeat exactly; noise with constant runs.
+    profiles tie bit for bit; the same pattern perturbed by 1e-12 to
+    1e-6, whose profiles share all or most of their 16-bit codes but not
+    their bits; values rounded to a coarse grid at a 1e3 offset, so
+    windows repeat exactly; noise with constant runs.  The segment count
+    falls on either side of the profile width, so both of
+    ``select_snippets``' profile stores run.
     """
     m = draw(st.integers(min_value=4, max_value=40))
-    num_segments = draw(st.integers(min_value=2, max_value=12))
+    width = MPdistParams(snippet_size=m).profile_width
+    if draw(st.booleans()):
+        num_segments = draw(st.integers(min_value=2, max_value=width))
+    else:
+        num_segments = draw(st.integers(min_value=width + 1, max_value=width + 12))
     n = m * num_segments + draw(st.integers(min_value=0, max_value=m - 1))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    flavor = draw(st.sampled_from(["noise", "tiled", "rounded", "flat"]))
-    if flavor == "tiled":
+    flavor = draw(st.sampled_from(["noise", "tiled", "near-tie", "rounded", "flat"]))
+    if flavor in ("tiled", "near-tie"):
         period = draw(st.sampled_from([m, max(2, m // 2), 2 * m]))
         values = np.tile(np.round(rng.standard_normal(period) * 8) / 8, n // period + 1)[:n]
+        if flavor == "near-tie":
+            scale = draw(st.sampled_from([1e-12, 1e-9, 1e-6]))
+            values = values + scale * rng.standard_normal(n)
     elif flavor == "rounded":
         values = 1e3 + np.round(rng.standard_normal(n) * 2) / 2
     else:
@@ -203,6 +224,19 @@ def _selection_case(draw):
     params = MPdistParams(snippet_size=m, k=draw(st.sampled_from([None, 1, 3])))
     num_snippets = draw(st.integers(min_value=1, max_value=min(5, num_segments)))
     return TimeSeries(values), params, num_snippets
+
+
+def _assert_same_result(a, b):
+    assert a.to_dict() == b.to_dict()
+    assert a.curve.tobytes() == b.curve.tobytes()
+    assert a.profile_max == b.profile_max
+    assert a.unassigned_windows == b.unassigned_windows
+    np.testing.assert_array_equal(a.segment_window_counts, b.segment_window_counts)
+    for x, y in zip(a.snippets, b.snippets):
+        np.testing.assert_array_equal(x.neighbors, y.neighbors)
+    for x, y in zip(a.profiles, b.profiles):
+        assert x.segment_index == y.segment_index
+        assert x.values.tobytes() == y.values.tobytes()
 
 
 class TestExactSelection:
@@ -230,6 +264,30 @@ class TestExactSelection:
         expected = np.argmin(np.vstack([p.values for p in result.profiles]), axis=0)
         np.testing.assert_array_equal(labels[:num_windows], expected)
         assert np.all(labels[num_windows:] == expected[-1])
+
+        # Without profiles= the segments are profiled in one pass and,
+        # past the profile width, held as codes and recomputed on demand.
+        _assert_same_result(select_snippets(series, params, num_snippets), result)
+
+    def test_near_ties_recompute_and_match(self, monkeypatch):
+        # A tiled pattern perturbed by 1e-12: every segment's profile has
+        # nearly the same area, so the codes cannot tell them apart and
+        # each round must recompute many candidates exactly.
+        rng = np.random.default_rng(14)
+        pattern = np.round(rng.standard_normal(16) * 8) / 8
+        series = TimeSeries(np.tile(pattern, 40) + 1e-12 * rng.standard_normal(640))
+        params = MPdistParams(snippet_size=16)
+        profiles = segment_profiles(series, params)
+        calls = []
+        profile = snippets.mpdist_profile
+        monkeypatch.setattr(
+            snippets, "mpdist_profile", lambda *a, **kw: calls.append(a[1]) or profile(*a, **kw)
+        )
+        result = select_snippets(series, params, 3)
+        assert len(calls) > len(profiles) + 2
+        _assert_same_result(result, select_snippets(series, params, 3, profiles=profiles))
+        chosen, *_ = stacked_selection(np.vstack([p.values for p in profiles]), 3)
+        assert sorted(s.index for s in result.snippets) == sorted(chosen)
 
 
 class TestSerialization:
