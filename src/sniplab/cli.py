@@ -20,9 +20,8 @@ import sys
 from .labeling import evaluate, label_series, read_labels, write_labels
 from .length_select import make_grid, select_length
 from .mpdist import MPdistParams
-from .scheduler import env_workers
 from .series import load_series
-from .snippets import export_curve_csv, export_profiles_csv, select_snippets
+from .snippets import env_workers, export_curve_csv, export_profiles_csv, select_snippets
 
 
 def _at_least(low: int):
@@ -78,7 +77,7 @@ def _discover_params(args: argparse.Namespace) -> MPdistParams:
 
 def cmd_discover(args: argparse.Namespace) -> int:
     series = load_series(args.input, column=args.column)
-    result = select_snippets(series, _discover_params(args), args.k)
+    result = select_snippets(series, _discover_params(args), args.k, workers=args.workers)
     _emit_json(result.to_dict(), args.output)
     if args.export_curve:
         export_curve_csv(result, args.export_curve)
@@ -116,7 +115,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_label(args: argparse.Namespace) -> int:
     series = load_series(args.input, column=args.column)
-    result = select_snippets(series, _discover_params(args), args.k)
+    result = select_snippets(series, _discover_params(args), args.k, workers=args.workers)
     labels = label_series(result)
     if args.output is None:
         for value in labels.labels:
@@ -158,11 +157,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_output(p):
         p.add_argument("--output", default=None, help="write here instead of stdout")
 
+    def add_workers(p, what):
+        p.add_argument("--workers", type=_at_least(1), default=None,
+                       help=f"{what} (default: SNIPLAB_WORKERS or 1)")
+
     p = sub.add_parser("discover", help="find snippets at a fixed length")
     add_input(p)
     add_fixed_m(p)
     add_k(p)
     add_output(p)
+    add_workers(p, "threads per segment profile")
     p.add_argument("--export-curve", default=None, help="representativeness curve CSV")
     p.add_argument("--export-profiles", default=None, help="snippet profiles CSV")
 
@@ -176,8 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=_at_least(1), default=None, help="spacing for --grid arith")
     p.add_argument("--l-frac", type=fraction, default=0.5,
                    help="inner window length as a fraction of each candidate length")
-    p.add_argument("--workers", type=_at_least(1), default=None,
-                   help="worker processes (default: SNIPLAB_WORKERS or 1)")
+    add_workers(p, "worker processes, one length each")
     p.add_argument("--training-log", default=None,
                    help="JSON-lines timing log (default: SNIPLAB_TRAINING_LOG)")
     p.add_argument("--no-log", action="store_true", help="do not touch the training log")
@@ -191,6 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_fixed_m(p)
     add_k(p)
     add_output(p)
+    add_workers(p, "threads per segment profile")
 
     p = sub.add_parser("eval", help="score predicted labels against ground truth")
     p.add_argument("--pred", required=True, help="predicted labels CSV")
@@ -217,7 +221,7 @@ def main(argv=None) -> int:
             parser.error(conflict)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.command == "sweep" and args.workers is None:
+    if "workers" in args and args.workers is None:
         try:
             args.workers = env_workers()
         except ValueError as exc:

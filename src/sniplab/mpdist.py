@@ -17,11 +17,24 @@ converting every entry first.  For ``k = 1`` the k-th smallest is a
 plain minimum: the smallest of each row's sliding minimum equals the
 sliding minimum of the column minima, so the profile is that one
 sliding window and the per-row filter, merge and partition are skipped.
+
+A large segment can be split across threads by profile position, as
+STUMPY's ``stumped`` splits a matrix profile (Law, JOSS 2019).  Each
+part of the positions reads its columns plus the ``width - 1`` to their
+right that its windows reach, and runs the row recurrence from
+``width - 1`` columns to their left (clipped at column 0), starting
+from the row-0 dot products the parts share.  Its ``-rho`` rows go
+straight into the top half of its own merge buffer, its column minima
+are taken there, and the row filter then runs in place.  Every entry
+goes through the same float operations whatever the split, so the
+profile does not change by a bit; the filter and the partition, which
+take most of the time at large m, release the GIL.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +42,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import minimum_filter1d
 
 from .series import TimeSeries, _freeze, compute_sliding_stats
-from .zdist import neg_correlation_to_distance, neg_correlations
+from .zdist import _sliding_dots, neg_correlation_to_distance, neg_correlations
 from .zdist import segment_distance_matrix  # noqa: F401  bench/layers.py wraps it by this name
+
+# Kernel entries (rows times columns) each thread's part of a segment
+# must hold before the segment is split; smaller parts make numpy calls
+# too short to gain from releasing the GIL.  On two cores, two threads
+# took 1.1 to 1.3 times as long as one at n = 5000 for m = 32 to 256
+# (up to 629k entries a segment) and 1.6 times at n = 20000, m = 8
+# (100k), but 0.65 to 0.9 times from 1.3M entries on (n = 10000,
+# m = 256; n = 20000, m = 128 to 1024).
+MIN_PART_ENTRIES = 1 << 19
 
 
 def default_window_size(snippet_size: int) -> int:
@@ -109,11 +131,20 @@ def _sliding_min_rows(matrix: np.ndarray, window: int) -> np.ndarray:
     return filtered[..., start : start + matrix.shape[-1] - window + 1]
 
 
+def _column_parts(num_positions: int, entries: int, workers: int) -> list[tuple[int, int]]:
+    # Contiguous ranges of profile positions, at most one per worker, each
+    # with at least MIN_PART_ENTRIES of the segment's kernel entries.
+    count = max(1, min(workers, num_positions, entries // MIN_PART_ENTRIES))
+    bounds = [num_positions * i // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def mpdist_profile(
     series: TimeSeries,
     segment_index: int,
     params: MPdistParams,
     stats=None,
+    workers: int = 1,
 ) -> MPdistProfile:
     """MPdist profile of one segment against every window of the series.
 
@@ -127,6 +158,10 @@ def mpdist_profile(
     stats : SlidingStats, optional
         Sliding statistics for ``params.window_size``; computed on demand
         when omitted, passed in when profiling many segments.
+    workers : int, optional
+        Threads the profile positions are split across; a segment too
+        small to split runs on the calling thread.  The values do not
+        depend on it.
 
     Returns
     -------
@@ -143,6 +178,8 @@ def mpdist_profile(
         raise ValueError(
             f"segment index {segment_index} out of range [0, {num_segments})"
         )
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     if stats is None:
         stats = compute_sliding_stats(series, params.window_size)
     elif stats.window_len != params.window_size:
@@ -154,24 +191,46 @@ def mpdist_profile(
     seg_start = segment_index * m
     width = params.profile_width
     k = params.k
-    neg_rho = neg_correlations(series, stats, seg_start, width)
-    series_side = neg_rho.min(axis=0)                    # nearest segment window per column
-    if k == 1:
-        best = _sliding_min_rows(series_side, width)
-    else:
-        # Both halves of the concatenated profile go into one buffer as
-        # wide as the rows, so the row filter writes its output in place.
+    num_positions = n - m + 1
+    parts = _column_parts(num_positions, width * (num_positions + width - 1), workers)
+    # The buffers live until the profile is built.  Freed before the
+    # profile's own arrays are allocated, they went back to the OS and
+    # were faulted in again on the next segment: 916k minor page faults
+    # against 14k, and 6.5 against 4.2 s, on discover-m8 (n = 20000).
+    rows = width if k == 1 else 2 * width
+    buffers = [np.empty((rows, hi - lo + width - 1)) for lo, hi in parts]
+    row0_dots = _sliding_dots(series.values, seg_start, params.window_size)
+
+    def profile_part(part: tuple[int, int], merged: np.ndarray) -> np.ndarray:
+        # Positions [lo, hi) read the kernel columns [lo, hi + width - 1).
+        # The -rho rows go into the top half of the buffer; the row filter
+        # then runs in place there, and the sliding windows of the column
+        # minima fill the bottom half, so each position's 2 * width
+        # candidates share a column.
+        lo, hi = part
+        neg_rho = neg_correlations(
+            series, stats, seg_start, width,
+            columns=(lo, hi + width - 1), row0_dots=row0_dots, out=merged[:width],
+        )
+        series_side = neg_rho.min(axis=0)            # nearest segment window per column
+        if k == 1:
+            return _sliding_min_rows(series_side, width)
+        # In place: the filter reads each batch of rows before writing it.
+        minimum_filter1d(neg_rho, size=width, axis=-1, mode="nearest", output=neg_rho)
         # The filter centres its window (see _sliding_min_rows), so the
         # leading windows sit from column width // 2 on.
-        merged = np.empty((2 * width, neg_rho.shape[1]))
-        minimum_filter1d(neg_rho, size=width, axis=-1, mode="nearest", output=merged[:width])
         start = width // 2
-        merged = merged[:, start : start + series.n - m + 1]
+        merged = merged[:, start : start + hi - lo]
         merged[width:] = sliding_window_view(series_side, width).T
         if 2 * width > k:
             merged.partition(k - 1, axis=0)
-            best = merged[k - 1]
-        else:
-            best = merged.max(axis=0)
+            return merged[k - 1]
+        return merged.max(axis=0)
+
+    if len(parts) == 1:
+        best = profile_part(parts[0], buffers[0])
+    else:
+        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+            best = np.concatenate(list(pool.map(profile_part, parts, buffers)))
     values = neg_correlation_to_distance(best, params.window_size)
     return MPdistProfile(segment_index=segment_index, values=values)

@@ -25,10 +25,9 @@ import numpy as np
 
 from .mpdist import MPdistParams, default_window_size
 from .series import TimeSeries
-from .snippets import SnippetResult, select_snippets
+from .snippets import SnippetResult, env_workers, select_snippets
 
 TRAINING_LOG_ENV = "SNIPLAB_TRAINING_LOG"
-WORKERS_ENV = "SNIPLAB_WORKERS"
 
 
 def default_cost(series_length: int, snippet_size: int, window_size: int | None = None) -> float:
@@ -163,10 +162,14 @@ def lpt_partition(weights, num_parts: int) -> Schedule:
 
 
 def _run_job(series: TimeSeries, params: MPdistParams, num_snippets: int):
-    """Run one snippet search, timing it."""
+    """Run one snippet search on one thread, timing it.
+
+    The sweep's workers go to lengths, so a search never starts threads
+    of its own beside the other worker processes.
+    """
     started = time.perf_counter()
     try:
-        result = select_snippets(series, params, num_snippets)
+        result = select_snippets(series, params, num_snippets, workers=1)
     except Exception as exc:
         raise RuntimeError(
             f"snippet search failed for m={params.snippet_size}: {exc}"
@@ -241,18 +244,6 @@ def load_training_samples(path, series_length: int | None = None):
             sizes.append(entry["m"])
             seconds.append(entry["seconds"])
     return np.asarray(sizes, dtype=np.float64), np.asarray(seconds, dtype=np.float64)
-
-
-def env_workers() -> int:
-    """Worker count from ``SNIPLAB_WORKERS``, 1 when unset.
-
-    Raises ``ValueError`` naming the variable unless it is a positive
-    integer.
-    """
-    raw = os.environ.get(WORKERS_ENV, "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 def run_schedule(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,20 @@ from .series import TimeSeries, compute_sliding_stats
 
 # Largest 16-bit code; a profile entry of 2*sqrt(l) maps to it.
 _CODE_MAX = 65535
+
+WORKERS_ENV = "SNIPLAB_WORKERS"
+
+
+def env_workers() -> int:
+    """Worker count from ``SNIPLAB_WORKERS``, 1 when unset.
+
+    Raises ``ValueError`` naming the variable unless it is a positive
+    integer.
+    """
+    raw = os.environ.get(WORKERS_ENV, "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -168,10 +183,11 @@ class _CodedRows:
     # of this size stay small next to the codes.
     BLOCK_ENTRIES = 1 << 15
 
-    def __init__(self, series, params, stats, num_segments, num_windows):
+    def __init__(self, series, params, stats, workers, num_segments, num_windows):
         self.series = series
         self.params = params
         self.stats = stats
+        self.workers = workers
         self.step = 2.0 * math.sqrt(params.window_size) / _CODE_MAX
         self.codes = np.empty((num_segments, num_windows), dtype=np.uint16)
         self.lead: MPdistProfile | None = None
@@ -218,7 +234,9 @@ class _CodedRows:
     def profile(self, index: int) -> MPdistProfile:
         if self.lead.segment_index == index:
             return self.lead
-        return mpdist_profile(self.series, index, self.params, stats=self.stats)
+        return mpdist_profile(
+            self.series, index, self.params, stats=self.stats, workers=self.workers
+        )
 
 
 def select_snippets(
@@ -227,6 +245,7 @@ def select_snippets(
     num_snippets: int,
     *,
     profiles: list[MPdistProfile] | None = None,
+    workers: int | None = None,
 ) -> SnippetResult:
     """Pick the ``num_snippets`` most representative segments.
 
@@ -259,6 +278,11 @@ def select_snippets(
         they are read in place.  A wrong count, an entry at position
         ``i`` that is not segment ``i``'s, or a profile that is not
         ``n - snippet_size + 1`` long raises ``ValueError``.
+    workers : int, optional
+        Threads each segment's profile is split across (see
+        :func:`~sniplab.mpdist.mpdist_profile`); defaults to the
+        ``SNIPLAB_WORKERS`` environment variable, else 1.  The result
+        does not depend on it.
 
     Returns
     -------
@@ -269,14 +293,19 @@ def select_snippets(
         raise ValueError(
             f"snippet count {num_snippets} out of range [1, {num_segments}]"
         )
+    if workers is None:
+        workers = env_workers()
     num_windows = series.n - params.snippet_size + 1
     if profiles is None:
         stats = compute_sliding_stats(series, params.window_size)
-        source = (mpdist_profile(series, i, params, stats=stats) for i in range(num_segments))
+        source = (
+            mpdist_profile(series, i, params, stats=stats, workers=workers)
+            for i in range(num_segments)
+        )
         if num_segments <= params.profile_width:
             store = _ExactRows()
         else:
-            store = _CodedRows(series, params, stats, num_segments, num_windows)
+            store = _CodedRows(series, params, stats, workers, num_segments, num_windows)
     else:
         if len(profiles) != num_segments:
             raise ValueError(

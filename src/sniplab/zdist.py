@@ -55,36 +55,57 @@ def _sliding_dots(values: np.ndarray, query_start: int, subseq_len: int) -> np.n
     return windows @ values[query_start : query_start + subseq_len]
 
 
-def _shifted_dots(values, prev_dots, query_start, subseq_len):
+def _shifted_dots(values, prev_dots, query_start, subseq_len, first_column):
     """Advance a dot-product vector by one query position.
 
-    ``prev_dots`` belongs to the query starting at ``query_start - 1``;
-    each output column except the first is an O(1) update along the
-    diagonal of the cross-product matrix.
+    ``prev_dots`` belongs to the query starting at ``query_start - 1``
+    and holds the columns from ``first_column`` on; each output column
+    except the first is an O(1) update along the diagonal of the
+    cross-product matrix.  The first column is a direct dot product when
+    it is column 0.  Past column 0 it has no predecessor and is carried
+    over unchanged, so it is wrong, and so is the diagonal it starts.
     """
-    n = values.size
+    stop = first_column + prev_dots.size
     out = np.empty_like(prev_dots)
-    out[0] = values[query_start : query_start + subseq_len] @ values[:subseq_len]
+    if first_column == 0:
+        out[0] = values[query_start : query_start + subseq_len] @ values[:subseq_len]
+    else:
+        out[0] = prev_dots[0]
     out[1:] = (
         prev_dots[:-1]
-        - values[query_start - 1] * values[: n - subseq_len]
-        + values[query_start + subseq_len - 1] * values[subseq_len:]
+        - values[query_start - 1] * values[first_column : stop - 1]
+        + values[query_start + subseq_len - 1]
+        * values[first_column + subseq_len : stop - 1 + subseq_len]
     )
     return out
 
 
 def neg_correlations(
-    series: TimeSeries, stats: SlidingStats, first_query: int, num_rows: int
+    series: TimeSeries,
+    stats: SlidingStats,
+    first_query: int,
+    num_rows: int,
+    *,
+    columns: tuple[int, int] | None = None,
+    row0_dots: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Negated correlations of consecutive query windows against every series window.
+    """Negated correlations of consecutive query windows against series windows.
 
     Row ``i`` holds ``-rho`` between the window starting at
-    ``first_query + i`` and each series window, so smaller is nearer.
-    Row 0 starts from a full sliding-dot-product pass; every later row
-    reuses the previous row's dot products with an O(1) update per
-    column.  That recurrence accumulates round-off, so a later row can
-    differ in its last bits from the same query computed on its own
-    (``num_rows=1``), more so on series with a large offset.
+    ``first_query + i`` and each series window in ``columns``, so
+    smaller is nearer.  Row 0 starts from a full sliding-dot-product
+    pass; every later row reuses the previous row's dot products with an
+    O(1) update per column.  That recurrence accumulates round-off, so a
+    later row can differ in its last bits from the same query computed
+    on its own (``num_rows=1``), more so on series with a large offset.
+
+    A column range ``[start, stop)`` runs the recurrence from column
+    ``start - (num_rows - 1)`` (at least 0): row ``i`` reaches column
+    ``j`` along the diagonal from column ``j - i`` of row 0, so every
+    entry in the range takes the same float operations as when all
+    columns are computed, and the rows are the same bits as that
+    matrix's columns ``start`` to ``stop``.
 
     ``rho`` is ``cov / sqrt(var_a * var_b)`` rather than
     ``cov / (std_a * std_b)``: when two windows have bit-equal content
@@ -96,40 +117,57 @@ def neg_correlations(
 
     The caller checks that the query windows lie inside the series.
 
+    Parameters
+    ----------
+    columns : (start, stop), optional
+        Series windows to correlate against; all of them by default.
+    row0_dots : ndarray, optional
+        Dot products of the first query window against every series
+        window, as :func:`_sliding_dots` gives them; computed when
+        omitted, passed in when several column ranges share them.
+    out : ndarray of shape (num_rows, stop - start), optional
+        Where to write the rows.
+
     Returns
     -------
-    ndarray of shape (num_rows, n - subseq_len + 1), entries in [-1, 1]
+    ndarray of shape (num_rows, stop - start), entries in [-1, 1]
     """
     subseq_len = stats.window_len
     values = series.values
-    means = stats.means
-    variances = stats.variances
+    start, stop = (0, values.size - subseq_len + 1) if columns is None else columns
+    halo = max(0, start - (num_rows - 1))
+    means = stats.means[start:stop]
+    variances = stats.variances[start:stop]
     constant = np.flatnonzero(variances == 0.0)
-    out = np.empty((num_rows, values.size - subseq_len + 1))
-    dots = _sliding_dots(values, first_query, subseq_len)
-    scratch = np.empty_like(dots)
+    if out is None:
+        out = np.empty((num_rows, stop - start))
+    if row0_dots is None:
+        row0_dots = _sliding_dots(values, first_query, subseq_len)
+    dots = row0_dots[halo:stop]
+    scratch = np.empty(stop - start)
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(num_rows):
             query = first_query + i
             if i:
-                dots = _shifted_dots(values, dots, query, subseq_len)
+                dots = _shifted_dots(values, dots, query, subseq_len, first_column=halo)
             row = out[i]
-            q_var = variances[query]
+            q_var = stats.variances[query]
             if q_var == 0.0:
                 row.fill(-0.5)
                 row[constant] = -1.0
             else:
                 # -cov = q_mean * means - dots / l, the exact negation of
                 # dots / l - q_mean * means under round-to-nearest.
-                np.multiply(means, means[query], out=row)
-                np.divide(dots, subseq_len, out=scratch)
+                np.multiply(means, stats.means[query], out=row)
+                np.divide(dots[start - halo :], subseq_len, out=scratch)
                 np.subtract(row, scratch, out=row)
                 np.multiply(variances, q_var, out=scratch)
                 np.sqrt(scratch, out=scratch)
                 np.divide(row, scratch, out=row)
                 np.clip(row, -1.0, 1.0, out=row)
                 row[constant] = -0.5
-            row[query] = -1.0
+            if start <= query < stop:
+                row[query - start] = -1.0
     return out
 
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from sniplab import cli
+from sniplab import cli, mpdist
 from sniplab.cli import main
 from sniplab.series import save_series
 from sniplab import TimeSeries
@@ -126,6 +126,81 @@ class TestDiscover:
         assert out == ""
         assert err.startswith("error: out of memory")
         assert "Traceback" not in err
+
+
+class TestWorkers:
+    """``--workers`` threads each segment profile of ``discover`` and ``label``."""
+
+    @pytest.fixture(autouse=True)
+    def split_every_segment(self, monkeypatch):
+        # The reference series is too short to split at the default part
+        # threshold; at one entry, every worker count splits every segment.
+        monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
+
+    def test_discover_outputs_identical_across_workers(self, series_csv, tmp_path, capsys):
+        path, _ = series_csv
+        outputs = []
+        for workers in ("1", "2", "3"):
+            files = [tmp_path / f"{workers}_{name}" for name in ("doc.json", "c.csv", "p.csv")]
+            code, _, _ = _run(
+                [
+                    "discover", "--input", str(path), "--m", "16", "--k", "3",
+                    "--workers", workers, "--output", str(files[0]),
+                    "--export-curve", str(files[1]), "--export-profiles", str(files[2]),
+                ],
+                capsys,
+            )
+            assert code == 0
+            outputs.append([f.read_bytes() for f in files])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_label_outputs_identical_across_workers(self, series_csv, capsys):
+        path, _ = series_csv
+        outputs = []
+        for workers in ("1", "2", "3"):
+            code, out, _ = _run(
+                ["label", "--input", str(path), "--m", "16", "--workers", workers], capsys
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_env_sets_default(self, series_csv, capsys, monkeypatch):
+        path, _ = series_csv
+        argv = ["discover", "--input", str(path), "--m", "16"]
+        _, solo, _ = _run(argv + ["--workers", "1"], capsys)
+        monkeypatch.setenv("SNIPLAB_WORKERS", "3")
+        code, out, _ = _run(argv, capsys)
+        assert code == 0
+        assert out == solo
+
+    @pytest.mark.parametrize("command", ["discover", "label"])
+    def test_bad_workers_flag_is_usage_error(self, series_csv, capsys, command):
+        path, _ = series_csv
+        code, out, err = _run(
+            [command, "--input", str(path), "--m", "16", "--workers", "0"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "--workers" in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("command", ["discover", "label"])
+    @pytest.mark.parametrize("value", ["two", "0"])
+    def test_bad_workers_env_is_usage_error(self, series_csv, capsys, monkeypatch, command, value):
+        path, _ = series_csv
+        monkeypatch.setenv("SNIPLAB_WORKERS", value)
+        code, out, err = _run([command, "--input", str(path), "--m", "16"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: SNIPLAB_WORKERS") and err.count("\n") == 1
+
+    def test_flag_overrides_bad_env(self, series_csv, capsys, monkeypatch):
+        path, _ = series_csv
+        monkeypatch.setenv("SNIPLAB_WORKERS", "two")
+        code, _, _ = _run(
+            ["label", "--input", str(path), "--m", "16", "--workers", "2"], capsys
+        )
+        assert code == 0
 
 
 class TestSweep:

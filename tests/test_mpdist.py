@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sniplab import (
     default_window_size,
     mpdist_profile,
 )
+from sniplab import mpdist
 from sniplab.mpdist import _sliding_min_rows
 from oracles import brute_sliding_min, distance_space_profile, naive_mpdist_profile
 from seriesgen import random_series
@@ -189,6 +191,48 @@ class TestMPdistProfileExact:
             mpdist_profile(series, seg, params, stats=stats).values,
             distance_space_profile(series, seg, params, stats),
         )
+
+
+class TestMPdistProfileSplit:
+    @given(_series_with_flat_runs(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_split_equals_distance_space_selection(self, values, data):
+        # With a one-entry part threshold every segment splits, so short
+        # series give parts whose halo is clipped at column 0, and a
+        # snippet length near n gives more workers than positions.
+        n = values.size
+        m = data.draw(st.integers(min_value=2, max_value=n))
+        l = data.draw(st.integers(min_value=1, max_value=m))
+        width = m - l + 1
+        k = data.draw(st.sampled_from([1, 2, max(2, 2 * width - 1), 2 * width, 2 * width + 1]))
+        # A flat run across the first boundary between parts at 2 or 3
+        # workers, so constant windows fall on both sides of it.
+        boundary = (n - m + 1) // data.draw(st.sampled_from([2, 3]))
+        start = data.draw(st.integers(min_value=max(0, boundary - l), max_value=boundary))
+        length = data.draw(st.integers(min_value=1, max_value=l + width))
+        values = values.copy()
+        values[start : start + length] = values[start]
+        series = TimeSeries(values)
+        params = MPdistParams(snippet_size=m, window_size=l, k=k)
+        stats = compute_sliding_stats(series, l)
+        seg = data.draw(st.integers(min_value=0, max_value=n // m - 1))
+        expected = distance_space_profile(series, seg, params, stats)
+        with mock.patch.object(mpdist, "MIN_PART_ENTRIES", 1):
+            for workers in (1, 2, 3):
+                profile = mpdist_profile(series, seg, params, stats=stats, workers=workers)
+                np.testing.assert_array_equal(profile.values, expected)
+
+    def test_column_parts(self):
+        # n = 20000: an m = 8 segment is too small to split at any worker
+        # count; an m = 1024 one splits evenly; no part is ever empty.
+        assert mpdist._column_parts(19993, 5 * 19997, 4) == [(0, 19993)]
+        assert mpdist._column_parts(18977, 513 * 19489, 2) == [(0, 9488), (9488, 18977)]
+        assert len(mpdist._column_parts(5, 10**9, 8)) == 5
+
+    def test_bad_worker_count(self):
+        series = TimeSeries(np.arange(40.0) % 7)
+        with pytest.raises(ValueError, match="worker"):
+            mpdist_profile(series, 0, MPdistParams(snippet_size=8), workers=0)
 
 
 class TestMPdistProfileType:

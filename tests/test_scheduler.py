@@ -153,6 +153,27 @@ class TestRunSchedule:
             assert solo[m].to_dict() == duo[m].to_dict()
             np.testing.assert_array_equal(solo[m].curve, duo[m].curve)
 
+    def test_job_profiles_segments_whole(self, monkeypatch):
+        # A sweep spends its workers on lengths: with SNIPLAB_WORKERS=3
+        # and every segment large enough to split, a job still profiles
+        # each segment in one part, on one thread.
+        from sniplab import mpdist
+        from sniplab.snippets import WORKERS_ENV
+
+        monkeypatch.setenv(WORKERS_ENV, "3")
+        monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
+        split = mpdist._column_parts
+        part_counts = []
+
+        def counted(*args):
+            parts = split(*args)
+            part_counts.append(len(parts))
+            return parts
+
+        monkeypatch.setattr(mpdist, "_column_parts", counted)
+        run_schedule(self._series(), [MPdistParams(snippet_size=16)], 2, training_log=False)
+        assert part_counts and set(part_counts) == {1}
+
     def test_duplicate_lengths_rejected(self):
         series = self._series()
         jobs = [MPdistParams(snippet_size=16), MPdistParams(snippet_size=16)]
@@ -216,11 +237,11 @@ class TestRunSchedule:
         # Each started job leaves a file behind; the valid ones are slow.
         search = scheduler.select_snippets
 
-        def recorded(series, params, num_snippets):
+        def recorded(series, params, num_snippets, **kwargs):
             (tmp_path / str(params.snippet_size)).touch()
             if params.snippet_size <= 256:
                 time.sleep(0.3)
-            return search(series, params, num_snippets)
+            return search(series, params, num_snippets, **kwargs)
 
         monkeypatch.setattr(scheduler, "select_snippets", recorded)
         sizes = [400] + list(range(8, 18))
@@ -235,7 +256,7 @@ class TestRunSchedule:
 
     @pytest.mark.parametrize("value", ["two", "0"])
     def test_bad_workers_env_names_variable(self, monkeypatch, value):
-        from sniplab.scheduler import WORKERS_ENV
+        from sniplab.snippets import WORKERS_ENV
 
         monkeypatch.setenv(WORKERS_ENV, value)
         jobs = [MPdistParams(snippet_size=16)]

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from sniplab import (
     segment_profiles,
     select_snippets,
 )
-from sniplab import snippets
+from sniplab import mpdist, snippets
 from oracles import exhaustive_min_area, stacked_selection
 from seriesgen import random_series, two_regime_series
 
@@ -288,6 +289,28 @@ class TestExactSelection:
         _assert_same_result(result, select_snippets(series, params, 3, profiles=profiles))
         chosen, *_ = stacked_selection(np.vstack([p.values for p in profiles]), 3)
         assert sorted(s.index for s in result.snippets) == sorted(chosen)
+
+
+class TestWorkers:
+    @given(_selection_case())
+    @settings(max_examples=40, deadline=None)
+    def test_worker_count_changes_no_bit(self, case):
+        # Every segment splits at a one-entry part threshold; both
+        # profile stores (float64 rows and 16-bit codes with exact
+        # recomputes) must give the same result at any worker count.
+        series, params, num_snippets = case
+        with mock.patch.object(mpdist, "MIN_PART_ENTRIES", 1):
+            solo = select_snippets(series, params, num_snippets, workers=1)
+            for workers in (2, 3):
+                _assert_same_result(
+                    select_snippets(series, params, num_snippets, workers=workers), solo
+                )
+
+    def test_default_reads_env(self, monkeypatch):
+        series = TimeSeries(random_series(np.random.default_rng(3), 200))
+        monkeypatch.setenv("SNIPLAB_WORKERS", "two")
+        with pytest.raises(ValueError, match="SNIPLAB_WORKERS"):
+            select_snippets(series, MPdistParams(snippet_size=10), 2)
 
 
 class TestSerialization:
