@@ -27,8 +27,9 @@ from the row-0 dot products the parts share.  Its ``-rho`` rows go
 straight into the top half of its own merge buffer, its column minima
 are taken there, and the row filter then runs in place.  Every entry
 goes through the same float operations whatever the split, so the
-profile does not change by a bit; the filter and the partition, which
-take most of the time at large m, release the GIL.
+profile does not change by a bit.  The column minima, the row filter
+and the partition release the GIL for their whole call; the kernel is
+a few short numpy calls per row, which take the GIL back between them.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ from .zdist import _sliding_dots, neg_correlation_to_distance, neg_correlations
 from .zdist import segment_distance_matrix  # noqa: F401  bench/layers.py wraps it by this name
 
 # Kernel entries (rows times columns) each thread's part of a segment
-# must hold before the segment is split; smaller parts make numpy calls
-# too short to gain from releasing the GIL.  On two cores, two threads
+# must hold before the segment is split.  On two cores, two threads
 # took 1.1 to 1.3 times as long as one at n = 5000 for m = 32 to 256
 # (up to 629k entries a segment) and 1.6 times at n = 20000, m = 8
 # (100k), but 0.65 to 0.9 times from 1.3M entries on (n = 10000,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
+
 
 def _freeze(values: np.ndarray) -> np.ndarray:
     values = np.array(values)
@@ -153,9 +153,10 @@ def compute_sliding_stats(series: TimeSeries, window_len: int) -> SlidingStats:
     Uses prefix sums of values and squares, so the whole sweep costs
     O(n); round-off can push a window's variance slightly negative, which
     is clamped to 0.  A window whose samples are all equal gets a variance
-    of exactly 0 (checked by sliding max == sliding min, not by the prefix
-    sums, whose round-off could leave a tiny residue), since downstream
-    distance conventions key on that exact zero.
+    of exactly 0 (found from integer counts of sample changes, not from
+    the prefix sums, whose round-off could leave a tiny residue), since
+    downstream distance conventions key on that exact zero.  As with
+    ``==``, -0.0 and 0.0 count as equal.
 
     Parameters
     ----------
@@ -178,9 +179,8 @@ def compute_sliding_stats(series: TimeSeries, window_len: int) -> SlidingStats:
     variances = (csq[window_len:] - csq[:-window_len]) / window_len - means * means
     np.maximum(variances, 0.0, out=variances)
 
-    count = n - window_len + 1
-    shift = window_len // 2
-    lo = minimum_filter1d(x, window_len, mode="nearest")[shift : shift + count]
-    hi = maximum_filter1d(x, window_len, mode="nearest")[shift : shift + count]
-    variances[lo == hi] = 0.0
+    # changes[i] counts the samples before position i that differ from
+    # their successor; a window is constant when none changes inside it.
+    changes = np.concatenate(([0], np.cumsum(x[1:] != x[:-1])))
+    variances[changes[window_len - 1 :] == changes[: n - window_len + 1]] = 0.0
     return SlidingStats(window_len=window_len, means=means, variances=variances)

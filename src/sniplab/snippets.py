@@ -9,10 +9,11 @@ Every window is then attributed to its nearest segment, which gives
 each snippet its neighbor set and coverage fraction.
 
 All profiles together are n²/m entries, too many to hold in float64
-for small m on a long series.  When there are more segments than
-profile width, they are held as 16-bit codes; each greedy round bounds
-every area from the codes and recomputes only the near-tied candidates
-exactly, so the result is still bit for bit the float64 greedy's.
+for small m on a long series.  They are held as 16-bit codes; each
+greedy round after the first bounds every area from the codes and
+takes exact areas only for the near-tied candidates, from float64 rows
+that are cached or recomputed, so the result is still bit for bit the
+float64 greedy's.
 """
 
 from __future__ import annotations
@@ -150,54 +151,36 @@ def _nearest_rows(rows) -> np.ndarray:
     return nearest
 
 
-class _ExactRows:
-    """Every profile held whole in float64; its area bounds are exact."""
+class _ProfileStore:
+    """Every profile held as 16-bit codes, with a cache of float64 rows.
 
-    def __init__(self):
-        self.profiles: list[MPdistProfile] = []
-
-    def keep(self, profile: MPdistProfile, area: float) -> None:
-        self.profiles.append(profile)
-
-    def bounds(self, curve: np.ndarray, scratch: np.ndarray):
-        areas = np.array(
-            [np.minimum(p.values, curve, out=scratch).sum() for p in self.profiles]
-        )
-        return areas, areas
-
-    def profile(self, index: int) -> MPdistProfile:
-        return self.profiles[index]
-
-
-class _CodedRows:
-    """Every profile held as 16-bit codes and recomputed exactly on demand.
-
-    Entry ``v`` is stored as ``floor(v / step)`` with
-    ``step = 2 * sqrt(l) / 65535``, so the code ``c`` of every profile
-    entry, all of which lie in ``[0, 2 * sqrt(l)]``, places it in
-    ``[c * step, (c + 1) * step)``.  The profile with the smallest exact
-    round-1 area is kept in float64, since round 1 always picks it.
+    Entry ``v`` is coded as ``floor(v / step)``, so the code ``c`` places
+    it in ``[c * step, (c + 1) * step)`` as long as ``v`` is below
+    ``65536 * step``.  The cache keeps the float64 row of every segment
+    when ``recompute`` is None, else only the row with the smallest
+    round-1 area, which round 1 always picks; ``recompute(index)``
+    rebuilds any other row.
     """
 
     # Decoded entries per block when bounding areas: two float64 buffers
     # of this size stay small next to the codes.
     BLOCK_ENTRIES = 1 << 15
 
-    def __init__(self, series, params, stats, workers, num_segments, num_windows):
-        self.series = series
-        self.params = params
-        self.stats = stats
-        self.workers = workers
-        self.step = 2.0 * math.sqrt(params.window_size) / _CODE_MAX
+    def __init__(self, num_segments, num_windows, step, recompute=None):
+        self.step = step
         self.codes = np.empty((num_segments, num_windows), dtype=np.uint16)
-        self.lead: MPdistProfile | None = None
+        self.rows: dict[int, MPdistProfile] = {}
+        self.recompute = recompute
         self.lead_area = np.inf
 
     def keep(self, profile: MPdistProfile, area: float) -> None:
+        index = profile.segment_index
         levels = np.divide(profile.values, self.step)
-        self.codes[profile.segment_index] = np.minimum(levels, _CODE_MAX, out=levels)
-        if area < self.lead_area:
-            self.lead, self.lead_area = profile, area
+        self.codes[index] = np.minimum(levels, _CODE_MAX, out=levels)
+        if self.recompute is None:
+            self.rows[index] = profile
+        elif area < self.lead_area:
+            self.rows, self.lead_area = {index: profile}, area
 
     def bounds(self, curve: np.ndarray, scratch: np.ndarray):
         """Lower and upper bounds on every area, in units of ``step``.
@@ -232,11 +215,8 @@ class _CodedRows:
         return lower - margin, upper + margin
 
     def profile(self, index: int) -> MPdistProfile:
-        if self.lead.segment_index == index:
-            return self.lead
-        return mpdist_profile(
-            self.series, index, self.params, stats=self.stats, workers=self.workers
-        )
+        row = self.rows.get(index)
+        return self.recompute(index) if row is None else row
 
 
 def select_snippets(
@@ -258,14 +238,15 @@ def select_snippets(
 
     Each segment is profiled once, in one streaming pass that takes its
     exact round-1 area, its largest entry and its share of the
-    attribution.  When there are more segments than
-    ``params.profile_width``, the pass keeps each profile only as 16-bit
-    codes (2 bytes per entry instead of 8); every later round bounds all
-    areas from the codes and recomputes exactly the few segments whose
-    lower bound reaches the smallest upper bound.  Otherwise the float64
-    profiles are kept, which then costs no more than profiling a single
-    segment.  Either way the picks, curve and attribution are bit for
-    bit those of the plain float64 greedy.
+    attribution, and keeps the profile as 16-bit codes (2 bytes per
+    entry instead of 8).  Every later round bounds all areas from the
+    codes and takes exact areas only for the few segments whose lower
+    bound reaches the smallest upper bound.  Their float64 rows are
+    kept when there are no more segments than ``params.profile_width``
+    (all of them then cost no more than profiling a single segment) or
+    when given as ``profiles``; otherwise only the round-1 pick's row
+    is kept and the others are recomputed.  The picks, curve and
+    attribution are bit for bit those of the plain float64 greedy.
 
     Parameters
     ----------
@@ -276,8 +257,10 @@ def select_snippets(
     profiles : list of MPdistProfile, optional
         Precomputed per-segment profiles, if the caller already has them;
         they are read in place.  A wrong count, an entry at position
-        ``i`` that is not segment ``i``'s, or a profile that is not
-        ``n - snippet_size + 1`` long raises ``ValueError``.
+        ``i`` that is not segment ``i``'s, a profile that is not
+        ``n - snippet_size + 1`` long, or an entry at or above
+        ``65536 / 65535 * 2 * sqrt(window_size)`` (past the code range;
+        no MPdist reaches it) raises ``ValueError``.
     workers : int, optional
         Threads each segment's profile is split across (see
         :func:`~sniplab.mpdist.mpdist_profile`); defaults to the
@@ -296,21 +279,25 @@ def select_snippets(
     if workers is None:
         workers = env_workers()
     num_windows = series.n - params.snippet_size + 1
+    # Every MPdist entry lies in [0, 2 * sqrt(l)], which the codes span.
+    step = 2.0 * math.sqrt(params.window_size) / _CODE_MAX
     if profiles is None:
         stats = compute_sliding_stats(series, params.window_size)
-        source = (
-            mpdist_profile(series, i, params, stats=stats, workers=workers)
-            for i in range(num_segments)
-        )
+
+        def recompute(index: int) -> MPdistProfile:
+            return mpdist_profile(series, index, params, stats=stats, workers=workers)
+
+        source = map(recompute, range(num_segments))
         if num_segments <= params.profile_width:
-            store = _ExactRows()
+            store = _ProfileStore(num_segments, num_windows, step)
         else:
-            store = _CodedRows(series, params, stats, workers, num_segments, num_windows)
+            store = _ProfileStore(num_segments, num_windows, step, recompute)
     else:
         if len(profiles) != num_segments:
             raise ValueError(
                 f"got {len(profiles)} profiles for {num_segments} segments"
             )
+        cap = (_CODE_MAX + 1) * step
         for i, profile in enumerate(profiles):
             if profile.segment_index != i:
                 raise ValueError(
@@ -320,8 +307,13 @@ def select_snippets(
                 raise ValueError(
                     f"profile {i} has length {len(profile)}, expected {num_windows}"
                 )
+            if profile.values.max() >= cap:
+                raise ValueError(
+                    f"profile {i} has an entry of {profile.values.max()!r}, at or "
+                    f"above {cap!r}, beyond any MPdist of window size {params.window_size}"
+                )
         source = profiles
-        store = _ExactRows()
+        store = _ProfileStore(num_segments, num_windows, step)
 
     round_one = np.empty(num_segments)
     maxima = np.empty(num_segments)
@@ -343,7 +335,7 @@ def select_snippets(
     # bound, and its lower bound is at most its area; a pruned lower
     # bound exceeds that upper bound.  The same holds for a candidate
     # tied with the pick, so the lowest index among the recomputed
-    # equals the float64 argmin.  (`_CodedRows.bounds` says why code
+    # equals the float64 argmin.  (`_ProfileStore.bounds` says why code
     # rounding and summation order stay inside the bounds.)
     chosen: dict[int, MPdistProfile] = {}  # segment index -> profile, in pick order
     curve = np.full(num_windows, np.inf)

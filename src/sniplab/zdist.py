@@ -55,23 +55,22 @@ def _sliding_dots(values: np.ndarray, query_start: int, subseq_len: int) -> np.n
     return windows @ values[query_start : query_start + subseq_len]
 
 
-def _shifted_dots(values, prev_dots, query_start, subseq_len, first_column):
+def _shifted_dots(values, prev_dots, query_start, subseq_len, stop):
     """Advance a dot-product vector by one query position.
 
     ``prev_dots`` belongs to the query starting at ``query_start - 1``
-    and holds the columns from ``first_column`` on; each output column
-    except the first is an O(1) update along the diagonal of the
-    cross-product matrix.  The first column is a direct dot product when
-    it is column 0.  Past column 0 it has no predecessor and is carried
-    over unchanged, so it is wrong, and so is the diagonal it starts.
+    and holds the columns up to ``stop``.  Each output column is an O(1)
+    update along the diagonal of the cross-product matrix from the
+    column before it in ``prev_dots``, except column 0, which is a
+    direct dot product.  Past column 0 the first column has no
+    predecessor, so the output starts one column later.
     """
-    stop = first_column + prev_dots.size
-    out = np.empty_like(prev_dots)
-    if first_column == 0:
+    first_column = stop - prev_dots.size
+    lead = int(first_column == 0)
+    out = np.empty(prev_dots.size - 1 + lead)
+    if lead:
         out[0] = values[query_start : query_start + subseq_len] @ values[:subseq_len]
-    else:
-        out[0] = prev_dots[0]
-    out[1:] = (
+    out[lead:] = (
         prev_dots[:-1]
         - values[query_start - 1] * values[first_column : stop - 1]
         + values[query_start + subseq_len - 1]
@@ -101,11 +100,13 @@ def neg_correlations(
     on its own (``num_rows=1``), more so on series with a large offset.
 
     A column range ``[start, stop)`` runs the recurrence from column
-    ``start - (num_rows - 1)`` (at least 0): row ``i`` reaches column
-    ``j`` along the diagonal from column ``j - i`` of row 0, so every
-    entry in the range takes the same float operations as when all
-    columns are computed, and the rows are the same bits as that
-    matrix's columns ``start`` to ``stop``.
+    ``start - (num_rows - 1)`` (at least 0), and each later row starts
+    one column further right unless it starts at column 0, so the last
+    row starts at ``start`` or 0.  Row ``i`` reaches column ``j`` along
+    the diagonal from column ``j - i`` of row 0, so every entry in the
+    range takes the same float operations as when all columns are
+    computed, and the rows are the same bits as that matrix's columns
+    ``start`` to ``stop``.
 
     ``rho`` is ``cov / sqrt(var_a * var_b)`` rather than
     ``cov / (std_a * std_b)``: when two windows have bit-equal content
@@ -149,7 +150,7 @@ def neg_correlations(
         for i in range(num_rows):
             query = first_query + i
             if i:
-                dots = _shifted_dots(values, dots, query, subseq_len, first_column=halo)
+                dots = _shifted_dots(values, dots, query, subseq_len, stop)
             row = out[i]
             q_var = stats.variances[query]
             if q_var == 0.0:
@@ -159,7 +160,7 @@ def neg_correlations(
                 # -cov = q_mean * means - dots / l, the exact negation of
                 # dots / l - q_mean * means under round-to-nearest.
                 np.multiply(means, stats.means[query], out=row)
-                np.divide(dots[start - halo :], subseq_len, out=scratch)
+                np.divide(dots[start - stop :], subseq_len, out=scratch)
                 np.subtract(row, scratch, out=row)
                 np.multiply(variances, q_var, out=scratch)
                 np.sqrt(scratch, out=scratch)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from sniplab import TimeSeries, compute_sliding_stats, load_series, save_series
 from oracles import two_pass_stats
@@ -126,6 +129,27 @@ class TestSlidingStats:
         means, stds = two_pass_stats(values, window)
         np.testing.assert_allclose(stats.means, means, atol=1e-9)
         np.testing.assert_allclose(np.sqrt(stats.variances), stds, atol=1e-9)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_constant_windows_match_max_min_oracle(self, data):
+        # Few distinct values, -0.0 and 0.0 among them, plus flat runs of
+        # about one window on drawn starts: runs begin and end on window
+        # edges and inside windows.  The prefix sums round, so a constant
+        # window's variance is 0 only if it is found constant; distinct
+        # values lie far enough apart that no other window's is.
+        n = data.draw(st.integers(min_value=2, max_value=80))
+        window = data.draw(st.integers(min_value=1, max_value=n))
+        alphabet = st.sampled_from([0.0, -0.0, 0.1, -1 / 3, 7.3, 1e3 + 0.1])
+        values = np.array(data.draw(st.lists(alphabet, min_size=n, max_size=n)))
+        for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+            start = data.draw(st.integers(min_value=0, max_value=n - 1))
+            length = data.draw(st.sampled_from([window - 1, window, window + 1, 2 * window]))
+            values[start : start + length] = data.draw(alphabet)
+        stats = compute_sliding_stats(TimeSeries(values), window)
+        windows = sliding_window_view(values, window)
+        constant = windows.max(axis=1) == windows.min(axis=1)
+        np.testing.assert_array_equal(stats.variances == 0.0, constant)
 
     def test_variance_roundoff_clamped(self):
         # A huge offset makes naive prefix-sum variance go slightly negative.

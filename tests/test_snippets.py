@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from unittest import mock
 
@@ -147,6 +148,23 @@ class TestSelectSnippets:
         with pytest.raises(ValueError, match="profile at position 0 is for segment 9"):
             select_snippets(series, params, 2, profiles=profiles)
 
+    def test_profile_beyond_code_range_rejected(self):
+        # The codes place an entry v below (floor(v / step) + 1) * step
+        # only for v < 65536 * step = 65536 / 65535 * 2 * sqrt(l).
+        rng = np.random.default_rng(15)
+        series = TimeSeries(random_series(rng, 200))
+        params = MPdistParams(snippet_size=20)
+        profiles = segment_profiles(series, params)
+        row = profiles[3].values
+        top = 2 * math.sqrt(params.window_size)
+        for scale, accepted in ((1.0, True), (1.00002, False)):
+            profiles[3] = MPdistProfile(segment_index=3, values=row * (scale * top / row.max()))
+            if accepted:
+                select_snippets(series, params, 2, profiles=profiles)
+            else:
+                with pytest.raises(ValueError, match="profile 3 has an entry"):
+                    select_snippets(series, params, 2, profiles=profiles)
+
     def test_profiles_held_once(self):
         # 500 segments of 3,993 windows: 16 MB of float64 profiles.  With
         # more segments than the profile width (5) they are held as
@@ -196,8 +214,8 @@ def _selection_case(draw):
     1e-6, whose profiles share all or most of their 16-bit codes but not
     their bits; values rounded to a coarse grid at a 1e3 offset, so
     windows repeat exactly; noise with constant runs.  The segment count
-    falls on either side of the profile width, so both of
-    ``select_snippets``' profile stores run.
+    falls on either side of the profile width, so ``select_snippets``
+    both keeps every float64 row and keeps one, rebuilding the others.
     """
     m = draw(st.integers(min_value=4, max_value=40))
     width = MPdistParams(snippet_size=m).profile_width
@@ -295,9 +313,9 @@ class TestWorkers:
     @given(_selection_case())
     @settings(max_examples=40, deadline=None)
     def test_worker_count_changes_no_bit(self, case):
-        # Every segment splits at a one-entry part threshold; both
-        # profile stores (float64 rows and 16-bit codes with exact
-        # recomputes) must give the same result at any worker count.
+        # Every segment splits at a one-entry part threshold; with the
+        # float64 rows kept and with them rebuilt, the result must be the
+        # same at any worker count.
         series, params, num_snippets = case
         with mock.patch.object(mpdist, "MIN_PART_ENTRIES", 1):
             solo = select_snippets(series, params, num_snippets, workers=1)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sniplab import TimeSeries, compute_sliding_stats, distance_row
-from sniplab.zdist import segment_distance_matrix
+from sniplab.zdist import _sliding_dots, neg_correlations, segment_distance_matrix
 from oracles import naive_distance_row, znorm_euclid
 
 
@@ -140,3 +140,38 @@ class TestSegmentDistanceMatrix:
             np.testing.assert_allclose(
                 mat[i], naive_distance_row(values, 12 + i, l), atol=1e-6
             )
+
+
+class TestNegCorrelationColumns:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_column_range_equals_full_matrix(self, data):
+        # The rows of a column range must be the full matrix's columns bit
+        # for bit, whether the recurrence's left halo is clipped at column
+        # 0 or starts past it.  A 1e3 offset makes the recurrence's
+        # round-off show in the last bits, and a flat run adds constant
+        # windows.
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        n = data.draw(st.integers(min_value=4, max_value=120))
+        l = data.draw(st.integers(min_value=1, max_value=n // 2))
+        values = 1e3 + rng.standard_normal(n)
+        run = data.draw(st.integers(min_value=0, max_value=n - 1))
+        values[run : run + data.draw(st.integers(min_value=1, max_value=2 * l))] = values[run]
+        series = TimeSeries(values)
+        stats = compute_sliding_stats(series, l)
+        num_columns = n - l + 1
+        first_query = data.draw(st.integers(min_value=0, max_value=num_columns - 1))
+        num_rows = data.draw(st.integers(min_value=1, max_value=num_columns - first_query))
+        if data.draw(st.booleans()):
+            start = data.draw(st.integers(min_value=0, max_value=num_rows - 1))
+        else:
+            assume(num_rows < num_columns)
+            start = data.draw(st.integers(min_value=num_rows, max_value=num_columns - 1))
+        stop = data.draw(st.integers(min_value=start + 1, max_value=num_columns))
+        row0_dots = _sliding_dots(values, first_query, l) if data.draw(st.booleans()) else None
+        full = neg_correlations(series, stats, first_query, num_rows)
+        part = neg_correlations(
+            series, stats, first_query, num_rows, columns=(start, stop), row0_dots=row0_dots
+        )
+        assert part.shape == (num_rows, stop - start)
+        assert np.all(part == full[:, start:stop])
