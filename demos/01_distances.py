@@ -23,20 +23,19 @@ def main():
 
     # --- z-normalized distance ignores offset and scale -------------------
     # Lay a window a and a transformed copy b end to end: the distance row
-    # of the window at 0 holds distance(a, b) at entry len(a), exact up to
-    # round-off.
+    # of the window at 0 holds distance(a, b) at entry len(a).  The copy
+    # 3a + 100 reads exactly 0; -a reads the largest distance.
     a = rng.standard_normal(16)
     for name, b in (("3a + 100", 3.0 * a + 100.0), ("-a", -a)):
         pair = TimeSeries(np.concatenate([a, b]))
         row = distance_row(pair, compute_sliding_stats(pair, a.size), 0, 0, a.size)
-        print(f"distance(a, {name}) =".ljust(24) + f"{row.entries[a.size]:.4f}")
+        print(f"distance(a, {name}) =".ljust(24) + repr(float(row.entries[a.size])))
     print("(the maximum possible value for length 16 is sqrt(4*16) = 8)")
     print()
 
     # --- one row of the all-pairs distance matrix -------------------------
     # Row r holds the distances from the window starting at r to every
-    # window of the series. Each row after the first reuses the previous
-    # row's dot products; a window's own entry is exactly 0.
+    # window of the series; a window's own entry is exactly 0.
     series = TimeSeries(rng.standard_normal(200))
     stats = compute_sliding_stats(series, window_len=12)
     row = distance_row(series, stats, 0, 5, 12)

@@ -6,30 +6,34 @@ profile of a segment is assembled in one streaming pass over the
 segment's rows: column minima give the series-side profile,
 sliding-window minima along each row give the segment-side profiles of
 every series window at once, and an order-statistic selection finishes
-each position without sorting.
+each position without sorting.  The sliding minima take
+``ceil(log2(width))`` passes of ``np.minimum`` by doubling (see
+:func:`_sliding_min_rows`); the module needs nothing beyond numpy.
 
 All of that selection runs on negated correlations (see
-:mod:`sniplab.zdist`), not on distances.  The distance is a
-non-increasing function of the correlation under IEEE rounding, so
-minima and order statistics commute with it, and converting only the
-``n - snippet_size + 1`` selected values gives the same bits as
-converting every entry first.  For ``k = 1`` the k-th smallest is a
-plain minimum: the smallest of each row's sliding minimum equals the
-sliding minimum of the column minima, so the profile is that one
-sliding window and the per-row filter, merge and partition are skipped.
+:mod:`sniplab.zdist`), not on distances, and unclipped: the clip to
+[-1, 1] and the distance are both monotone in the correlation under
+IEEE rounding, so minima and order statistics commute with them, and
+converting only the ``n - snippet_size + 1`` selected values gives the
+same bits as converting every entry first.  For ``k = 1`` the k-th
+smallest is a plain minimum: the smallest of each row's sliding minimum
+equals the sliding minimum of the column minima, so the profile is that
+one sliding window and the per-row filter, merge and partition are
+skipped.
 
 A large segment can be split across threads by profile position, as
 STUMPY's ``stumped`` splits a matrix profile (Law, JOSS 2019).  Each
 part of the positions reads its columns plus the ``width - 1`` to their
-right that its windows reach, and runs the row recurrence from
+right that its windows reach, and runs the diagonal update from
 ``width - 1`` columns to their left (clipped at column 0), starting
-from the row-0 dot products the parts share.  Its ``-rho`` rows go
+from the row-0 cross products the parts share.  Its ``-rho`` rows go
 straight into the top half of its own merge buffer, its column minima
 are taken there, and the row filter then runs in place.  Every entry
 goes through the same float operations whatever the split, so the
-profile does not change by a bit.  The column minima, the row filter
-and the partition release the GIL for their whole call; the kernel is
-a few short numpy calls per row, which take the GIL back between them.
+profile does not change by a bit.  The column minima and the partition
+release the GIL for their whole call; the kernel and the row filter are
+a few numpy calls per row or block of rows, which release it while
+they run and take it back between them.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import minimum_filter1d
 
 from .series import TimeSeries, _freeze, compute_sliding_stats
 from .zdist import _sliding_dots, neg_correlation_to_distance, neg_correlations
@@ -53,6 +56,12 @@ from .zdist import segment_distance_matrix  # noqa: F401  bench/layers.py wraps 
 # (100k), but 0.65 to 0.9 times from 1.3M entries on (n = 10000,
 # m = 256; n = 20000, m = 128 to 1024).
 MIN_PART_ENTRIES = 1 << 19
+
+# Bytes of rows the sliding minimum takes through all its passes at a
+# time.  Two such blocks fit in a 2 MiB L2 cache; at 513 rows of 20000
+# columns, 4-row blocks took 40 ms against 80 ms for 16-row blocks and
+# 158 ms for scipy's minimum_filter1d.
+_BLOCK_BYTES = 1 << 19
 
 
 def default_window_size(snippet_size: int) -> int:
@@ -123,12 +132,48 @@ class MPdistProfile:
         return int(self.values.size)
 
 
-def _sliding_min_rows(matrix: np.ndarray, window: int) -> np.ndarray:
-    # Minimum of every length-``window`` span along the last axis.  The
-    # filter centres its window; the offset realigns it to leading windows.
-    filtered = minimum_filter1d(matrix, size=window, axis=-1, mode="nearest")
-    start = window // 2
-    return filtered[..., start : start + matrix.shape[-1] - window + 1]
+def _sliding_min_rows(matrix: np.ndarray, window: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Minimum of every length-``window`` span along the last axis.
+
+    Doubling: after a pass each entry is the minimum of the ``span``
+    entries from it on, and the next pass takes the minimum of two
+    overlapping spans, so ``ceil(log2(window))`` passes of
+    ``np.minimum`` over shifted views reach any width.  The rows go in
+    blocks of about ``_BLOCK_BYTES`` through every pass, alternating
+    between the output and one scratch block, so each pass reads what
+    the last one wrote while it is still in cache.  The minimum is
+    exact, so the order of the comparisons changes no value.
+
+    ``out`` has the shape of ``matrix`` and may be ``matrix`` itself,
+    for an in-place filter.  Returns the leading
+    ``matrix.shape[-1] - window + 1`` columns of ``out``.
+    """
+    length = matrix.shape[-1]
+    if out is None:
+        out = np.empty_like(matrix)
+    in_place = np.may_share_memory(out, matrix)
+    rows = matrix.reshape(-1, length)
+    targets = out.reshape(-1, length)
+    block = max(1, _BLOCK_BYTES // (8 * length))
+    scratch = np.empty((min(block, rows.shape[0]), length))
+    # The last pass must land in the output: the first one writes there
+    # when the pass count is odd, unless that would overwrite its input.
+    odd = (window - 1).bit_length() % 2 == 1
+    for top in range(0, rows.shape[0], block):
+        source = rows[top : top + block]
+        target = targets[top : top + block]
+        spare = scratch[: source.shape[0]]
+        dest, other = (target, spare) if odd and not in_place else (spare, target)
+        span = 1
+        while span < window:
+            step = min(span, window - span)
+            size = length - span - step + 1
+            np.minimum(source[:, :size], source[:, step : step + size], out=dest[:, :size])
+            source, dest, other = dest, other, dest
+            span += step
+        if source is not target:
+            target[:, : length - window + 1] = source[:, : length - window + 1]
+    return out[..., : length - window + 1]
 
 
 def _column_parts(num_positions: int, entries: int, workers: int) -> list[tuple[int, int]]:
@@ -199,7 +244,7 @@ def mpdist_profile(
     # against 14k, and 6.5 against 4.2 s, on discover-m8 (n = 20000).
     rows = width if k == 1 else 2 * width
     buffers = [np.empty((rows, hi - lo + width - 1)) for lo, hi in parts]
-    row0_dots = _sliding_dots(series.values, seg_start, params.window_size)
+    row0_dots = _sliding_dots(stats, seg_start)
 
     def profile_part(part: tuple[int, int], merged: np.ndarray) -> np.ndarray:
         # Positions [lo, hi) read the kernel columns [lo, hi + width - 1).
@@ -209,18 +254,14 @@ def mpdist_profile(
         # candidates share a column.
         lo, hi = part
         neg_rho = neg_correlations(
-            series, stats, seg_start, width,
+            stats, seg_start, width,
             columns=(lo, hi + width - 1), row0_dots=row0_dots, out=merged[:width],
         )
         series_side = neg_rho.min(axis=0)            # nearest segment window per column
         if k == 1:
-            return _sliding_min_rows(series_side, width)
-        # In place: the filter reads each batch of rows before writing it.
-        minimum_filter1d(neg_rho, size=width, axis=-1, mode="nearest", output=neg_rho)
-        # The filter centres its window (see _sliding_min_rows), so the
-        # leading windows sit from column width // 2 on.
-        start = width // 2
-        merged = merged[:, start : start + hi - lo]
+            return _sliding_min_rows(series_side, width, out=series_side)
+        _sliding_min_rows(neg_rho, width, out=neg_rho)
+        merged = merged[:, : hi - lo]
         merged[width:] = sliding_window_view(series_side, width).T
         if 2 * width > k:
             merged.partition(k - 1, axis=0)

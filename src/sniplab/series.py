@@ -61,25 +61,33 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class SlidingStats:
-    """Per-window mean and population variance.
+    """Per-window mean and population variance, plus the kernel's arrays.
 
     ``means[i]`` and ``variances[i]`` describe the window of
     ``window_len`` samples starting at position ``i``; there are
     ``n - window_len + 1`` windows.  A variance of exactly 0 identifies a
-    constant window.  No std is kept: the correlation kernel divides by
-    ``sqrt(var_a * var_b)``, which a product of stds would round once
-    more per entry.
+    constant window.
+
+    The correlation kernel reads the rest, all in the units of
+    ``centred``, the series minus its overall mean and scaled by a power
+    of two: ``centred_means``, ``sumsq`` (each window's sum of squared
+    deviations) and SCAMP's update arrays ``df`` and ``dg`` (see
+    :func:`compute_sliding_stats`).
     """
 
     window_len: int
     means: np.ndarray
     variances: np.ndarray
+    centred: np.ndarray
+    centred_means: np.ndarray
+    sumsq: np.ndarray
+    df: np.ndarray
+    dg: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "means", _freeze(np.asarray(self.means, dtype=np.float64)))
-        object.__setattr__(
-            self, "variances", _freeze(np.asarray(self.variances, dtype=np.float64))
-        )
+        for name in ("means", "variances", "centred", "centred_means", "sumsq", "df", "dg"):
+            values = np.asarray(getattr(self, name), dtype=np.float64)
+            object.__setattr__(self, name, _freeze(values))
 
 
 def load_series(path, column: int = 0) -> TimeSeries:
@@ -148,15 +156,31 @@ def save_series(series: TimeSeries, path) -> None:
 
 
 def compute_sliding_stats(series: TimeSeries, window_len: int) -> SlidingStats:
-    """Mean and population variance of every sliding window.
+    """Mean and population variance of every sliding window, plus the kernel's arrays.
 
-    Uses prefix sums of values and squares, so the whole sweep costs
-    O(n); round-off can push a window's variance slightly negative, which
-    is clamped to 0.  A window whose samples are all equal gets a variance
-    of exactly 0 (found from integer counts of sample changes, not from
-    the prefix sums, whose round-off could leave a tiny residue), since
-    downstream distance conventions key on that exact zero.  As with
-    ``==``, -0.0 and 0.0 count as equal.
+    The series is centred on its overall mean first, so a large offset
+    costs no precision, and scaled by the power of two ``p`` that puts
+    ``window_len * p * p`` in [1, 4): a window's sum of squared
+    deviations then lies within a factor of four of its variance, and
+    the kernel's product of two of them stays in range for every series
+    :class:`TimeSeries` accepts.  Scaling by a power of two is exact, so
+    it changes no rounding.  Each window's mean and sum of squared
+    deviations take two passes over the window offsets, each with O(n)
+    scratch: O(n * window_len) in all, once per search.  A window
+    counts as constant when its centred samples are all equal (found
+    from integer counts of sample changes, not from the sums, whose
+    round-off could leave a tiny residue), and gets a variance of
+    exactly 0, since downstream distance conventions key on that exact
+    zero.  Equal samples stay equal when centred, so every window whose
+    samples are equal is constant; as with ``==``, -0.0 and 0.0 count as
+    equal.
+
+    The update arrays are SCAMP's (Zimmerman et al., SoCC 2019), over
+    the centred series ``c`` and window means ``mu``:
+    ``df[i] = (c[i + l - 1] - c[i - 1]) / 2`` and
+    ``dg[i] = (c[i + l - 1] - mu[i]) + (c[i - 1] - mu[i - 1])``, 0 at
+    ``i = 0``.  With them the centred cross product of windows ``i`` and
+    ``j`` follows from that of ``i - 1`` and ``j - 1`` in O(1).
 
     Parameters
     ----------
@@ -172,15 +196,39 @@ def compute_sliding_stats(series: TimeSeries, window_len: int) -> SlidingStats:
     n = series.n
     if not 1 <= window_len <= n:
         raise ValueError(f"window length {window_len} out of range [1, {n}]")
-    x = series.values
-    csum = np.concatenate(([0.0], np.cumsum(x)))
-    csq = np.concatenate(([0.0], np.cumsum(x * x)))
-    means = (csum[window_len:] - csum[:-window_len]) / window_len
-    variances = (csq[window_len:] - csq[:-window_len]) / window_len - means * means
-    np.maximum(variances, 0.0, out=variances)
+    count = n - window_len + 1
+    centre = series.values.mean()
+    scale = 2.0 ** -((window_len.bit_length() - 1) // 2)
+    centred = (series.values - centre) * scale
+    sums = centred[:count].copy()
+    for k in range(1, window_len):
+        sums += centred[k : k + count]
+    centred_means = sums / window_len
+    sumsq = np.zeros(count)
+    deviations = sums  # the sums are no longer needed
+    for k in range(window_len):
+        np.subtract(centred[k : k + count], centred_means, out=deviations)
+        np.multiply(deviations, deviations, out=deviations)
+        sumsq += deviations
 
     # changes[i] counts the samples before position i that differ from
     # their successor; a window is constant when none changes inside it.
-    changes = np.concatenate(([0], np.cumsum(x[1:] != x[:-1])))
-    variances[changes[window_len - 1 :] == changes[: n - window_len + 1]] = 0.0
-    return SlidingStats(window_len=window_len, means=means, variances=variances)
+    changes = np.concatenate(([0], np.cumsum(centred[1:] != centred[:-1])))
+    sumsq[changes[window_len - 1 :] == changes[:count]] = 0.0
+
+    df = np.zeros(count)
+    dg = np.zeros(count)
+    df[1:] = (centred[window_len:] - centred[: count - 1]) / 2
+    dg[1:] = (centred[window_len:] - centred_means[1:]) + (
+        centred[: count - 1] - centred_means[:-1]
+    )
+    return SlidingStats(
+        window_len=window_len,
+        means=centred_means / scale + centre,
+        variances=sumsq / (window_len * scale * scale),
+        centred=centred,
+        centred_means=centred_means,
+        sumsq=sumsq,
+        df=df,
+        dg=dg,
+    )

@@ -2,25 +2,28 @@
 
 The kernel computes, for the i-th length-``subseq_len`` window of a
 segment, its Pearson correlation ``rho`` with every length-``subseq_len``
-window of the series, from the sliding dot products plus the
-precomputed window statistics.  Distances follow from the correlation
-identity
+window of the series, from mean-centred cross products: the first row
+directly, every later one by SCAMP's O(1) diagonal update (Zimmerman et
+al., "Matrix Profile XIV", SoCC 2019), over a series centred on its own
+mean, so an offset as large as the samples allow costs no precision.
+Distances follow from the correlation identity
 
     dist = sqrt(2 * subseq_len * (1 - rho))
 
 The kernel stores ``-rho``, so the nearest window holds the smallest
 entry.  Every consumer of a segment's rows (column minima, sliding
 minima, order statistics) is order-based, and ``dist`` is a
-non-increasing function of ``rho`` even after IEEE rounding (each step
-of it rounds monotonically, and ``1 + (-rho) == 1 - rho`` exactly).
-Minima, maxima and order statistics therefore commute with the map:
-selecting on ``-rho`` and converting only the selected values with
+non-increasing function of ``rho`` even after IEEE rounding (the clip
+to [-1, 1] and each later step round monotonically, and
+``1 + (-rho) == 1 - rho`` exactly).  Minima, maxima and order
+statistics therefore commute with the map: selecting on ``-rho`` and
+converting only the selected values with
 :func:`neg_correlation_to_distance` gives bit-for-bit the distances
 that selecting on converted rows would.
 
-Constant (zero-variance) windows z-normalize to the all-zero vector:
-two constant windows are at distance 0 (``rho = 1``), and a constant
-window is at ``sqrt(subseq_len)`` from any non-constant one
+Constant windows (all centred samples equal) z-normalize to the all-zero
+vector: two constant windows are at distance 0 (``rho = 1``), and a
+constant window is at ``sqrt(subseq_len)`` from any non-constant one
 (``rho = 0.5``, which maps to exactly that distance).  This keeps flat
 idle stretches of a recording mutually similar instead of erroring out.
 A window's own column gets ``rho = 1``, distance exactly 0.
@@ -31,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import SlidingStats, TimeSeries
 
@@ -49,38 +51,31 @@ class DistanceRow:
     entries: np.ndarray
 
 
-def _sliding_dots(values: np.ndarray, query_start: int, subseq_len: int) -> np.ndarray:
-    """Dot product of the query window against every series window."""
-    windows = sliding_window_view(values, subseq_len)
-    return windows @ values[query_start : query_start + subseq_len]
+def _sliding_dots(stats: SlidingStats, query_start: int) -> np.ndarray:
+    """Centred cross product of one query window with every series window.
 
-
-def _shifted_dots(values, prev_dots, query_start, subseq_len, stop):
-    """Advance a dot-product vector by one query position.
-
-    ``prev_dots`` belongs to the query starting at ``query_start - 1``
-    and holds the columns up to ``stop``.  Each output column is an O(1)
-    update along the diagonal of the cross-product matrix from the
-    column before it in ``prev_dots``, except column 0, which is a
-    direct dot product.  Past column 0 the first column has no
-    predecessor, so the output starts one column later.
+    Entry ``j`` is ``sum_k (c[q + k] - mu[q]) * (c[j + k] - mu[j])`` on
+    the centred series ``c``, in ``window_len`` passes over the series,
+    one per query sample.  Both windows are centred on their own means
+    before the product, so the result is as precise as the windows'
+    spread, however far their means lie from 0.
     """
-    first_column = stop - prev_dots.size
-    lead = int(first_column == 0)
-    out = np.empty(prev_dots.size - 1 + lead)
-    if lead:
-        out[0] = values[query_start : query_start + subseq_len] @ values[:subseq_len]
-    out[lead:] = (
-        prev_dots[:-1]
-        - values[query_start - 1] * values[first_column : stop - 1]
-        + values[query_start + subseq_len - 1]
-        * values[first_column + subseq_len : stop - 1 + subseq_len]
-    )
-    return out
+    subseq_len = stats.window_len
+    values = stats.centred
+    means = stats.centred_means
+    count = means.size
+    query = values[query_start : query_start + subseq_len] - means[query_start]
+    dots = np.subtract(values[:count], means)
+    dots *= query[0]
+    term = np.empty(count)
+    for k in range(1, subseq_len):
+        np.subtract(values[k : k + count], means, out=term)
+        term *= query[k]
+        dots += term
+    return dots
 
 
 def neg_correlations(
-    series: TimeSeries,
     stats: SlidingStats,
     first_query: int,
     num_rows: int,
@@ -93,28 +88,38 @@ def neg_correlations(
 
     Row ``i`` holds ``-rho`` between the window starting at
     ``first_query + i`` and each series window in ``columns``, so
-    smaller is nearer.  Row 0 starts from a full sliding-dot-product
-    pass; every later row reuses the previous row's dot products with an
-    O(1) update per column.  That recurrence accumulates round-off, so a
-    later row can differ in its last bits from the same query computed
-    on its own (``num_rows=1``), more so on series with a large offset.
+    smaller is nearer.  Row 0 comes from :func:`_sliding_dots`; every
+    later entry follows from the one before it on its diagonal by
+    SCAMP's mean-centred update (Zimmerman et al., SoCC 2019)
 
-    A column range ``[start, stop)`` runs the recurrence from column
-    ``start - (num_rows - 1)`` (at least 0), and each later row starts
-    one column further right unless it starts at column 0, so the last
-    row starts at ``start`` or 0.  Row ``i`` reaches column ``j`` along
-    the diagonal from column ``j - i`` of row 0, so every entry in the
-    range takes the same float operations as when all columns are
-    computed, and the rows are the same bits as that matrix's columns
-    ``start`` to ``stop``.
+        cov[q, j] = cov[q - 1, j - 1] + df[q] * dg[j] + df[j] * dg[q]
 
-    ``rho`` is ``cov / sqrt(var_a * var_b)`` rather than
-    ``cov / (std_a * std_b)``: when two windows have bit-equal content
-    and the intermediate sums are exact, ``sqrt(v * v)`` recovers ``v``
-    exactly under IEEE rounding, so equal windows land at ``rho = 1``
-    no matter where in the series they sit.  The std product would
-    leave a residue of order ``sqrt(eps)`` there.  Negation is exact, so
-    each entry is bit-for-bit the negation of that ``rho``.
+    held negated in one buffer indexed by diagonal and updated in place,
+    except column 0, a direct dot product of the two centred windows.
+    Every term is centred, so a large offset costs no precision.  The
+    update accumulates round-off along a diagonal, so a later row can
+    differ in its last bits from the same query computed on its own
+    (``num_rows=1``).
+
+    A column range ``[start, stop)`` runs the update from column
+    ``start - (num_rows - 1)`` (at least 0) of row 0, and row ``i``
+    keeps only the diagonals that reach the range by the last row.
+    Row ``i`` reaches column ``j`` along the diagonal from column
+    ``j - i`` of row 0 or from column 0 of row ``i - j``, so every entry
+    in the range takes the same float operations as when all columns
+    are computed, and the rows are the same bits as that matrix's
+    columns ``start`` to ``stop``.
+
+    ``-rho`` is ``-cov / sqrt(sumsq[j] * sumsq[q])`` rather than a product
+    of inverse norms.  In row 0, a window bit-equal to the query has
+    the same centred samples, so its cross product sums the same squares
+    in the same order as both ``sumsq`` and equals them; ``sqrt(v * v)``
+    recovers ``v`` under IEEE rounding, so it lands at exactly
+    ``rho = 1``, where two inverse norms would leave a residue of an ulp
+    or so.  Later rows carry the update's round-off.  Negation is exact,
+    so each entry is bit-for-bit the negation of that ``rho``.  Entries
+    are not clipped: round-off can take them a few ulps past [-1, 1],
+    and :func:`neg_correlation_to_distance` clips.
 
     The caller checks that the query windows lie inside the series.
 
@@ -123,49 +128,61 @@ def neg_correlations(
     columns : (start, stop), optional
         Series windows to correlate against; all of them by default.
     row0_dots : ndarray, optional
-        Dot products of the first query window against every series
-        window, as :func:`_sliding_dots` gives them; computed when
+        The first query window's :func:`_sliding_dots`; computed when
         omitted, passed in when several column ranges share them.
     out : ndarray of shape (num_rows, stop - start), optional
         Where to write the rows.
 
     Returns
     -------
-    ndarray of shape (num_rows, stop - start), entries in [-1, 1]
+    ndarray of shape (num_rows, stop - start)
     """
     subseq_len = stats.window_len
-    values = series.values
-    start, stop = (0, values.size - subseq_len + 1) if columns is None else columns
-    halo = max(0, start - (num_rows - 1))
-    means = stats.means[start:stop]
-    variances = stats.variances[start:stop]
-    constant = np.flatnonzero(variances == 0.0)
+    sumsq, df, dg = stats.sumsq, stats.df, stats.dg
+    start, stop = (0, sumsq.size) if columns is None else columns
+    width = stop - start
+    col_sumsq = sumsq[start:stop]
+    constant = np.flatnonzero(col_sumsq == 0.0)
     if out is None:
-        out = np.empty((num_rows, stop - start))
+        out = np.empty((num_rows, width))
     if row0_dots is None:
-        row0_dots = _sliding_dots(values, first_query, subseq_len)
-    dots = row0_dots[halo:stop]
-    scratch = np.empty(stop - start)
+        row0_dots = _sliding_dots(stats, first_query)
+    # Diagonal j - i of row i sits at buffer[j - i + lead]; row 0 fills
+    # it from column ``halo`` on.
+    lead = num_rows - 1 - start
+    halo = max(0, -lead)
+    buffer, scratch = np.empty((2, width + num_rows - 1))
+    np.negative(row0_dots[halo:stop], out=buffer[halo + lead :])
+    centred = stats.centred
+    first_window = centred[:subseq_len] - stats.centred_means[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(num_rows):
             query = first_query + i
             if i:
-                dots = _shifted_dots(values, dots, query, subseq_len, stop)
+                # Columns [lo, stop) of this row still reach the range.
+                lo = max(0, start - (num_rows - 1 - i))
+                cov = buffer[lo - i + lead : stop - i + lead]
+                if lo == 0:
+                    window = centred[query : query + subseq_len] - stats.centred_means[query]
+                    cov[0] = -(window @ first_window)
+                    cov = cov[1:]
+                    lo = 1
+                term = scratch[: cov.size]
+                np.multiply(dg[lo:stop], df[query], out=term)
+                np.subtract(cov, term, out=cov)
+                np.multiply(df[lo:stop], dg[query], out=term)
+                np.subtract(cov, term, out=cov)
             row = out[i]
-            q_var = stats.variances[query]
-            if q_var == 0.0:
+            q_sumsq = sumsq[query]
+            if q_sumsq == 0.0:
                 row.fill(-0.5)
                 row[constant] = -1.0
             else:
-                # -cov = q_mean * means - dots / l, the exact negation of
-                # dots / l - q_mean * means under round-to-nearest.
-                np.multiply(means, stats.means[query], out=row)
-                np.divide(dots[start - stop :], subseq_len, out=scratch)
-                np.subtract(row, scratch, out=row)
-                np.multiply(variances, q_var, out=scratch)
-                np.sqrt(scratch, out=scratch)
-                np.divide(row, scratch, out=row)
-                np.clip(row, -1.0, 1.0, out=row)
+                denominator = scratch[:width]
+                np.multiply(col_sumsq, q_sumsq, out=denominator)
+                np.sqrt(denominator, out=denominator)
+                first = num_rows - 1 - i
+                np.divide(buffer[first : first + width], denominator, out=row)
                 row[constant] = -0.5
             if start <= query < stop:
                 row[query - start] = -1.0
@@ -173,8 +190,15 @@ def neg_correlations(
 
 
 def neg_correlation_to_distance(neg_rho, subseq_len: int) -> np.ndarray:
-    """Distances ``sqrt(2 * subseq_len * (1 - rho))`` from negated correlations."""
-    return np.sqrt(2.0 * subseq_len * (1.0 + neg_rho))
+    """Distances ``sqrt(2 * subseq_len * (1 - rho))`` from negated correlations.
+
+    ``-rho`` is clipped to [-1, 1] first.  The clip is monotone, so it
+    commutes with the minima and order statistics taken before it.
+    """
+    distances = np.clip(np.asarray(neg_rho, dtype=np.float64), -1.0, 1.0)
+    distances += 1.0
+    distances *= 2.0 * subseq_len
+    return np.sqrt(distances, out=distances)
 
 
 def distance_row(
@@ -216,7 +240,7 @@ def distance_row(
             f"query window [{query_start}, {query_start + subseq_len}) is outside "
             f"a series of length {n}"
         )
-    neg_rho = neg_correlations(series, stats, query_start, 1)[0]
+    neg_rho = neg_correlations(stats, query_start, 1)[0]
     entries = neg_correlation_to_distance(neg_rho, subseq_len)
     return DistanceRow(row_index=row_offset, entries=entries)
 
@@ -246,5 +270,5 @@ def segment_distance_matrix(
         )
     num_rows = snippet_size - subseq_len + 1
     return neg_correlation_to_distance(
-        neg_correlations(series, stats, seg_start, num_rows), subseq_len
+        neg_correlations(stats, seg_start, num_rows), subseq_len
     )

@@ -87,6 +87,34 @@ class TestRowSlidingMinima:
             _sliding_min_rows(np.array(row), window), brute_sliding_min(row, window)
         )
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_and_in_place_match_brute_force(self, data):
+        # Rows go through the passes in blocks of _BLOCK_BYTES; a block of
+        # a few rows makes 17 to 40 rows cross several block boundaries.
+        length = data.draw(st.integers(min_value=1, max_value=40))
+        num_rows = data.draw(st.integers(min_value=17, max_value=40))
+        window = data.draw(st.integers(min_value=1, max_value=length))
+        block_rows = data.draw(st.integers(min_value=1, max_value=num_rows))
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        rows = np.round(rng.standard_normal((num_rows, length)), 1)  # ties included
+        expected = np.vstack([brute_sliding_min(row, window) for row in rows])
+        with mock.patch.object(mpdist, "_BLOCK_BYTES", 8 * length * block_rows):
+            copied = _sliding_min_rows(rows, window)
+            in_place = rows.copy()
+            result = _sliding_min_rows(in_place, window, out=in_place)
+        np.testing.assert_array_equal(copied, expected)
+        assert np.shares_memory(result, in_place)
+        np.testing.assert_array_equal(in_place[:, : length - window + 1], expected)
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 64, 3300])
+    def test_default_blocks_match_brute_force(self, window):
+        # 20 rows of 3300 columns take two blocks of the default size.
+        rows = np.random.default_rng(window).standard_normal((20, 3300))
+        assert rows.nbytes > mpdist._BLOCK_BYTES
+        expected = np.vstack([brute_sliding_min(row, window) for row in rows])
+        np.testing.assert_array_equal(_sliding_min_rows(rows, window), expected)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matrix_path_matches_deque_path(self, seed):
         # The batched filter used in the hot path must agree row by row

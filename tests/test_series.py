@@ -151,6 +151,18 @@ class TestSlidingStats:
         constant = windows.max(axis=1) == windows.min(axis=1)
         np.testing.assert_array_equal(stats.variances == 0.0, constant)
 
+    @pytest.mark.parametrize("offset", [1e3, -1e7, 1e9])
+    def test_offset_leaves_variances(self, offset):
+        # Centred on the series mean first, the variances of a shifted
+        # series match those of the unshifted one to the input's own
+        # rounding, and the means keep the series' units.
+        rng = np.random.default_rng(9)
+        values = rng.standard_normal(300)
+        shifted = compute_sliding_stats(TimeSeries(values + offset), 12)
+        means, stds = two_pass_stats(values, 12)
+        np.testing.assert_allclose(shifted.means - offset, means, atol=1e-6)
+        np.testing.assert_allclose(shifted.variances, stds**2, rtol=1e-6)
+
     def test_variance_roundoff_clamped(self):
         # A huge offset makes naive prefix-sum variance go slightly negative.
         values = np.full(64, 1e9)

@@ -308,6 +308,34 @@ class TestExactSelection:
         chosen, *_ = stacked_selection(np.vstack([p.values for p in profiles]), 3)
         assert sorted(s.index for s in result.snippets) == sorted(chosen)
 
+    def test_bound_margin_keeps_float64_ties(self):
+        # Entry codes[s][j] * step moved by ulps[s][j] ulps, with the
+        # l = 1 code step.  Segment 2 wins round 1.  In round 2 segment
+        # 1 lies 3 ulps below the curve at entry 2 and segment 0 nowhere,
+        # but their float64 areas round to the same sum, so the tie goes
+        # to segment 0.  Segment 1's code upper bound still falls a few
+        # ulps below segment 0's lower bound: without the widening in
+        # _ProfileStore.bounds segment 0 is pruned and segment 1 picked.
+        codes = [[9, 25, 34, 50, 9], [14, 40, 8, 35, 2], [3, 23, 8, 23, 2]]
+        ulps = [[0, -3, -3, 0, -2], [-1, 3, -2, -2, 2], [-2, 1, 1, 2, -3]]
+        step = 2.0 / snippets._CODE_MAX
+        matrix = np.empty((3, 5))
+        for (s, j), code in np.ndenumerate(codes):
+            value = code * step
+            for _ in range(abs(ulps[s][j])):
+                value = np.nextafter(value, math.copysign(np.inf, ulps[s][j]))
+            matrix[s, j] = value
+        curve = matrix[2]
+        assert np.minimum(matrix[0], curve).sum() == np.minimum(matrix[1], curve).sum()
+
+        series = TimeSeries(np.arange(6.0))
+        params = MPdistParams(snippet_size=2, window_size=1)
+        profiles = [MPdistProfile(segment_index=i, values=row) for i, row in enumerate(matrix)]
+        result = select_snippets(series, params, 2, profiles=profiles)
+        chosen, *_ = stacked_selection(matrix, 2)
+        assert chosen == [2, 0]
+        assert sorted(s.index for s in result.snippets) == [0, 2]
+
 
 class TestWorkers:
     @given(_selection_case())

@@ -120,6 +120,16 @@ class TestDistanceRow:
             assert np.all(row.entries >= 0)
             assert np.all(row.entries <= 2 * math.sqrt(8) + 1e-6)
 
+    def test_largest_samples_and_long_windows_stay_in_range(self):
+        # Samples of 1e75, the largest a series may hold, in windows of
+        # 2**14: the kernel's product of two windows' sums of squares must
+        # not overflow, or every correlation would read 0.
+        l = 1 << 14
+        a = np.where(np.arange(l) % 3 == 0, 1e75, -1e75)
+        row = self._row(np.concatenate([a, -a]), 0, 0, l)
+        assert row.entries[0] == 0.0
+        assert row.entries[l] == 2 * math.sqrt(l)
+
     def test_anticorrelated_hits_upper_bound(self):
         ramp = np.arange(6.0)
         values = np.concatenate([ramp, ramp[::-1]])
@@ -168,10 +178,68 @@ class TestNegCorrelationColumns:
             assume(num_rows < num_columns)
             start = data.draw(st.integers(min_value=num_rows, max_value=num_columns - 1))
         stop = data.draw(st.integers(min_value=start + 1, max_value=num_columns))
-        row0_dots = _sliding_dots(values, first_query, l) if data.draw(st.booleans()) else None
-        full = neg_correlations(series, stats, first_query, num_rows)
+        row0_dots = _sliding_dots(stats, first_query) if data.draw(st.booleans()) else None
+        full = neg_correlations(stats, first_query, num_rows)
         part = neg_correlations(
-            series, stats, first_query, num_rows, columns=(start, stop), row0_dots=row0_dots
+            stats, first_query, num_rows, columns=(start, stop), row0_dots=row0_dots
         )
         assert part.shape == (num_rows, stop - start)
         assert np.all(part == full[:, start:stop])
+
+
+@st.composite
+def _shifted_series(draw):
+    """Noise or a noisy sine, scaled, on a ramp, plus an offset kept apart."""
+    n = draw(st.integers(min_value=8, max_value=120))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    t = np.arange(n)
+    if draw(st.booleans()):
+        shape = rng.standard_normal(n)
+    else:
+        period = draw(st.integers(min_value=3, max_value=20))
+        shape = np.sin(2 * np.pi * t / period) + 0.1 * rng.standard_normal(n)
+    scale = draw(st.floats(min_value=1e-3, max_value=1e3))
+    rise = draw(st.one_of(st.sampled_from([0.0, 1e7]), st.floats(min_value=0.0, max_value=1e7)))
+    offset = draw(
+        st.one_of(
+            st.sampled_from([0.0, 1e3, -1e5, 1e7, 1e9, -1e9]),
+            st.floats(min_value=-1e9, max_value=1e9),
+        )
+    )
+    return scale * shape + rise * t / (n - 1), offset
+
+
+class TestOffsets:
+    @given(_shifted_series(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_distance_row_matches_oracle(self, case, data):
+        # The oracle runs on the stored series minus the offset: exact
+        # whenever the offset dominates the samples (Sterbenz), so it sees
+        # the same shapes without the offset's cancellation.
+        values, offset = case
+        series = TimeSeries(values + offset)
+        l = data.draw(st.integers(min_value=1, max_value=min(32, series.n // 2)))
+        query = data.draw(st.integers(min_value=0, max_value=series.n - l))
+        row = distance_row(series, compute_sliding_stats(series, l), query, 0, l)
+        expected = naive_distance_row(series.values - offset, query, l)
+        np.testing.assert_allclose(row.entries, expected, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("offset", [0.0, 100.0, 1e4])
+    def test_affine_copy_reads_zero(self, offset):
+        # A window and its copy 3a + offset, end to end.  The prefix-sum
+        # statistics read 1.8e-6 here at offset 100.
+        a = np.random.default_rng(7).standard_normal(16)
+        pair = TimeSeries(np.concatenate([a, 3.0 * a + offset]))
+        row = distance_row(pair, compute_sliding_stats(pair, 16), 0, 0, 16)
+        assert row.entries[16] == 0.0
+
+    def test_bit_equal_windows_read_zero(self):
+        # Bit-equal windows have equal centred samples, so a row-0 cross
+        # product sums the same squares in the same order as their lvar,
+        # and sqrt(lvar * lvar) gives back lvar: rho is exactly 1.
+        values = np.tile(np.sin(2 * np.pi * np.arange(8) / 8) + np.arange(8) / 8, 20) + 1e3
+        series = TimeSeries(values)
+        stats = compute_sliding_stats(series, 4)
+        for query in (0, 3, 45):
+            row = distance_row(series, stats, query, 0, 4)
+            assert np.all(row.entries[query % 8 :: 8] == 0.0)
