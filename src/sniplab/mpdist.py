@@ -132,48 +132,39 @@ class MPdistProfile:
         return int(self.values.size)
 
 
-def _sliding_min_rows(matrix: np.ndarray, window: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Minimum of every length-``window`` span along the last axis.
+def _sliding_min_rows(matrix: np.ndarray, window: int) -> np.ndarray:
+    """Minimum of every length-``window`` span along the last axis, in place.
 
     Doubling: after a pass each entry is the minimum of the ``span``
     entries from it on, and the next pass takes the minimum of two
     overlapping spans, so ``ceil(log2(window))`` passes of
     ``np.minimum`` over shifted views reach any width.  The rows go in
     blocks of about ``_BLOCK_BYTES`` through every pass, alternating
-    between the output and one scratch block, so each pass reads what
+    between ``matrix`` and one scratch block, so each pass reads what
     the last one wrote while it is still in cache.  The minimum is
     exact, so the order of the comparisons changes no value.
 
-    ``out`` has the shape of ``matrix`` and may be ``matrix`` itself,
-    for an in-place filter.  Returns the leading
-    ``matrix.shape[-1] - window + 1`` columns of ``out``.
+    ``matrix`` is 1-D or 2-D and is overwritten.  Returns its leading
+    ``matrix.shape[-1] - window + 1`` columns, which hold the minima.
     """
     length = matrix.shape[-1]
-    if out is None:
-        out = np.empty_like(matrix)
-    in_place = np.may_share_memory(out, matrix)
     rows = matrix.reshape(-1, length)
-    targets = out.reshape(-1, length)
     block = max(1, _BLOCK_BYTES // (8 * length))
     scratch = np.empty((min(block, rows.shape[0]), length))
-    # The last pass must land in the output: the first one writes there
-    # when the pass count is odd, unless that would overwrite its input.
-    odd = (window - 1).bit_length() % 2 == 1
     for top in range(0, rows.shape[0], block):
-        source = rows[top : top + block]
-        target = targets[top : top + block]
-        spare = scratch[: source.shape[0]]
-        dest, other = (target, spare) if odd and not in_place else (spare, target)
+        target = source = rows[top : top + block]
+        dest = spare = scratch[: source.shape[0]]
         span = 1
         while span < window:
             step = min(span, window - span)
             size = length - span - step + 1
             np.minimum(source[:, :size], source[:, step : step + size], out=dest[:, :size])
-            source, dest, other = dest, other, dest
+            source, dest = dest, source
             span += step
-        if source is not target:
+        # An odd pass count leaves the minima in the scratch block.
+        if source is spare:
             target[:, : length - window + 1] = source[:, : length - window + 1]
-    return out[..., : length - window + 1]
+    return matrix[..., : length - window + 1]
 
 
 def _column_parts(num_positions: int, entries: int, workers: int) -> list[tuple[int, int]]:
@@ -259,8 +250,8 @@ def mpdist_profile(
         )
         series_side = neg_rho.min(axis=0)            # nearest segment window per column
         if k == 1:
-            return _sliding_min_rows(series_side, width, out=series_side)
-        _sliding_min_rows(neg_rho, width, out=neg_rho)
+            return _sliding_min_rows(series_side, width)
+        _sliding_min_rows(neg_rho, width)
         merged = merged[:, : hi - lo]
         merged[width:] = sliding_window_view(series_side, width).T
         if 2 * width > k:

@@ -30,8 +30,10 @@ class TimeSeries:
     values : array_like
         The samples, at least two, all finite.  Unless all are zero, the
         largest magnitude must lie in [1e-75, 1e75]: the correlation
-        kernel multiplies two window variances, which overflow or
-        underflow beyond that.
+        kernel multiplies two windows' sums of squared deviations, each
+        scaled by a power of two to within a factor of four of the
+        window's variance (see :func:`compute_sliding_stats`), and
+        that product overflows or underflows beyond that range.
     """
 
     values: np.ndarray

@@ -135,7 +135,7 @@ class TestSlidingStats:
     def test_constant_windows_match_max_min_oracle(self, data):
         # Few distinct values, -0.0 and 0.0 among them, plus flat runs of
         # about one window on drawn starts: runs begin and end on window
-        # edges and inside windows.  The prefix sums round, so a constant
+        # edges and inside windows.  The window sums round, so a constant
         # window's variance is 0 only if it is found constant; distinct
         # values lie far enough apart that no other window's is.
         n = data.draw(st.integers(min_value=2, max_value=80))
@@ -164,7 +164,8 @@ class TestSlidingStats:
         np.testing.assert_allclose(shifted.variances, stds**2, rtol=1e-6)
 
     def test_variance_roundoff_clamped(self):
-        # A huge offset makes naive prefix-sum variance go slightly negative.
+        # A huge offset with tiny bumps: the scaled sums of squared
+        # deviations must come out non-negative and finite.
         values = np.full(64, 1e9)
         values[::7] += 1e-3
         stats = compute_sliding_stats(TimeSeries(values), 8)

@@ -226,8 +226,8 @@ class TestOffsets:
 
     @pytest.mark.parametrize("offset", [0.0, 100.0, 1e4])
     def test_affine_copy_reads_zero(self, offset):
-        # A window and its copy 3a + offset, end to end.  The prefix-sum
-        # statistics read 1.8e-6 here at offset 100.
+        # A window and its copy 3a + offset, end to end.  Statistics from
+        # prefix sums, with raw dot products, read 1.8e-6 here at offset 100.
         a = np.random.default_rng(7).standard_normal(16)
         pair = TimeSeries(np.concatenate([a, 3.0 * a + offset]))
         row = distance_row(pair, compute_sliding_stats(pair, 16), 0, 0, 16)
@@ -235,11 +235,31 @@ class TestOffsets:
 
     def test_bit_equal_windows_read_zero(self):
         # Bit-equal windows have equal centred samples, so a row-0 cross
-        # product sums the same squares in the same order as their lvar,
-        # and sqrt(lvar * lvar) gives back lvar: rho is exactly 1.
+        # product sums the same squares in the same order as their sumsq,
+        # and sqrt(sumsq * sumsq) gives back sumsq: rho is exactly 1.
         values = np.tile(np.sin(2 * np.pi * np.arange(8) / 8) + np.arange(8) / 8, 20) + 1e3
         series = TimeSeries(values)
         stats = compute_sliding_stats(series, 4)
         for query in (0, 3, 45):
             row = distance_row(series, stats, query, 0, 4)
             assert np.all(row.entries[query % 8 :: 8] == 0.0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="rows after row 0 carry the diagonal update's absolute round-off "
+        "into low-variance windows (open defect, see CHANGES.md)",
+    )
+    def test_low_variance_segment_rows_match_oracle(self):
+        # A noisy sine with 2-sample windows, some of variance about 1e-8:
+        # row 0 of each 3-sample segment stays within 3e-8 of the oracle,
+        # row 1 of the segments at 6 and 18 reads 1.7e-6 off.
+        rng = np.random.default_rng(622)
+        period = int(rng.integers(3, 21))
+        values = np.sin(2 * np.pi * np.arange(25) / period) + 0.1 * rng.standard_normal(25)
+        series = TimeSeries(values)
+        stats = compute_sliding_stats(series, 2)
+        for seg_start in range(0, 23, 3):
+            matrix = segment_distance_matrix(series, stats, seg_start, 3)
+            for i, row in enumerate(matrix):
+                expected = naive_distance_row(values, seg_start + i, 2)
+                np.testing.assert_allclose(row, expected, rtol=0, atol=1e-6)
