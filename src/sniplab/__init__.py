@@ -38,13 +38,7 @@ from .scheduler import (
     lpt_partition,
     run_schedule,
 )
-from .series import (
-    SlidingStats,
-    TimeSeries,
-    compute_sliding_stats,
-    load_series,
-    save_series,
-)
+from .series import TimeSeries, load_series, save_series
 from .snippets import (
     Snippet,
     SnippetResult,
@@ -56,6 +50,8 @@ from .snippets import (
 )
 from .zdist import (
     DistanceRow,
+    SlidingStats,
+    compute_sliding_stats,
     distance_row,
     segment_distance_matrix,
 )

@@ -25,8 +25,9 @@ A large segment can be split across threads by profile position, as
 STUMPY's ``stumped`` splits a matrix profile (Law, JOSS 2019).  Each
 part of the positions reads its columns plus the ``width - 1`` to their
 right that its windows reach, and runs the diagonal update from
-``width - 1`` columns to their left (clipped at column 0), starting
-from the row-0 cross products the parts share.  Its ``-rho`` rows go
+``width - 1`` columns to their left (clipped at column 0), from its
+own row-0 cross products over just the columns it reads; the parts
+share nothing but the window statistics.  Its ``-rho`` rows go
 straight into the top half of its own merge buffer, its column minima
 are taken there, and the row filter then runs in place.  Every entry
 goes through the same float operations whatever the split, so the
@@ -45,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .series import TimeSeries, _freeze, compute_sliding_stats
-from .zdist import _sliding_dots, neg_correlation_to_distance, neg_correlations
+from .series import TimeSeries, _freeze
+from .zdist import compute_sliding_stats, neg_correlation_to_distance, neg_correlations
 from .zdist import segment_distance_matrix  # noqa: F401  bench/layers.py wraps it by this name
 
 # Kernel entries (rows times columns) each thread's part of a segment
@@ -235,7 +236,6 @@ def mpdist_profile(
     # against 14k, and 6.5 against 4.2 s, on discover-m8 (n = 20000).
     rows = width if k == 1 else 2 * width
     buffers = [np.empty((rows, hi - lo + width - 1)) for lo, hi in parts]
-    row0_dots = _sliding_dots(stats, seg_start)
 
     def profile_part(part: tuple[int, int], merged: np.ndarray) -> np.ndarray:
         # Positions [lo, hi) read the kernel columns [lo, hi + width - 1).
@@ -246,7 +246,7 @@ def mpdist_profile(
         lo, hi = part
         neg_rho = neg_correlations(
             stats, seg_start, width,
-            columns=(lo, hi + width - 1), row0_dots=row0_dots, out=merged[:width],
+            columns=(lo, hi + width - 1), out=merged[:width],
         )
         series_side = neg_rho.min(axis=0)            # nearest segment window per column
         if k == 1:

@@ -270,9 +270,9 @@ def run_schedule(
         started, and a single worker runs the jobs inline.
     training_log : path-like, optional
         JSON-lines file receiving one ``{m, n, l, seconds, timestamp}``
-        entry per finished search.  Defaults to the
-        ``SNIPLAB_TRAINING_LOG`` environment variable; pass ``False``
-        to disable logging entirely.
+        entry per search once all have finished; it is opened for append
+        before the first starts.  Defaults to the ``SNIPLAB_TRAINING_LOG``
+        environment variable; pass ``False`` to disable logging entirely.
 
     Returns
     -------
@@ -285,6 +285,8 @@ def run_schedule(
     RuntimeError
         If a search fails; the message names its snippet length.  No job
         starts after the failure, and the ones already running finish.
+    OSError
+        If the training log cannot be opened for append; no search runs.
     """
     jobs = list(jobs)
     if not jobs:
@@ -298,6 +300,8 @@ def run_schedule(
         raise ValueError(f"need at least one worker, got {workers}")
     if training_log is None:
         training_log = os.environ.get(TRAINING_LOG_ENV)
+    if training_log:
+        _append_training_log(training_log, series.n, [])  # fail before any search
 
     workers = min(workers, len(jobs))
     if workers == 1:

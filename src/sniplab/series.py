@@ -1,8 +1,10 @@
-"""Time-series ingestion and sliding-window statistics.
+"""Time-series ingestion: the validated series, CSV loading and saving.
 
 A :class:`TimeSeries` holds one coordinate of a (possibly multi-column)
 recording.  Multi-coordinate inputs are handled by loading each column as
-its own series and running the pipeline on it independently.
+its own series and running the pipeline on it independently.  The
+window statistics the correlation kernel reads belong to the kernel, in
+:mod:`sniplab.zdist`.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ class TimeSeries:
         largest magnitude must lie in [1e-75, 1e75]: the correlation
         kernel multiplies two windows' sums of squared deviations, each
         scaled by a power of two to within a factor of four of the
-        window's variance (see :func:`compute_sliding_stats`), and
-        that product overflows or underflows beyond that range.
+        window's variance (see :func:`sniplab.zdist.compute_sliding_stats`),
+        and that product overflows or underflows beyond that range.
     """
 
     values: np.ndarray
@@ -59,37 +61,6 @@ class TimeSeries:
     def n(self) -> int:
         """Number of samples."""
         return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class SlidingStats:
-    """Per-window mean and population variance, plus the kernel's arrays.
-
-    ``means[i]`` and ``variances[i]`` describe the window of
-    ``window_len`` samples starting at position ``i``; there are
-    ``n - window_len + 1`` windows.  A variance of exactly 0 identifies a
-    constant window.
-
-    The correlation kernel reads the rest, all in the units of
-    ``centred``, the series minus its overall mean and scaled by a power
-    of two: ``centred_means``, ``sumsq`` (each window's sum of squared
-    deviations) and SCAMP's update arrays ``df`` and ``dg`` (see
-    :func:`compute_sliding_stats`).
-    """
-
-    window_len: int
-    means: np.ndarray
-    variances: np.ndarray
-    centred: np.ndarray
-    centred_means: np.ndarray
-    sumsq: np.ndarray
-    df: np.ndarray
-    dg: np.ndarray
-
-    def __post_init__(self):
-        for name in ("means", "variances", "centred", "centred_means", "sumsq", "df", "dg"):
-            values = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, _freeze(values))
 
 
 def load_series(path, column: int = 0) -> TimeSeries:
@@ -155,82 +126,3 @@ def load_series(path, column: int = 0) -> TimeSeries:
 def save_series(series: TimeSeries, path) -> None:
     """Write a series as one sample per line, round-trippable bit-exactly."""
     np.savetxt(path, series.values, fmt="%.17g")
-
-
-def compute_sliding_stats(series: TimeSeries, window_len: int) -> SlidingStats:
-    """Mean and population variance of every sliding window, plus the kernel's arrays.
-
-    The series is centred on its overall mean first, so a large offset
-    costs no precision, and scaled by the power of two ``p`` that puts
-    ``window_len * p * p`` in [1, 4): a window's sum of squared
-    deviations then lies within a factor of four of its variance, and
-    the kernel's product of two of them stays in range for every series
-    :class:`TimeSeries` accepts.  Scaling by a power of two is exact, so
-    it changes no rounding.  Each window's mean and sum of squared
-    deviations take two passes over the window offsets, each with O(n)
-    scratch: O(n * window_len) in all, once per search.  A window
-    counts as constant when its centred samples are all equal (found
-    from integer counts of sample changes, not from the sums, whose
-    round-off could leave a tiny residue), and gets a variance of
-    exactly 0, since downstream distance conventions key on that exact
-    zero.  Equal samples stay equal when centred, so every window whose
-    samples are equal is constant; as with ``==``, -0.0 and 0.0 count as
-    equal.
-
-    The update arrays are SCAMP's (Zimmerman et al., SoCC 2019), over
-    the centred series ``c`` and window means ``mu``:
-    ``df[i] = (c[i + l - 1] - c[i - 1]) / 2`` and
-    ``dg[i] = (c[i + l - 1] - mu[i]) + (c[i - 1] - mu[i - 1])``, 0 at
-    ``i = 0``.  With them the centred cross product of windows ``i`` and
-    ``j`` follows from that of ``i - 1`` and ``j - 1`` in O(1).
-
-    Parameters
-    ----------
-    series : TimeSeries
-    window_len : int
-        Window length, between 1 and ``series.n``.
-
-    Returns
-    -------
-    SlidingStats
-        With ``n - window_len + 1`` entries.
-    """
-    n = series.n
-    if not 1 <= window_len <= n:
-        raise ValueError(f"window length {window_len} out of range [1, {n}]")
-    count = n - window_len + 1
-    centre = series.values.mean()
-    scale = 2.0 ** -((window_len.bit_length() - 1) // 2)
-    centred = (series.values - centre) * scale
-    sums = centred[:count].copy()
-    for k in range(1, window_len):
-        sums += centred[k : k + count]
-    centred_means = sums / window_len
-    sumsq = np.zeros(count)
-    deviations = sums  # the sums are no longer needed
-    for k in range(window_len):
-        np.subtract(centred[k : k + count], centred_means, out=deviations)
-        np.multiply(deviations, deviations, out=deviations)
-        sumsq += deviations
-
-    # changes[i] counts the samples before position i that differ from
-    # their successor; a window is constant when none changes inside it.
-    changes = np.concatenate(([0], np.cumsum(centred[1:] != centred[:-1])))
-    sumsq[changes[window_len - 1 :] == changes[:count]] = 0.0
-
-    df = np.zeros(count)
-    dg = np.zeros(count)
-    df[1:] = (centred[window_len:] - centred[: count - 1]) / 2
-    dg[1:] = (centred[window_len:] - centred_means[1:]) + (
-        centred[: count - 1] - centred_means[:-1]
-    )
-    return SlidingStats(
-        window_len=window_len,
-        means=centred_means / scale + centre,
-        variances=sumsq / (window_len * scale * scale),
-        centred=centred,
-        centred_means=centred_means,
-        sumsq=sumsq,
-        df=df,
-        dg=dg,
-    )

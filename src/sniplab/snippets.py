@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mpdist import MPdistParams, MPdistProfile, mpdist_profile
-from .series import TimeSeries, compute_sliding_stats
+from .series import TimeSeries
+from .zdist import compute_sliding_stats
 
 # Largest 16-bit code; a profile entry of 2*sqrt(l) maps to it.
 _CODE_MAX = 65535

@@ -6,6 +6,9 @@ window of the series, from mean-centred cross products: the first row
 directly, every later one by SCAMP's O(1) diagonal update (Zimmerman et
 al., "Matrix Profile XIV", SoCC 2019), over a series centred on its own
 mean, so an offset as large as the samples allow costs no precision.
+The module owns the window statistics it reads (:class:`SlidingStats`,
+built once per search by :func:`compute_sliding_stats`), and each
+kernel call computes its own first row over just the columns it reads.
 Distances follow from the correlation identity
 
     dist = sqrt(2 * subseq_len * (1 - rho))
@@ -35,7 +38,111 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import SlidingStats, TimeSeries
+from .series import TimeSeries, _freeze
+
+
+@dataclass(frozen=True)
+class SlidingStats:
+    """The window statistics the correlation kernel reads.
+
+    All are in the units of ``centred``, the series minus its overall
+    mean and scaled by a power of two.  ``centred_means[i]`` and
+    ``sumsq[i]`` (the sum of squared deviations) describe the window of
+    ``window_len`` samples starting at position ``i``; there are
+    ``n - window_len + 1`` windows.  A ``sumsq`` of exactly 0 identifies
+    a constant window.  ``df`` and ``dg`` are SCAMP's update arrays (see
+    :func:`compute_sliding_stats`).
+    """
+
+    window_len: int
+    centred: np.ndarray
+    centred_means: np.ndarray
+    sumsq: np.ndarray
+    df: np.ndarray
+    dg: np.ndarray
+
+    def __post_init__(self):
+        for name in ("centred", "centred_means", "sumsq", "df", "dg"):
+            values = np.asarray(getattr(self, name), dtype=np.float64)
+            object.__setattr__(self, name, _freeze(values))
+
+
+
+def compute_sliding_stats(series: TimeSeries, window_len: int) -> SlidingStats:
+    """Mean and sum of squared deviations of every sliding window, plus SCAMP's arrays.
+
+    The series is centred on its overall mean first, so a large offset
+    costs no precision, and scaled by the power of two ``p`` that puts
+    ``window_len * p * p`` in [1, 4): a window's sum of squared
+    deviations then lies within a factor of four of its variance, and
+    the kernel's product of two of them stays in range for every series
+    :class:`TimeSeries` accepts.  Scaling by a power of two is exact, so
+    it changes no rounding.  Each window's mean and sum of squared
+    deviations take two passes over the window offsets, each with O(n)
+    scratch: O(n * window_len) in all, once per search.  A window
+    counts as constant when its centred samples are all equal (found
+    from integer counts of sample changes, not from the sums, whose
+    round-off could leave a tiny residue), and gets a ``sumsq`` of
+    exactly 0, since downstream distance conventions key on that exact
+    zero.  Equal samples stay equal when centred, so every window whose
+    samples are equal is constant; as with ``==``, -0.0 and 0.0 count as
+    equal.
+
+    The update arrays are SCAMP's (Zimmerman et al., SoCC 2019), over
+    the centred series ``c`` and window means ``mu``:
+    ``df[i] = (c[i + l - 1] - c[i - 1]) / 2`` and
+    ``dg[i] = (c[i + l - 1] - mu[i]) + (c[i - 1] - mu[i - 1])``, 0 at
+    ``i = 0``.  With them the centred cross product of windows ``i`` and
+    ``j`` follows from that of ``i - 1`` and ``j - 1`` in O(1).
+
+    Parameters
+    ----------
+    series : TimeSeries
+    window_len : int
+        Window length, between 1 and ``series.n``.
+
+    Returns
+    -------
+    SlidingStats
+        With ``n - window_len + 1`` entries.
+    """
+    n = series.n
+    if not 1 <= window_len <= n:
+        raise ValueError(f"window length {window_len} out of range [1, {n}]")
+    count = n - window_len + 1
+    centre = series.values.mean()
+    scale = 2.0 ** -((window_len.bit_length() - 1) // 2)
+    centred = (series.values - centre) * scale
+    sums = centred[:count].copy()
+    for k in range(1, window_len):
+        sums += centred[k : k + count]
+    centred_means = sums / window_len
+    sumsq = np.zeros(count)
+    deviations = sums  # the sums are no longer needed
+    for k in range(window_len):
+        np.subtract(centred[k : k + count], centred_means, out=deviations)
+        np.multiply(deviations, deviations, out=deviations)
+        sumsq += deviations
+
+    # changes[i] counts the samples before position i that differ from
+    # their successor; a window is constant when none changes inside it.
+    changes = np.concatenate(([0], np.cumsum(centred[1:] != centred[:-1])))
+    sumsq[changes[window_len - 1 :] == changes[:count]] = 0.0
+
+    df = np.zeros(count)
+    dg = np.zeros(count)
+    df[1:] = (centred[window_len:] - centred[: count - 1]) / 2
+    dg[1:] = (centred[window_len:] - centred_means[1:]) + (
+        centred[: count - 1] - centred_means[:-1]
+    )
+    return SlidingStats(
+        window_len=window_len,
+        centred=centred,
+        centred_means=centred_means,
+        sumsq=sumsq,
+        df=df,
+        dg=dg,
+    )
 
 
 @dataclass(frozen=True)
@@ -51,25 +158,25 @@ class DistanceRow:
     entries: np.ndarray
 
 
-def _sliding_dots(stats: SlidingStats, query_start: int) -> np.ndarray:
-    """Centred cross product of one query window with every series window.
+def _sliding_dots(stats: SlidingStats, query_start: int, start: int, stop: int) -> np.ndarray:
+    """Centred cross products of one query window with series windows [start, stop).
 
-    Entry ``j`` is ``sum_k (c[q + k] - mu[q]) * (c[j + k] - mu[j])`` on
-    the centred series ``c``, in ``window_len`` passes over the series,
-    one per query sample.  Both windows are centred on their own means
-    before the product, so the result is as precise as the windows'
-    spread, however far their means lie from 0.
+    Entry ``j - start`` is ``sum_k (c[q + k] - mu[q]) * (c[j + k] - mu[j])``
+    on the centred series ``c``, in ``window_len`` elementwise passes,
+    one per query sample, so an entry is the same bits whatever the
+    range.  Both windows are centred on their own means before the
+    product, so the result is as precise as the windows' spread,
+    however far their means lie from 0.
     """
     subseq_len = stats.window_len
     values = stats.centred
-    means = stats.centred_means
-    count = means.size
-    query = values[query_start : query_start + subseq_len] - means[query_start]
-    dots = np.subtract(values[:count], means)
+    means = stats.centred_means[start:stop]
+    query = values[query_start : query_start + subseq_len] - stats.centred_means[query_start]
+    dots = np.subtract(values[start:stop], means)
     dots *= query[0]
-    term = np.empty(count)
+    term = np.empty(stop - start)
     for k in range(1, subseq_len):
-        np.subtract(values[k : k + count], means, out=term)
+        np.subtract(values[start + k : stop + k], means, out=term)
         term *= query[k]
         dots += term
     return dots
@@ -81,7 +188,6 @@ def neg_correlations(
     num_rows: int,
     *,
     columns: tuple[int, int] | None = None,
-    row0_dots: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Negated correlations of consecutive query windows against series windows.
@@ -102,7 +208,8 @@ def neg_correlations(
     (``num_rows=1``).
 
     A column range ``[start, stop)`` runs the update from column
-    ``start - (num_rows - 1)`` (at least 0) of row 0, and row ``i``
+    ``start - (num_rows - 1)`` (at least 0) of row 0, whose cross
+    products are computed over just those columns, and row ``i``
     keeps only the diagonals that reach the range by the last row.
     Row ``i`` reaches column ``j`` along the diagonal from column
     ``j - i`` of row 0 or from column 0 of row ``i - j``, so every entry
@@ -127,9 +234,6 @@ def neg_correlations(
     ----------
     columns : (start, stop), optional
         Series windows to correlate against; all of them by default.
-    row0_dots : ndarray, optional
-        The first query window's :func:`_sliding_dots`; computed when
-        omitted, passed in when several column ranges share them.
     out : ndarray of shape (num_rows, stop - start), optional
         Where to write the rows.
 
@@ -145,14 +249,12 @@ def neg_correlations(
     constant = np.flatnonzero(col_sumsq == 0.0)
     if out is None:
         out = np.empty((num_rows, width))
-    if row0_dots is None:
-        row0_dots = _sliding_dots(stats, first_query)
     # Diagonal j - i of row i sits at buffer[j - i + lead]; row 0 fills
     # it from column ``halo`` on.
     lead = num_rows - 1 - start
     halo = max(0, -lead)
     buffer, scratch = np.empty((2, width + num_rows - 1))
-    np.negative(row0_dots[halo:stop], out=buffer[halo + lead :])
+    np.negative(_sliding_dots(stats, first_query, halo, stop), out=buffer[halo + lead :])
     centred = stats.centred
     first_window = centred[:subseq_len] - stats.centred_means[0]
     with np.errstate(divide="ignore", invalid="ignore"):

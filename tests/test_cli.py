@@ -1,12 +1,15 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sniplab import cli, mpdist
+import sniplab
+from sniplab import cli, mpdist, scheduler
 from sniplab.cli import main
 from sniplab.series import save_series
 from sniplab import TimeSeries
@@ -310,6 +313,24 @@ class TestSweep:
         assert code == 0
         assert second == first
 
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_directory_training_log_fails_before_search(
+        self, series_csv, tmp_path, capsys, monkeypatch, via_env
+    ):
+        path, _ = series_csv
+        calls = []
+        monkeypatch.setattr(scheduler, "select_snippets", lambda *args, **kwargs: calls.append(1))
+        argv = ["sweep", "--input", str(path), "--m-min", "8", "--m-max", "64", "--workers", "1"]
+        if via_env:
+            monkeypatch.setenv(scheduler.TRAINING_LOG_ENV, str(tmp_path))
+        else:
+            argv += ["--training-log", str(tmp_path)]
+        code, out, err = _run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert calls == []
+
     @pytest.mark.parametrize("value", ["two", "0"])
     def test_bad_workers_env_is_usage_error(self, series_csv, capsys, monkeypatch, value):
         path, _ = series_csv
@@ -421,6 +442,38 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["schema"] == 1
+
+    def test_runs_on_numpy_alone(self, series_csv, tmp_path):
+        # README promises Python and numpy only: the commands must not
+        # import a test-only package, which the test install would hide.
+        path, _ = series_csv
+        script = (
+            "import json, sys\n"
+            "import sniplab\n"
+            "from sniplab import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "print(json.dumps([name for name in ('scipy', 'hypothesis') if name in sys.modules]))\n"
+        )
+        commands = [
+            ["discover", "--input", str(path), "--m", "16", "--output", str(tmp_path / "d.json")],
+            ["label", "--input", str(path), "--m", "16", "--output", str(tmp_path / "l.csv")],
+            [
+                "sweep", "--input", str(path), "--m-min", "8", "--m-max", "32",
+                "--workers", "1", "--no-log", "--output", str(tmp_path / "s.json"),
+            ],
+        ]
+        package_root = str(Path(sniplab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=package_root)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2

@@ -209,6 +209,27 @@ class TestRunSchedule:
         run_schedule(series, jobs, 2, workers=1, training_log=False)
         assert log.stat().st_size == size_before
 
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_unwritable_log_fails_before_any_search(self, tmp_path, monkeypatch, via_env):
+        # A directory cannot be opened for append: the error comes before
+        # the first search, not after the whole batch has run.
+        calls = []
+        monkeypatch.setattr(scheduler, "select_snippets", lambda *args, **kwargs: calls.append(1))
+        jobs = [MPdistParams(snippet_size=m) for m in (16, 32)]
+        if via_env:
+            monkeypatch.setenv(scheduler.TRAINING_LOG_ENV, str(tmp_path))
+            log = None
+        else:
+            log = tmp_path
+        with pytest.raises(OSError):
+            run_schedule(self._series(), jobs, 2, workers=1, training_log=log)
+        assert calls == []
+
+    def test_training_log_parent_directories_created(self, tmp_path):
+        log = tmp_path / "a" / "b" / "timings.jsonl"
+        run_schedule(self._series(), [MPdistParams(snippet_size=16)], 2, workers=1, training_log=log)
+        assert len(log.read_text().splitlines()) == 1
+
     def test_load_training_samples_filters_length(self, tmp_path):
         log = tmp_path / "mixed.jsonl"
         rows = [

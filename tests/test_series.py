@@ -96,21 +96,27 @@ class TestLoadSeries:
 
 
 class TestSlidingStats:
+    # The statistics the correlation kernel reads, all in the units of
+    # ``centred``: window means, sums of squared deviations, and a zero
+    # ``sumsq`` marking a constant window.
     def test_small_example(self):
+        # Window length 2 takes a scale of 1, so ``centred`` is x - 2.5.
         stats = compute_sliding_stats(TimeSeries([1.0, 2.0, 3.0, 4.0]), 2)
-        np.testing.assert_allclose(stats.means, [1.5, 2.5, 3.5])
-        np.testing.assert_allclose(np.sqrt(stats.variances), [0.5, 0.5, 0.5])
+        np.testing.assert_array_equal(stats.centred, [-1.5, -0.5, 0.5, 1.5])
+        np.testing.assert_array_equal(stats.centred_means, [-1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(stats.sumsq, [0.5, 0.5, 0.5])
 
     def test_constant_series(self):
         stats = compute_sliding_stats(TimeSeries([5.0, 5.0, 5.0]), 2)
-        np.testing.assert_array_equal(np.sqrt(stats.variances), [0.0, 0.0])
+        np.testing.assert_array_equal(stats.sumsq, [0.0, 0.0])
 
     def test_full_window(self):
         values = np.array([1.0, 4.0, 2.0, 7.0])
         stats = compute_sliding_stats(TimeSeries(values), 4)
-        assert stats.means.size == 1
-        np.testing.assert_allclose(stats.means[0], values.mean())
-        np.testing.assert_allclose(np.sqrt(stats.variances)[0], values.std())
+        assert stats.centred_means.size == stats.sumsq.size == 1
+        means, stds = two_pass_stats(stats.centred, 4)
+        np.testing.assert_allclose(stats.centred_means, means, atol=1e-15)
+        np.testing.assert_allclose(stats.sumsq / 4, stds**2)
 
     def test_window_out_of_range(self):
         s = TimeSeries([1.0, 2.0, 3.0])
@@ -126,9 +132,21 @@ class TestSlidingStats:
         window = int(rng.integers(1, n + 1))
         values = rng.standard_normal(n) * rng.uniform(0.1, 100)
         stats = compute_sliding_stats(TimeSeries(values), window)
-        means, stds = two_pass_stats(values, window)
-        np.testing.assert_allclose(stats.means, means, atol=1e-9)
-        np.testing.assert_allclose(np.sqrt(stats.variances), stds, atol=1e-9)
+        means, stds = two_pass_stats(stats.centred, window)
+        np.testing.assert_allclose(stats.centred_means, means, atol=1e-9)
+        np.testing.assert_allclose(stats.sumsq / window, stds**2, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 7, 16, 100, 255, 256])
+    def test_centred_is_power_of_two_scaling(self, window):
+        # ``centred`` is x - x.mean() times a power of two p, exactly, with
+        # window * p * p in [1, 4).
+        values = 1e3 + np.random.default_rng(window).standard_normal(300)
+        stats = compute_sliding_stats(TimeSeries(values), window)
+        deviations = values - values.mean()
+        scale = stats.centred[0] / deviations[0]
+        assert np.frexp(scale)[0] == 0.5
+        assert 1 <= window * scale * scale < 4
+        np.testing.assert_array_equal(stats.centred, deviations * scale)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -136,7 +154,7 @@ class TestSlidingStats:
         # Few distinct values, -0.0 and 0.0 among them, plus flat runs of
         # about one window on drawn starts: runs begin and end on window
         # edges and inside windows.  The window sums round, so a constant
-        # window's variance is 0 only if it is found constant; distinct
+        # window's ``sumsq`` is 0 only if it is found constant; distinct
         # values lie far enough apart that no other window's is.
         n = data.draw(st.integers(min_value=2, max_value=80))
         window = data.draw(st.integers(min_value=1, max_value=n))
@@ -149,19 +167,18 @@ class TestSlidingStats:
         stats = compute_sliding_stats(TimeSeries(values), window)
         windows = sliding_window_view(values, window)
         constant = windows.max(axis=1) == windows.min(axis=1)
-        np.testing.assert_array_equal(stats.variances == 0.0, constant)
+        np.testing.assert_array_equal(stats.sumsq == 0.0, constant)
 
     @pytest.mark.parametrize("offset", [1e3, -1e7, 1e9])
     def test_offset_leaves_variances(self, offset):
-        # Centred on the series mean first, the variances of a shifted
-        # series match those of the unshifted one to the input's own
-        # rounding, and the means keep the series' units.
+        # Centred on the series mean first, the sums of squared deviations
+        # of a shifted series match those of the unshifted one to the
+        # input's own rounding.
         rng = np.random.default_rng(9)
         values = rng.standard_normal(300)
         shifted = compute_sliding_stats(TimeSeries(values + offset), 12)
-        means, stds = two_pass_stats(values, 12)
-        np.testing.assert_allclose(shifted.means - offset, means, atol=1e-6)
-        np.testing.assert_allclose(shifted.variances, stds**2, rtol=1e-6)
+        plain = compute_sliding_stats(TimeSeries(values), 12)
+        np.testing.assert_allclose(shifted.sumsq, plain.sumsq, rtol=1e-6)
 
     def test_variance_roundoff_clamped(self):
         # A huge offset with tiny bumps: the scaled sums of squared
@@ -169,5 +186,5 @@ class TestSlidingStats:
         values = np.full(64, 1e9)
         values[::7] += 1e-3
         stats = compute_sliding_stats(TimeSeries(values), 8)
-        assert np.all(np.sqrt(stats.variances) >= 0)
-        assert np.all(np.isfinite(np.sqrt(stats.variances)))
+        assert np.all(stats.sumsq >= 0)
+        assert np.all(np.isfinite(stats.sumsq))

@@ -178,13 +178,31 @@ class TestNegCorrelationColumns:
             assume(num_rows < num_columns)
             start = data.draw(st.integers(min_value=num_rows, max_value=num_columns - 1))
         stop = data.draw(st.integers(min_value=start + 1, max_value=num_columns))
-        row0_dots = _sliding_dots(stats, first_query) if data.draw(st.booleans()) else None
         full = neg_correlations(stats, first_query, num_rows)
-        part = neg_correlations(
-            stats, first_query, num_rows, columns=(start, stop), row0_dots=row0_dots
-        )
+        part = neg_correlations(stats, first_query, num_rows, columns=(start, stop))
         assert part.shape == (num_rows, stop - start)
         assert np.all(part == full[:, start:stop])
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sliding_dots_range_equals_full_row(self, data):
+        # Row 0 over a column range must be that slice of the full row bit
+        # for bit, from column 0 and up to the last column included.
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        n = data.draw(st.integers(min_value=2, max_value=120))
+        l = data.draw(st.integers(min_value=1, max_value=n))
+        offset = data.draw(st.sampled_from([0.0, 1e3]))
+        stats = compute_sliding_stats(TimeSeries(offset + rng.standard_normal(n)), l)
+        num_columns = n - l + 1
+        query = data.draw(st.integers(min_value=0, max_value=num_columns - 1))
+        start = data.draw(st.sampled_from([0, num_columns - 1]) | st.integers(0, num_columns - 1))
+        stop = data.draw(
+            st.sampled_from([start + 1, num_columns]) | st.integers(start + 1, num_columns)
+        )
+        full = _sliding_dots(stats, query, 0, num_columns)
+        part = _sliding_dots(stats, query, start, stop)
+        assert part.shape == (stop - start,)
+        assert np.all(part == full[start:stop])
 
 
 @st.composite
