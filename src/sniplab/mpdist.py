@@ -28,13 +28,24 @@ right that its windows reach, and runs the diagonal update from
 ``width - 1`` columns to their left (clipped at column 0), from its
 own row-0 cross products over just the columns it reads; the parts
 share nothing but the window statistics.  Its ``-rho`` rows go
-straight into the top half of its own merge buffer, its column minima
-are taken there, and the row filter then runs in place.  Every entry
-goes through the same float operations whatever the split, so the
-profile does not change by a bit.  The column minima and the partition
-release the GIL for their whole call; the kernel and the row filter are
-a few numpy calls per row or block of rows, which release it while
-they run and take it back between them.
+straight into its own ``width``-row buffer, its column minima are taken
+there, and the row filter then runs in place.  Every entry goes through
+the same float operations whatever the split, so the profile does not
+change by a bit.
+
+For ``k > 1`` each part selects in tiles of positions: it copies a
+tile's columns of the filtered rows (transposed) and its sliding
+windows of the column minima into the rows of one reused C-ordered
+block, and partitions the block along its rows.  A partition down the
+columns of a ``2 * width``-row merge buffer read every candidate at a
+stride of a whole row, a cache miss each; a tile's rows are contiguous
+and the tile stays in cache.  An order statistic is one of the
+candidates, so the tiling changes no value.
+
+The column minima release the GIL for their whole call; the kernel,
+the row filter and the selection are a few numpy calls per row, block
+of rows or tile, which release it while they run and take it back
+between them.
 """
 
 from __future__ import annotations
@@ -234,30 +245,37 @@ def mpdist_profile(
     # profile's own arrays are allocated, they went back to the OS and
     # were faulted in again on the next segment: 916k minor page faults
     # against 14k, and 6.5 against 4.2 s, on discover-m8 (n = 20000).
-    rows = width if k == 1 else 2 * width
-    buffers = [np.empty((rows, hi - lo + width - 1)) for lo, hi in parts]
+    buffers = [np.empty((width, hi - lo + width - 1)) for lo, hi in parts]
+    # Positions per selection tile: a tile's 2 * width float64 candidates
+    # per position take 16 * width bytes, so a tile fills _BLOCK_BYTES
+    # (63 positions at width 513, 3,640 at width 9).
+    tile = max(1, _BLOCK_BYTES // (16 * width))
+    kth = min(k, 2 * width) - 1
 
-    def profile_part(part: tuple[int, int], merged: np.ndarray) -> np.ndarray:
+    def profile_part(part: tuple[int, int], neg_rho: np.ndarray) -> np.ndarray:
         # Positions [lo, hi) read the kernel columns [lo, hi + width - 1).
-        # The -rho rows go into the top half of the buffer; the row filter
-        # then runs in place there, and the sliding windows of the column
-        # minima fill the bottom half, so each position's 2 * width
-        # candidates share a column.
+        # The row filter runs in place on the -rho rows; then each row of
+        # a tile's block holds one position's 2 * width candidates, and
+        # kth = 2 * width - 1 (the largest) covers k >= 2 * width.
         lo, hi = part
         neg_rho = neg_correlations(
-            stats, seg_start, width,
-            columns=(lo, hi + width - 1), out=merged[:width],
+            stats, seg_start, width, columns=(lo, hi + width - 1), out=neg_rho,
         )
         series_side = neg_rho.min(axis=0)            # nearest segment window per column
         if k == 1:
             return _sliding_min_rows(series_side, width)
-        _sliding_min_rows(neg_rho, width)
-        merged = merged[:, : hi - lo]
-        merged[width:] = sliding_window_view(series_side, width).T
-        if 2 * width > k:
-            merged.partition(k - 1, axis=0)
-            return merged[k - 1]
-        return merged.max(axis=0)
+        segment_side = _sliding_min_rows(neg_rho, width)
+        series_windows = sliding_window_view(series_side, width)
+        best = np.empty(hi - lo)
+        block = np.empty((min(tile, hi - lo), 2 * width))
+        for p0 in range(0, hi - lo, tile):
+            p1 = min(p0 + tile, hi - lo)
+            candidates = block[: p1 - p0]
+            candidates[:, :width] = segment_side[:, p0:p1].T
+            candidates[:, width:] = series_windows[p0:p1]
+            candidates.partition(kth, axis=1)
+            best[p0:p1] = candidates[:, kth]
+        return best
 
     if len(parts) == 1:
         best = profile_part(parts[0], buffers[0])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -246,6 +247,46 @@ class TestMPdistProfileSplit:
             for workers in (1, 2, 3):
                 profile = mpdist_profile(series, seg, params, stats=stats, workers=workers)
                 np.testing.assert_array_equal(profile.values, expected)
+
+    @given(_series_with_flat_runs(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_tiled_selection_equals_distance_space_selection(self, values, data):
+        # Tiles of 1, 2 or 3 positions put tile boundaries all through
+        # every part, part boundaries included, at workers 1, 2 and 3.
+        series = TimeSeries(values)
+        m = data.draw(st.integers(min_value=2, max_value=series.n))
+        l = data.draw(st.integers(min_value=1, max_value=m))
+        width = m - l + 1
+        k = data.draw(st.sampled_from([1, 2, max(2, 2 * width - 1), 2 * width, 2 * width + 1]))
+        tile = data.draw(st.sampled_from([1, 2, 3]))
+        params = MPdistParams(snippet_size=m, window_size=l, k=k)
+        stats = compute_sliding_stats(series, l)
+        seg = data.draw(st.integers(min_value=0, max_value=series.n // m - 1))
+        expected = distance_space_profile(series, seg, params, stats)
+        with mock.patch.object(mpdist, "MIN_PART_ENTRIES", 1), \
+                mock.patch.object(mpdist, "_BLOCK_BYTES", 16 * width * tile):
+            for workers in (1, 2, 3):
+                profile = mpdist_profile(series, seg, params, stats=stats, workers=workers)
+                np.testing.assert_array_equal(profile.values, expected)
+
+    def test_one_profile_holds_one_width_row_buffer(self):
+        # The kernel's width rows over the part's columns are the only
+        # large array a profile needs; the margin covers the selection
+        # block, the row-0 products and the profile's own vectors.
+        values = np.cumsum(np.random.default_rng(1).standard_normal(4000))
+        series = TimeSeries(values)
+        params = MPdistParams(snippet_size=256)
+        stats = compute_sliding_stats(series, params.window_size)
+        width = params.profile_width
+        num_positions = series.n - params.snippet_size + 1
+        kernel_bytes = width * (num_positions + width - 1) * 8
+        tracemalloc.start()
+        try:
+            mpdist_profile(series, 3, params, stats=stats, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * kernel_bytes, f"peak {peak / kernel_bytes:.2f} x the kernel rows"
 
     def test_column_parts(self):
         # n = 20000: an m = 8 segment is too small to split at any worker
