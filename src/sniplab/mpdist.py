@@ -136,8 +136,9 @@ class MPdistProfile:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1 or values.size == 0:
             raise ValueError(f"profile must be a non-empty vector, got shape {values.shape}")
-        if values.min() < 0:
-            raise ValueError(f"profile entries must be non-negative, min is {values.min()}")
+        bad = np.flatnonzero(~np.isfinite(values) | (values < 0))
+        if bad.size:
+            raise ValueError(f"profile entry {bad[0]} is {values[bad[0]]}, not finite and >= 0")
         object.__setattr__(self, "values", _freeze(values))
 
     def __len__(self) -> int:

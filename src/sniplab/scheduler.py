@@ -65,10 +65,9 @@ class Schedule:
 def _check_weights(weights) -> list[Fraction]:
     vals = []
     for i, w in enumerate(weights):
-        f = Fraction(w)
-        if f < 0:
-            raise ValueError(f"weight {i} is negative: {w}")
-        vals.append(f)
+        if not 0 <= w < math.inf:
+            raise ValueError(f"weight {i} is negative or not finite: {w}")
+        vals.append(Fraction(w))
     if not vals:
         raise ValueError("no weights given")
     return vals

@@ -3,12 +3,14 @@
 The kernel computes, for the i-th length-``subseq_len`` window of a
 segment, its Pearson correlation ``rho`` with every length-``subseq_len``
 window of the series, from mean-centred cross products: the first row
-directly, every later one by SCAMP's O(1) diagonal update (Zimmerman et
-al., "Matrix Profile XIV", SoCC 2019), over a series centred on its own
-mean, so an offset as large as the samples allow costs no precision.
-The module owns the window statistics it reads (:class:`SlidingStats`,
-built once per search by :func:`compute_sliding_stats`), and each
-kernel call computes its own first row over just the columns it reads.
+and column by elementwise passes, every other entry by SCAMP's O(1)
+diagonal update (Zimmerman et al., "Matrix Profile XIV", SoCC 2019),
+over a series centred on its own mean, so an offset as large as the
+samples allow costs no precision.  No BLAS call, whose kernel varies by
+CPU, is on the path.  The module owns the window statistics it reads
+(:class:`SlidingStats`, built once per search by
+:func:`compute_sliding_stats`), and each kernel call computes its own
+first row over just the columns it reads.
 Distances follow from the correlation identity
 
     dist = sqrt(2 * subseq_len * (1 - rho))
@@ -166,7 +168,8 @@ def _sliding_dots(stats: SlidingStats, query_start: int, start: int, stop: int) 
     one per query sample, so an entry is the same bits whatever the
     range.  Both windows are centred on their own means before the
     product, so the result is as precise as the windows' spread,
-    however far their means lie from 0.
+    however far their means lie from 0.  It serves the kernel's row 0
+    and, with window 0 as the query, its column 0.
     """
     subseq_len = stats.window_len
     values = stats.centred
@@ -194,14 +197,14 @@ def neg_correlations(
 
     Row ``i`` holds ``-rho`` between the window starting at
     ``first_query + i`` and each series window in ``columns``, so
-    smaller is nearer.  Row 0 comes from :func:`_sliding_dots`; every
-    later entry follows from the one before it on its diagonal by
-    SCAMP's mean-centred update (Zimmerman et al., SoCC 2019)
+    smaller is nearer.  Row 0 and column 0 come from
+    :func:`_sliding_dots`; every other entry follows from the one before
+    it on its diagonal by SCAMP's mean-centred update (Zimmerman et al.,
+    SoCC 2019)
 
         cov[q, j] = cov[q - 1, j - 1] + df[q] * dg[j] + df[j] * dg[q]
 
-    held negated in one buffer indexed by diagonal and updated in place,
-    except column 0, a direct dot product of the two centred windows.
+    held negated in one buffer indexed by diagonal and updated in place.
     Every term is centred, so a large offset costs no precision.  The
     update accumulates round-off along a diagonal, so a later row can
     differ in its last bits from the same query computed on its own
@@ -241,7 +244,6 @@ def neg_correlations(
     -------
     ndarray of shape (num_rows, stop - start)
     """
-    subseq_len = stats.window_len
     sumsq, df, dg = stats.sumsq, stats.df, stats.dg
     start, stop = (0, sumsq.size) if columns is None else columns
     width = stop - start
@@ -255,8 +257,7 @@ def neg_correlations(
     halo = max(0, -lead)
     buffer, scratch = np.empty((2, width + num_rows - 1))
     np.negative(_sliding_dots(stats, first_query, halo, stop), out=buffer[halo + lead :])
-    centred = stats.centred
-    first_window = centred[:subseq_len] - stats.centred_means[0]
+    column0 = _sliding_dots(stats, 0, first_query, first_query + num_rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(num_rows):
             query = first_query + i
@@ -265,8 +266,7 @@ def neg_correlations(
                 lo = max(0, start - (num_rows - 1 - i))
                 cov = buffer[lo - i + lead : stop - i + lead]
                 if lo == 0:
-                    window = centred[query : query + subseq_len] - stats.centred_means[query]
-                    cov[0] = -(window @ first_window)
+                    cov[0] = -column0[i]
                     cov = cov[1:]
                     lo = 1
                 term = scratch[: cov.size]

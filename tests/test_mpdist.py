@@ -307,6 +307,7 @@ class TestMPdistProfileType:
         with pytest.raises(ValueError):
             prof.values[0] = 5.0
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            MPdistProfile(segment_index=0, values=np.array([-0.5, 1.0]))
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_rejects_negative(self, bad):
+        with pytest.raises(ValueError, match="entry 0 is .*, not finite and >= 0"):
+            MPdistProfile(segment_index=0, values=np.array([bad, 1.0]))

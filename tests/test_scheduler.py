@@ -63,9 +63,11 @@ class TestKKPartition:
         assert assigned == [0, 1]
         assert schedule.makespan == 5.0
 
-    def test_negative_weight(self):
-        with pytest.raises(ValueError, match="negative"):
-            kk_partition([1.0, -0.5], 2)
+    @pytest.mark.parametrize("partition", [kk_partition, lpt_partition])
+    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf"), float("-inf")])
+    def test_negative_weight(self, partition, bad):
+        with pytest.raises(ValueError, match="weight 1 is negative or not finite"):
+            partition([1.0, bad], 2)
 
     def test_no_weights(self):
         with pytest.raises(ValueError, match="no weights"):

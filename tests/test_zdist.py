@@ -204,6 +204,20 @@ class TestNegCorrelationColumns:
         assert part.shape == (stop - start,)
         assert np.all(part == full[start:stop])
 
+    @pytest.mark.parametrize("l", [2, 4, 8, 16, 32, 64])
+    def test_column_zero_equals_single_row(self, l):
+        # Column 0 starts a diagonal and carries no update round-off, so
+        # each row's entry must be the bits of its query computed alone.
+        # On a random walk with a 1e3 offset, any other order of the sum
+        # shows in the last bits.
+        values = 1e3 + np.cumsum(np.random.default_rng(5).standard_normal(3000))
+        stats = compute_sliding_stats(TimeSeries(values), l)
+        first_query, num_rows = 700, 2 * l
+        rows = neg_correlations(stats, first_query, num_rows, columns=(0, 50))
+        for i in range(num_rows):
+            alone = neg_correlations(stats, first_query + i, 1, columns=(0, 1))
+            assert rows[i, 0] == alone[0, 0], f"row {i}"
+
 
 @st.composite
 def _shifted_series(draw):
