@@ -170,7 +170,7 @@ def evaluate(pred: LabelSequence, truth: LabelSequence) -> EvalReport:
 
 
 def read_labels(path) -> LabelSequence:
-    """Read a labels file: one integer per line."""
+    """Read a labels file: one 64-bit integer per line."""
     values = []
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -178,10 +178,10 @@ def read_labels(path) -> LabelSequence:
             if not line:
                 continue
             try:
-                values.append(int(line))
-            except ValueError:
+                values.append(np.int64(int(line)))
+            except (ValueError, OverflowError):
                 raise ValueError(
-                    f"line {lineno} of {path} is not an integer label: {line!r}"
+                    f"line {lineno} of {path} is not a 64-bit integer label: {line!r}"
                 ) from None
     if not values:
         raise ValueError(f"no labels found in {path}")

@@ -58,7 +58,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import TimeSeries, _freeze
-from .zdist import compute_sliding_stats, neg_correlation_to_distance, neg_correlations
+from .zdist import _check_stats, compute_sliding_stats
+from .zdist import neg_correlation_to_distance, neg_correlations
 from .zdist import segment_distance_matrix  # noqa: F401  bench/layers.py wraps it by this name
 
 # Kernel entries (rows times columns) each thread's part of a segment
@@ -205,8 +206,9 @@ def mpdist_profile(
         ``i * params.snippet_size``.
     params : MPdistParams
     stats : SlidingStats, optional
-        Sliding statistics for ``params.window_size``; computed on demand
-        when omitted, passed in when profiling many segments.
+        Sliding statistics of ``series`` for ``params.window_size``;
+        computed on demand when omitted, passed in when profiling many
+        segments.
     workers : int, optional
         Threads the profile positions are split across; a segment too
         small to split runs on the calling thread.  The values do not
@@ -231,37 +233,27 @@ def mpdist_profile(
         raise ValueError(f"need at least one worker, got {workers}")
     if stats is None:
         stats = compute_sliding_stats(series, params.window_size)
-    elif stats.window_len != params.window_size:
-        raise ValueError(
-            f"stats were built for window length {stats.window_len}, "
-            f"not {params.window_size}"
-        )
+    else:
+        _check_stats(series, stats, params.window_size)
 
     seg_start = segment_index * m
     width = params.profile_width
     k = params.k
     num_positions = n - m + 1
     parts = _column_parts(num_positions, width * (num_positions + width - 1), workers)
-    # The buffers live until the profile is built.  Freed before the
-    # profile's own arrays are allocated, they went back to the OS and
-    # were faulted in again on the next segment: 916k minor page faults
-    # against 14k, and 6.5 against 4.2 s, on discover-m8 (n = 20000).
-    buffers = [np.empty((width, hi - lo + width - 1)) for lo, hi in parts]
     # Positions per selection tile: a tile's 2 * width float64 candidates
     # per position take 16 * width bytes, so a tile fills _BLOCK_BYTES
     # (63 positions at width 513, 3,640 at width 9).
     tile = max(1, _BLOCK_BYTES // (16 * width))
     kth = min(k, 2 * width) - 1
 
-    def profile_part(part: tuple[int, int], neg_rho: np.ndarray) -> np.ndarray:
+    def profile_part(part: tuple[int, int]) -> np.ndarray:
         # Positions [lo, hi) read the kernel columns [lo, hi + width - 1).
         # The row filter runs in place on the -rho rows; then each row of
         # a tile's block holds one position's 2 * width candidates, and
         # kth = 2 * width - 1 (the largest) covers k >= 2 * width.
         lo, hi = part
-        neg_rho = neg_correlations(
-            stats, seg_start, width, columns=(lo, hi + width - 1), out=neg_rho,
-        )
+        neg_rho = neg_correlations(stats, seg_start, width, columns=(lo, hi + width - 1))
         series_side = neg_rho.min(axis=0)            # nearest segment window per column
         if k == 1:
             return _sliding_min_rows(series_side, width)
@@ -279,9 +271,9 @@ def mpdist_profile(
         return best
 
     if len(parts) == 1:
-        best = profile_part(parts[0], buffers[0])
+        best = profile_part(parts[0])
     else:
         with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            best = np.concatenate(list(pool.map(profile_part, parts, buffers)))
+            best = np.concatenate(list(pool.map(profile_part, parts)))
     values = neg_correlation_to_distance(best, params.window_size)
     return MPdistProfile(segment_index=segment_index, values=values)

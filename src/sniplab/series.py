@@ -86,9 +86,10 @@ def load_series(path, column: int = 0) -> TimeSeries:
     FileNotFoundError
         If ``path`` does not exist.
     ValueError
-        On a non-numeric or non-finite cell (the message names the
-        offending 1-based row), a column out of range, or fewer than two
-        usable rows.
+        On a non-numeric or non-finite cell or a row the CSV reader
+        rejects, such as one with a cell over its field size limit (the
+        message names the offending 1-based row), a column out of range,
+        or fewer than two usable rows.
     """
     path = Path(path)
     if not path.exists():
@@ -97,26 +98,30 @@ def load_series(path, column: int = 0) -> TimeSeries:
         raise ValueError(f"column index must be non-negative, got {column}")
 
     values: list[float] = []
+    row_no = 0
     with open(path, newline="") as handle:
-        for row_no, row in enumerate(csv.reader(handle), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if column >= len(row):
-                raise ValueError(
-                    f"column {column} out of range at row {row_no} ({len(row)} columns)"
-                )
-            cell = row[column].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                if row_no == 1:
-                    continue  # header line
-                raise ValueError(
-                    f"non-numeric cell {cell!r} at row {row_no}, column {column}"
-                ) from None
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite value {cell!r} at row {row_no}, column {column}")
-            values.append(value)
+        try:
+            for row_no, row in enumerate(csv.reader(handle), start=1):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if column >= len(row):
+                    raise ValueError(
+                        f"column {column} out of range at row {row_no} ({len(row)} columns)"
+                    )
+                cell = row[column].strip()
+                try:
+                    value = float(cell)
+                except ValueError:
+                    if row_no == 1:
+                        continue  # header line
+                    raise ValueError(
+                        f"non-numeric cell {cell!r} at row {row_no}, column {column}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite value {cell!r} at row {row_no}, column {column}")
+                values.append(value)
+        except csv.Error as exc:
+            raise ValueError(f"row {row_no + 1} of {path} is not valid CSV: {exc}") from None
 
     if len(values) < 2:
         raise ValueError(f"series in {path} has {len(values)} samples, need at least 2")

@@ -12,7 +12,7 @@ All profiles together are n²/m entries, too many to hold in float64
 for small m on a long series.  They are held as 16-bit codes; each
 greedy round after the first bounds every area from the codes and
 takes exact areas only for the near-tied candidates, from float64 rows
-that are cached or recomputed, so the result is still bit for bit the
+that are held or recomputed, so the result is still bit for bit the
 float64 greedy's.
 """
 
@@ -153,35 +153,25 @@ def _nearest_rows(rows) -> np.ndarray:
 
 
 class _ProfileStore:
-    """Every profile held as 16-bit codes, with a cache of float64 rows.
+    """Every profile held as 16-bit codes.
 
     Entry ``v`` is coded as ``floor(v / step)``, so the code ``c`` places
     it in ``[c * step, (c + 1) * step)`` as long as ``v`` is below
-    ``65536 * step``.  The cache keeps the float64 row of every segment
-    when ``recompute`` is None, else only the row with the smallest
-    round-1 area, which round 1 always picks; ``recompute(index)``
-    rebuilds any other row.
+    ``65536 * step``.  It holds no float64 row: the greedy reads each
+    exact row it needs through one ``fetch``.
     """
 
     # Decoded entries per block when bounding areas: two float64 buffers
     # of this size stay small next to the codes.
     BLOCK_ENTRIES = 1 << 15
 
-    def __init__(self, num_segments, num_windows, step, recompute=None):
+    def __init__(self, num_segments, num_windows, step):
         self.step = step
         self.codes = np.empty((num_segments, num_windows), dtype=np.uint16)
-        self.rows: dict[int, MPdistProfile] = {}
-        self.recompute = recompute
-        self.lead_area = np.inf
 
-    def keep(self, profile: MPdistProfile, area: float) -> None:
-        index = profile.segment_index
+    def keep(self, profile: MPdistProfile) -> None:
         levels = np.divide(profile.values, self.step)
-        self.codes[index] = np.minimum(levels, _CODE_MAX, out=levels)
-        if self.recompute is None:
-            self.rows[index] = profile
-        elif area < self.lead_area:
-            self.rows, self.lead_area = {index: profile}, area
+        self.codes[profile.segment_index] = np.minimum(levels, _CODE_MAX, out=levels)
 
     def bounds(self, curve: np.ndarray, scratch: np.ndarray):
         """Lower and upper bounds on every area, in units of ``step``.
@@ -215,10 +205,6 @@ class _ProfileStore:
         margin = (num_windows + 8) * np.finfo(np.float64).eps * upper
         return lower - margin, upper + margin
 
-    def profile(self, index: int) -> MPdistProfile:
-        row = self.rows.get(index)
-        return self.recompute(index) if row is None else row
-
 
 def select_snippets(
     series: TimeSeries,
@@ -242,12 +228,13 @@ def select_snippets(
     attribution, and keeps the profile as 16-bit codes (2 bytes per
     entry instead of 8).  Every later round bounds all areas from the
     codes and takes exact areas only for the few segments whose lower
-    bound reaches the smallest upper bound.  Their float64 rows are
-    kept when there are no more segments than ``params.profile_width``
-    (all of them then cost no more than profiling a single segment) or
-    when given as ``profiles``; otherwise only the round-1 pick's row
-    is kept and the others are recomputed.  The picks, curve and
-    attribution are bit for bit those of the plain float64 greedy.
+    bound reaches the smallest upper bound, round 1's pick included.
+    Their float64 rows are read from ``profiles`` when given, and all
+    of them are held when there are no more segments than
+    ``params.profile_width`` (they then cost no more than profiling a
+    single segment); otherwise every such row is recomputed.  The
+    picks, curve and attribution are bit for bit those of the plain
+    float64 greedy.
 
     Parameters
     ----------
@@ -285,14 +272,11 @@ def select_snippets(
     if profiles is None:
         stats = compute_sliding_stats(series, params.window_size)
 
-        def recompute(index: int) -> MPdistProfile:
+        def fetch(index: int) -> MPdistProfile:
             return mpdist_profile(series, index, params, stats=stats, workers=workers)
 
-        source = map(recompute, range(num_segments))
         if num_segments <= params.profile_width:
-            store = _ProfileStore(num_segments, num_windows, step)
-        else:
-            store = _ProfileStore(num_segments, num_windows, step, recompute)
+            profiles = list(map(fetch, range(num_segments)))
     else:
         if len(profiles) != num_segments:
             raise ValueError(
@@ -313,17 +297,19 @@ def select_snippets(
                     f"profile {i} has an entry of {profile.values.max()!r}, at or "
                     f"above {cap!r}, beyond any MPdist of window size {params.window_size}"
                 )
-        source = profiles
-        store = _ProfileStore(num_segments, num_windows, step)
+    if profiles is not None:
+        fetch = profiles.__getitem__
 
+    store = _ProfileStore(num_segments, num_windows, step)
     round_one = np.empty(num_segments)
     maxima = np.empty(num_segments)
 
     def profile_pass():
-        for i, profile in enumerate(source):
+        for i in range(num_segments):
+            profile = fetch(i)
             round_one[i] = profile.values.sum()
             maxima[i] = profile.values.max()
-            store.keep(profile, round_one[i])
+            store.keep(profile)
             yield profile.values
 
     nearest = _nearest_rows(profile_pass())
@@ -350,7 +336,7 @@ def select_snippets(
             candidates = [np.argmin(round_one)]
         best, best_area = None, np.inf
         for index in candidates:
-            profile = store.profile(int(index))
+            profile = fetch(int(index))
             area = np.minimum(profile.values, curve, out=scratch).sum()
             if best is None or area < best_area:
                 best, best_area = profile, area

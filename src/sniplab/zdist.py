@@ -160,6 +160,19 @@ class DistanceRow:
     entries: np.ndarray
 
 
+def _check_stats(series: TimeSeries, stats: SlidingStats, window_len: int) -> None:
+    """Raise ``ValueError`` unless ``stats`` are ``series``' for ``window_len``."""
+    if stats.window_len != window_len:
+        raise ValueError(
+            f"stats were built for window length {stats.window_len}, not {window_len}"
+        )
+    if stats.centred.size != series.n:
+        raise ValueError(
+            f"stats were built from a series of length {stats.centred.size}, "
+            f"not {series.n}"
+        )
+
+
 def _sliding_dots(stats: SlidingStats, query_start: int, start: int, stop: int) -> np.ndarray:
     """Centred cross products of one query window with series windows [start, stop).
 
@@ -191,7 +204,6 @@ def neg_correlations(
     num_rows: int,
     *,
     columns: tuple[int, int] | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Negated correlations of consecutive query windows against series windows.
 
@@ -237,8 +249,6 @@ def neg_correlations(
     ----------
     columns : (start, stop), optional
         Series windows to correlate against; all of them by default.
-    out : ndarray of shape (num_rows, stop - start), optional
-        Where to write the rows.
 
     Returns
     -------
@@ -249,8 +259,7 @@ def neg_correlations(
     width = stop - start
     col_sumsq = sumsq[start:stop]
     constant = np.flatnonzero(col_sumsq == 0.0)
-    if out is None:
-        out = np.empty((num_rows, width))
+    out = np.empty((num_rows, width))
     # Diagonal j - i of row i sits at buffer[j - i + lead]; row 0 fills
     # it from column ``halo`` on.
     lead = num_rows - 1 - start
@@ -318,7 +327,7 @@ def distance_row(
     ----------
     series : TimeSeries
     stats : SlidingStats
-        Must have been built with the same ``subseq_len``.
+        Must have been built from ``series`` with the same ``subseq_len``.
     seg_start : int
         Zero-based start of the segment in the series.
     row_offset : int
@@ -331,10 +340,7 @@ def distance_row(
     DistanceRow
         ``n - subseq_len + 1`` entries, all in [0, 2*sqrt(subseq_len)].
     """
-    if stats.window_len != subseq_len:
-        raise ValueError(
-            f"stats were built for window length {stats.window_len}, not {subseq_len}"
-        )
+    _check_stats(series, stats, subseq_len)
     n = series.n
     query_start = seg_start + row_offset
     if seg_start < 0 or row_offset < 0 or query_start + subseq_len > n:
@@ -360,6 +366,7 @@ def segment_distance_matrix(
     ndarray of shape (snippet_size - subseq_len + 1, n - subseq_len + 1)
     """
     subseq_len = stats.window_len
+    _check_stats(series, stats, subseq_len)
     n = series.n
     if snippet_size < subseq_len:
         raise ValueError(

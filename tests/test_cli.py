@@ -475,6 +475,31 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == []
 
+    @pytest.mark.parametrize(
+        "command, data",
+        [("discover", "1" * 200_000 + "\n1\n2\n"), ("eval", "0\n99999999999999999999\n")],
+        ids=["oversized-csv-cell", "out-of-range-label"],
+    )
+    def test_bad_data_exits_without_traceback(self, tmp_path, command, data):
+        path = tmp_path / "data.csv"
+        path.write_text(data)
+        if command == "discover":
+            argv = ["discover", "--input", str(path), "--m", "2"]
+        else:
+            argv = ["eval", "--pred", str(path), "--truth", str(path)]
+        package_root = str(Path(sniplab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "sniplab"] + argv,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=package_root),
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2
 

@@ -197,9 +197,10 @@ class TestLabelFiles:
         back = read_labels(path)
         np.testing.assert_array_equal(back.labels, labels.labels)
 
-    def test_bad_line_reported(self, tmp_path):
+    @pytest.mark.parametrize("line", ["banana", "99999999999999999999", "-9223372036854775809"])
+    def test_bad_line_reported(self, tmp_path, line):
         path = tmp_path / "bad.txt"
-        path.write_text("0\n1\nbanana\n")
+        path.write_text(f"0\n1\n{line}\n")
         with pytest.raises(ValueError, match="line 3"):
             read_labels(path)
 

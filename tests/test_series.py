@@ -63,6 +63,13 @@ class TestLoadSeries:
         with pytest.raises(ValueError, match="row 5"):
             load_series(path)
 
+    def test_oversized_cell_names_row(self, tmp_path):
+        # Past the csv module's field size limit (131,072 characters).
+        path = tmp_path / "s.csv"
+        path.write_text("1.0\n2.0\n" + "1" * 200_000 + "\n")
+        with pytest.raises(ValueError, match="row 3 .* field larger than field limit"):
+            load_series(path)
+
     def test_header_auto_detected(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("value\n1.0\n2.0\n")

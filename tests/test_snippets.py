@@ -215,7 +215,7 @@ def _selection_case(draw):
     their bits; values rounded to a coarse grid at a 1e3 offset, so
     windows repeat exactly; noise with constant runs.  The segment count
     falls on either side of the profile width, so ``select_snippets``
-    both keeps every float64 row and keeps one, rebuilding the others.
+    both holds every float64 row and recomputes each row it reads.
     """
     m = draw(st.integers(min_value=4, max_value=40))
     width = MPdistParams(snippet_size=m).profile_width
@@ -308,6 +308,27 @@ class TestExactSelection:
         chosen, *_ = stacked_selection(np.vstack([p.values for p in profiles]), 3)
         assert sorted(s.index for s in result.snippets) == sorted(chosen)
 
+    @pytest.mark.parametrize("num_snippets", [2, 3])
+    def test_rows_within_profile_width_profiled_once(self, monkeypatch, num_snippets):
+        # 8 segments, no more than the profile width: every float64 row
+        # is held from the first pass, so no later round profiles one
+        # again, and with profiles= given no segment is profiled at all.
+        rng = np.random.default_rng(15)
+        series = TimeSeries(random_series(rng, 8 * 40 + 5))
+        params = MPdistParams(snippet_size=40)
+        assert 8 <= params.profile_width
+        profiles = segment_profiles(series, params)
+        calls = []
+        profile = snippets.mpdist_profile
+        monkeypatch.setattr(
+            snippets, "mpdist_profile", lambda *a, **kw: calls.append(a[1]) or profile(*a, **kw)
+        )
+        select_snippets(series, params, num_snippets)
+        assert calls == list(range(8))
+        calls.clear()
+        select_snippets(series, params, num_snippets, profiles=profiles)
+        assert calls == []
+
     def test_bound_margin_keeps_float64_ties(self):
         # Entry codes[s][j] * step moved by ulps[s][j] ulps, with the
         # l = 1 code step.  Segment 2 wins round 1.  In round 2 segment
@@ -342,8 +363,8 @@ class TestWorkers:
     @settings(max_examples=40, deadline=None)
     def test_worker_count_changes_no_bit(self, case):
         # Every segment splits at a one-entry part threshold; with the
-        # float64 rows kept and with them rebuilt, the result must be the
-        # same at any worker count.
+        # float64 rows held and with them recomputed, the result must be
+        # the same at any worker count.
         series, params, num_snippets = case
         with mock.patch.object(mpdist, "MIN_PART_ENTRIES", 1):
             solo = select_snippets(series, params, num_snippets, workers=1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sniplab import TimeSeries, compute_sliding_stats, distance_row
+from sniplab import MPdistParams, TimeSeries, compute_sliding_stats, distance_row, mpdist_profile
 from sniplab.zdist import _sliding_dots, neg_correlations, segment_distance_matrix
 from oracles import naive_distance_row, znorm_euclid
 
@@ -150,6 +150,26 @@ class TestSegmentDistanceMatrix:
             np.testing.assert_allclose(
                 mat[i], naive_distance_row(values, 12 + i, l), atol=1e-6
             )
+
+
+
+@pytest.mark.parametrize("source_length", [400, 100])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda series, stats: mpdist_profile(series, 3, MPdistParams(20), stats=stats),
+        lambda series, stats: distance_row(series, stats, 0, 0, 10),
+        lambda series, stats: segment_distance_matrix(series, stats, 0, 20),
+    ],
+    ids=["mpdist_profile", "distance_row", "segment_distance_matrix"],
+)
+def test_stats_from_another_series_rejected(entry, source_length):
+    # Window length 10 matches; the statistics' series does not.
+    rng = np.random.default_rng(8)
+    series = TimeSeries(rng.standard_normal(200))
+    stats = compute_sliding_stats(TimeSeries(rng.standard_normal(source_length)), 10)
+    with pytest.raises(ValueError, match=f"series of length {source_length}, not 200"):
+        entry(series, stats)
 
 
 class TestNegCorrelationColumns:
