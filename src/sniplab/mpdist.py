@@ -15,11 +15,13 @@ All of that selection runs on negated correlations (see
 [-1, 1] and the distance are both monotone in the correlation under
 IEEE rounding, so minima and order statistics commute with them, and
 converting only the ``n - snippet_size + 1`` selected values gives the
-same bits as converting every entry first.  For ``k = 1`` the k-th
-smallest is a plain minimum: the smallest of each row's sliding minimum
-equals the sliding minimum of the column minima, so the profile is that
-one sliding window and the per-row filter, merge and partition are
-skipped.
+same bits as converting every entry first.  For ``k <= 2`` the k-th
+smallest is a plain minimum: the smallest entry of a position's block
+is the minimum of its row and of its column there, so it is both a
+segment-side and a series-side candidate, and the two smallest
+candidates are equal.  It is the sliding minimum of the column minima,
+so the profile is that one sliding window and the per-row filter, merge
+and partition are skipped.
 
 A large segment can be split across threads by profile position, as
 STUMPY's ``stumped`` splits a matrix profile (Law, JOSS 2019).  Each
@@ -255,7 +257,7 @@ def mpdist_profile(
         lo, hi = part
         neg_rho = neg_correlations(stats, seg_start, width, columns=(lo, hi + width - 1))
         series_side = neg_rho.min(axis=0)            # nearest segment window per column
-        if k == 1:
+        if k <= 2:
             return _sliding_min_rows(series_side, width)
         segment_side = _sliding_min_rows(neg_rho, width)
         series_windows = sliding_window_view(series_side, width)

@@ -9,11 +9,12 @@ Every window is then attributed to its nearest segment, which gives
 each snippet its neighbor set and coverage fraction.
 
 All profiles together are n²/m entries, too many to hold in float64
-for small m on a long series.  They are held as 16-bit codes; each
-greedy round after the first bounds every area from the codes and
-takes exact areas only for the near-tied candidates, from float64 rows
-that are held or recomputed, so the result is still bit for bit the
-float64 greedy's.
+for small m on a long series.  They are held as 8-bit codes cut from
+each entry's float64 bits; each greedy round after the first bounds
+every area from below from the codes and takes exact areas only for
+the segments whose bound does not exceed the smallest bound's exact
+area, from float64 rows that are held or recomputed, so the result is
+still bit for bit the float64 greedy's.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ import numpy as np
 from .mpdist import MPdistParams, MPdistProfile, mpdist_profile
 from .series import TimeSeries
 from .zdist import compute_sliding_stats
-
-# Largest 16-bit code; a profile entry of 2*sqrt(l) maps to it.
-_CODE_MAX = 65535
 
 WORKERS_ENV = "SNIPLAB_WORKERS"
 
@@ -153,57 +151,60 @@ def _nearest_rows(rows) -> np.ndarray:
 
 
 class _ProfileStore:
-    """Every profile held as 16-bit codes.
+    """Every profile held as 8-bit codes, one byte per entry.
 
-    Entry ``v`` is coded as ``floor(v / step)``, so the code ``c`` places
-    it in ``[c * step, (c + 1) * step)`` as long as ``v`` is below
-    ``65536 * step``.  It holds no float64 row: the greedy reads each
-    exact row it needs through one ``fetch``.
+    An entry's code is its float64 bit pattern shifted right by 52 - 5
+    bits (the exponent and 5 mantissa bits remain), minus an offset that
+    puts ``2 * sqrt(l)``, the largest MPdist, in code 254, clamped to
+    [0, 255].  ``lo[c]`` is code ``c``'s pattern with all lower bits
+    zero, so ``lo[code(v)] <= v`` exactly for every finite ``v >= 0``,
+    and ``v < lo[code(v) + 1]`` below code 255: 32 codes per octave.
+    Code 0 has edge 0 and takes every entry below about ``2 * sqrt(l) /
+    240``; code 255 has no upper limit.  The store holds no float64 row.
     """
 
-    # Decoded entries per block when bounding areas: two float64 buffers
-    # of this size stay small next to the codes.
+    SHIFT = 52 - 5
+
+    # Decoded entries per block when bounding areas.
     BLOCK_ENTRIES = 1 << 15
 
-    def __init__(self, num_segments, num_windows, step):
-        self.step = step
-        self.codes = np.empty((num_segments, num_windows), dtype=np.uint16)
+    def __init__(self, num_segments, num_windows, top):
+        self.offset = int(np.float64(top).view(np.int64) >> self.SHIFT) - 254
+        edges = (np.arange(256, dtype=np.int64) + self.offset) << self.SHIFT
+        self.lo = edges.view(np.float64)
+        self.lo[0] = 0.0
+        self.codes = np.empty((num_segments, num_windows), dtype=np.uint8)
 
     def keep(self, profile: MPdistProfile) -> None:
-        levels = np.divide(profile.values, self.step)
-        self.codes[profile.segment_index] = np.minimum(levels, _CODE_MAX, out=levels)
+        levels = profile.values.view(np.int64) >> self.SHIFT
+        levels -= self.offset
+        self.codes[profile.segment_index] = np.clip(levels, 0, 255, out=levels)
 
-    def bounds(self, curve: np.ndarray, scratch: np.ndarray):
-        """Lower and upper bounds on every area, in units of ``step``.
+    def lower_bounds(self, curve: np.ndarray) -> np.ndarray:
+        """A lower bound on every segment's float64 area under ``curve``.
 
-        With ``e_j = min(v_j, curve_j)`` and ``λ_j = curve_j / step``,
-        ``sum min(c_j, λ_j)`` and ``sum min(c_j + 1, λ_j)`` enclose
-        ``sum e_j / step`` up to the rounding of the quotients ``v_j /
-        step`` and ``curve_j / step``, a relative ``eps / 2`` per entry.
-        The exact greedy sums the same ``e_j`` in float64, and these
-        bounds sum their terms in float64 too; any order of summing N
-        non-negative terms is off by at most a relative ``N * eps / 2``.
-        Widening both bounds by ``(N + 8) * eps`` times the upper bound
-        covers the entries' rounding and both sums, so the float64 area
-        the exact greedy computes for every segment, divided by
-        ``step``, lies within them.
+        Each term ``t_j = min(lo[c_j], curve_j)`` is at most the exact
+        greedy's ``e_j = min(v_j, curve_j)``: ``lo`` is exact and a
+        minimum rounds nothing, so the real sums obey ``T <= E``.  Any
+        order of summing N non-negative float64 terms is off by at most
+        a relative ``γ ≈ (N - 1) * eps / 2``, so the float64 sum here is
+        at most ``(1 + γ) / (1 - γ) ≈ 1 + (N - 1) * eps`` times the
+        float64 area the exact greedy computes, whatever orders the two
+        sums take.  Shrinking it by a relative ``(N + 8) * eps``, itself
+        rounded by a relative ``eps``, leaves it at or below that area.
         """
         num_segments, num_windows = self.codes.shape
-        level = np.divide(curve, self.step, out=scratch)
         rows = max(1, self.BLOCK_ENTRIES // num_windows)
         decoded = np.empty((rows, num_windows))
-        clipped = np.empty((rows, num_windows))
         lower = np.empty(num_segments)
-        upper = np.empty(num_segments)
         for start in range(0, num_segments, rows):
             stop = min(start + rows, num_segments)
-            block, low = decoded[: stop - start], clipped[: stop - start]
-            np.copyto(block, self.codes[start:stop])
-            lower[start:stop] = np.minimum(block, level, out=low).sum(axis=1)
-            block += 1.0
-            upper[start:stop] = np.minimum(block, level, out=block).sum(axis=1)
-        margin = (num_windows + 8) * np.finfo(np.float64).eps * upper
-        return lower - margin, upper + margin
+            block = decoded[: stop - start]
+            # Every code indexes lo, so "clip" clips nothing; unlike
+            # "raise", it writes straight into block.
+            np.take(self.lo, self.codes[start:stop], out=block, mode="clip")
+            lower[start:stop] = np.minimum(block, curve, out=block).sum(axis=1)
+        return lower - (num_windows + 8) * np.finfo(np.float64).eps * lower
 
 
 def select_snippets(
@@ -225,16 +226,15 @@ def select_snippets(
 
     Each segment is profiled once, in one streaming pass that takes its
     exact round-1 area, its largest entry and its share of the
-    attribution, and keeps the profile as 16-bit codes (2 bytes per
-    entry instead of 8).  Every later round bounds all areas from the
-    codes and takes exact areas only for the few segments whose lower
-    bound reaches the smallest upper bound, round 1's pick included.
-    Their float64 rows are read from ``profiles`` when given, and all
-    of them are held when there are no more segments than
-    ``params.profile_width`` (they then cost no more than profiling a
-    single segment); otherwise every such row is recomputed.  The
-    picks, curve and attribution are bit for bit those of the plain
-    float64 greedy.
+    attribution, and keeps the profile as 8-bit codes (1 byte per entry
+    instead of 8).  Every later round bounds all areas from below from
+    the codes and takes exact areas only for the segment with the
+    smallest bound and those whose bound does not exceed its area.
+    Their float64 rows, round 1's pick included, are read from
+    ``profiles`` when given, and all of them are held when there are no
+    more segments than ``params.profile_width`` (they then cost no more
+    than profiling a single segment); otherwise each is recomputed.  The
+    picks, curve and attribution are bit for bit the float64 greedy's.
 
     Parameters
     ----------
@@ -247,8 +247,8 @@ def select_snippets(
         they are read in place.  A wrong count, an entry at position
         ``i`` that is not segment ``i``'s, a profile that is not
         ``n - snippet_size + 1`` long, or an entry at or above
-        ``65536 / 65535 * 2 * sqrt(window_size)`` (past the code range;
-        no MPdist reaches it) raises ``ValueError``.
+        ``(1 + 2**-16) * 2 * sqrt(window_size)`` (no MPdist exceeds
+        ``2 * sqrt(window_size)``) raises ``ValueError``.
     workers : int, optional
         Threads each segment's profile is split across (see
         :func:`~sniplab.mpdist.mpdist_profile`); defaults to the
@@ -267,8 +267,7 @@ def select_snippets(
     if workers is None:
         workers = env_workers()
     num_windows = series.n - params.snippet_size + 1
-    # Every MPdist entry lies in [0, 2 * sqrt(l)], which the codes span.
-    step = 2.0 * math.sqrt(params.window_size) / _CODE_MAX
+    top = 2.0 * math.sqrt(params.window_size)  # the largest MPdist entry
     if profiles is None:
         stats = compute_sliding_stats(series, params.window_size)
 
@@ -282,7 +281,7 @@ def select_snippets(
             raise ValueError(
                 f"got {len(profiles)} profiles for {num_segments} segments"
             )
-        cap = (_CODE_MAX + 1) * step
+        cap = (1 + 2**-16) * top  # spares a caller's last-bit rounding
         for i, profile in enumerate(profiles):
             if profile.segment_index != i:
                 raise ValueError(
@@ -300,7 +299,7 @@ def select_snippets(
     if profiles is not None:
         fetch = profiles.__getitem__
 
-    store = _ProfileStore(num_segments, num_windows, step)
+    store = _ProfileStore(num_segments, num_windows, top)
     round_one = np.empty(num_segments)
     maxima = np.empty(num_segments)
 
@@ -315,31 +314,30 @@ def select_snippets(
     nearest = _nearest_rows(profile_pass())
 
     # Round 1 runs on the exact areas of the pass.  Every later round
-    # bounds the areas from the store and recomputes exactly each
-    # candidate whose lower bound reaches the smallest upper bound.  A
-    # pruned candidate cannot be the float64 greedy's pick: the pick's
-    # area is at most every other area, so at most the smallest upper
-    # bound, and its lower bound is at most its area; a pruned lower
-    # bound exceeds that upper bound.  The same holds for a candidate
-    # tied with the pick, so the lowest index among the recomputed
-    # equals the float64 argmin.  (`_ProfileStore.bounds` says why code
-    # rounding and summation order stay inside the bounds.)
+    # bounds the areas from below from the store and takes the exact
+    # area A* of the unchosen segment with the smallest bound (the
+    # probe), then of every other segment whose bound is at most A*.  A
+    # pruned segment cannot be the float64 greedy's pick, whose area is
+    # at most A* and at least its bound; nor can a segment tied with the
+    # pick.  So the smallest (area, index) measured is the float64 argmin.
     chosen: dict[int, MPdistProfile] = {}  # segment index -> profile, in pick order
     curve = np.full(num_windows, np.inf)
     scratch = np.empty(num_windows)
     for _ in range(num_snippets):
         if chosen:
-            lower, upper = store.bounds(curve, scratch)
-            lower[list(chosen)] = upper[list(chosen)] = np.inf
-            candidates = np.flatnonzero(lower <= upper.min())
+            lower = store.lower_bounds(curve)
+            lower[list(chosen)] = np.inf
+            probe = int(np.argmin(lower))
+            best = fetch(probe)
+            best_area = np.minimum(best.values, curve, out=scratch).sum()
+            lower[probe] = np.inf
+            for index in np.flatnonzero(lower <= best_area):
+                profile = fetch(int(index))
+                area = np.minimum(profile.values, curve, out=scratch).sum()
+                if (area, index) < (best_area, best.segment_index):
+                    best, best_area = profile, area
         else:
-            candidates = [np.argmin(round_one)]
-        best, best_area = None, np.inf
-        for index in candidates:
-            profile = fetch(int(index))
-            area = np.minimum(profile.values, curve, out=scratch).sum()
-            if best is None or area < best_area:
-                best, best_area = profile, area
+            best = fetch(int(np.argmin(round_one)))
         chosen[best.segment_index] = best
         np.minimum(curve, best.values, out=curve)
 

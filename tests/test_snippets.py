@@ -149,8 +149,8 @@ class TestSelectSnippets:
             select_snippets(series, params, 2, profiles=profiles)
 
     def test_profile_beyond_code_range_rejected(self):
-        # The codes place an entry v below (floor(v / step) + 1) * step
-        # only for v < 65536 * step = 65536 / 65535 * 2 * sqrt(l).
+        # No MPdist of window size l exceeds 2 * sqrt(l); an entry more
+        # than a relative 2**-16 above it is not a profile of this series.
         rng = np.random.default_rng(15)
         series = TimeSeries(random_series(rng, 200))
         params = MPdistParams(snippet_size=20)
@@ -168,7 +168,7 @@ class TestSelectSnippets:
     def test_profiles_held_once(self):
         # 500 segments of 3,993 windows: 16 MB of float64 profiles.  With
         # more segments than the profile width (5) they are held as
-        # 16-bit codes, a quarter of that, and nothing else of their size.
+        # 8-bit codes, an eighth of that, and nothing else of their size.
         rng = np.random.default_rng(12)
         series = TimeSeries(random_series(rng, 4000))
         params = MPdistParams(snippet_size=8)
@@ -179,7 +179,7 @@ class TestSelectSnippets:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 0.35 * profile_bytes
+        assert peak <= 0.2 * profile_bytes
 
     def test_neighbors_are_window_starts(self):
         rng = np.random.default_rng(9)
@@ -211,7 +211,7 @@ def _selection_case(draw):
 
     Flavors: plain noise; a noise-free tiled pattern, whose segment
     profiles tie bit for bit; the same pattern perturbed by 1e-12 to
-    1e-6, whose profiles share all or most of their 16-bit codes but not
+    1e-6, whose profiles share all or most of their 8-bit codes but not
     their bits; values rounded to a coarse grid at a 1e3 offset, so
     windows repeat exactly; noise with constant runs.  The segment count
     falls on either side of the profile width, so ``select_snippets``
@@ -308,6 +308,29 @@ class TestExactSelection:
         chosen, *_ = stacked_selection(np.vstack([p.values for p in profiles]), 3)
         assert sorted(s.index for s in result.snippets) == sorted(chosen)
 
+    def test_bounded_rounds_recompute_few(self, monkeypatch):
+        # The bench's recipe at n = 4,000: period-8 sine and sawtooth
+        # regimes alternating every 256 points, noise 0.05, offset 1e3.
+        # The pass profiles the 500 segments; round 1's pick and each of
+        # the three bounded rounds' probes and survivors are profiled
+        # again.  That made 9 to 23 more calls over these seeds; codes on
+        # a linear 8-bit scale (step 2 * sqrt(l) / 255) make 133 to 231.
+        n = 4000
+        phase = np.arange(n) % 8 / 8
+        regime = (np.arange(n) // 256) % 2
+        clean = np.where(regime == 0, np.sin(2 * np.pi * phase), 2 * phase - 1) + 1e3
+        params = MPdistParams(snippet_size=8)
+        calls = []
+        profile = snippets.mpdist_profile
+        monkeypatch.setattr(
+            snippets, "mpdist_profile", lambda *a, **kw: calls.append(a[1]) or profile(*a, **kw)
+        )
+        for seed in range(4):
+            noise = 0.05 * np.random.default_rng(seed).standard_normal(n)
+            calls.clear()
+            select_snippets(TimeSeries(clean + noise), params, 4)
+            assert 500 < len(calls) <= 500 + 40
+
     @pytest.mark.parametrize("num_snippets", [2, 3])
     def test_rows_within_profile_width_profiled_once(self, monkeypatch, num_snippets):
         # 8 segments, no more than the profile width: every float64 row
@@ -330,16 +353,16 @@ class TestExactSelection:
         assert calls == []
 
     def test_bound_margin_keeps_float64_ties(self):
-        # Entry codes[s][j] * step moved by ulps[s][j] ulps, with the
-        # l = 1 code step.  Segment 2 wins round 1.  In round 2 segment
-        # 1 lies 3 ulps below the curve at entry 2 and segment 0 nowhere,
+        # Entry codes[s][j] * step moved by ulps[s][j] ulps, on a grid of
+        # step 2 / 65535.  Segment 2 wins round 1.  In round 2 segment 1
+        # lies 3 ulps below the curve at entry 2 and segment 0 nowhere,
         # but their float64 areas round to the same sum, so the tie goes
-        # to segment 0.  Segment 1's code upper bound still falls a few
-        # ulps below segment 0's lower bound: without the widening in
-        # _ProfileStore.bounds segment 0 is pruned and segment 1 picked.
+        # to segment 0.  The entries sit within ulps of each other, so
+        # the round's lower bounds must keep both segments, and the pick
+        # must take the lower index among equal float64 areas.
         codes = [[9, 25, 34, 50, 9], [14, 40, 8, 35, 2], [3, 23, 8, 23, 2]]
         ulps = [[0, -3, -3, 0, -2], [-1, 3, -2, -2, 2], [-2, 1, 1, 2, -3]]
-        step = 2.0 / snippets._CODE_MAX
+        step = 2.0 / 65535
         matrix = np.empty((3, 5))
         for (s, j), code in np.ndenumerate(codes):
             value = code * step
@@ -356,6 +379,34 @@ class TestExactSelection:
         chosen, *_ = stacked_selection(matrix, 2)
         assert chosen == [2, 0]
         assert sorted(s.index for s in result.snippets) == [0, 2]
+
+
+class TestProfileCodes:
+    @given(
+        st.integers(min_value=1, max_value=1 << 20),
+        st.lists(st.floats(min_value=0.0, max_value=1e300), max_size=16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_code_edges_bracket_entries(self, window_size, drawn):
+        # Every code edge and one ulp either side of it, 0, subnormals,
+        # the smallest normal, 2 * sqrt(l) and values up to 1e300.
+        top = 2.0 * math.sqrt(window_size)
+        specials = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, top, 1e300, *drawn]
+        store = snippets._ProfileStore(1, 3 * (256 + len(specials)), top)
+        lo = store.lo
+        assert lo[0] == 0.0 and np.all(np.diff(lo) > 0)
+        assert lo[254] <= top < lo[255]
+        points = np.concatenate([lo, specials])
+        values = np.concatenate(
+            [points, np.nextafter(points, 0.0), np.nextafter(points, np.inf)]
+        )
+        store.keep(MPdistProfile(segment_index=0, values=values))
+        codes = store.codes[0].astype(np.intp)
+        np.testing.assert_array_equal(codes[:256], np.arange(256))
+        assert codes[256 + specials.index(top)] == 254
+        assert np.all(lo[codes] <= values)
+        below = codes < 255
+        assert np.all(values[below] < lo[codes[below] + 1])
 
 
 class TestWorkers:
