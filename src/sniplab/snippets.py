@@ -10,11 +10,11 @@ each snippet its neighbor set and coverage fraction.
 
 All profiles together are n²/m entries, too many to hold in float64
 for small m on a long series.  They are held as 8-bit codes cut from
-each entry's float64 bits; each greedy round after the first bounds
-every area from below from the codes and takes exact areas only for
-the segments whose bound does not exceed the smallest bound's exact
-area, from float64 rows that are held or recomputed, so the result is
-still bit for bit the float64 greedy's.
+each entry's float64 bits.  Every greedy round bounds each area from
+below (round 1 by its exact area, later rounds from the codes) and
+takes exact areas, from float64 rows that are held or recomputed, in
+increasing bound order until a bound passes the smallest area so far,
+so the result is still bit for bit the float64 greedy's.
 """
 
 from __future__ import annotations
@@ -224,17 +224,17 @@ def select_snippets(
     index, and the chosen snippets are ordered by descending coverage
     fraction.
 
-    Each segment is profiled once, in one streaming pass that takes its
-    exact round-1 area, its largest entry and its share of the
-    attribution, and keeps the profile as 8-bit codes (1 byte per entry
-    instead of 8).  Every later round bounds all areas from below from
-    the codes and takes exact areas only for the segment with the
-    smallest bound and those whose bound does not exceed its area.
-    Their float64 rows, round 1's pick included, are read from
-    ``profiles`` when given, and all of them are held when there are no
-    more segments than ``params.profile_width`` (they then cost no more
-    than profiling a single segment); otherwise each is recomputed.  The
-    picks, curve and attribution are bit for bit the float64 greedy's.
+    Each segment is profiled in one streaming pass that takes its exact
+    round-1 area, its largest entry and its share of the attribution,
+    and keeps the profile as 8-bit codes (1 byte per entry instead of
+    8).  Every round takes exact areas in increasing (lower bound,
+    index) order until a bound passes the smallest (area, index) so
+    far; later rounds bound the areas from the codes.  The float64 rows
+    it reads come from ``profiles`` when given, and all of them are held
+    when there are no more segments than ``params.profile_width`` (they
+    then cost no more than profiling a single segment); otherwise each
+    is recomputed.  The picks, curve and attribution are bit for bit
+    the float64 greedy's.
 
     Parameters
     ----------
@@ -253,7 +253,7 @@ def select_snippets(
         Threads each segment's profile is split across (see
         :func:`~sniplab.mpdist.mpdist_profile`); defaults to the
         ``SNIPLAB_WORKERS`` environment variable, else 1.  The result
-        does not depend on it.
+        does not depend on it; a count below 1 raises ``ValueError``.
 
     Returns
     -------
@@ -266,6 +266,8 @@ def select_snippets(
         )
     if workers is None:
         workers = env_workers()
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     num_windows = series.n - params.snippet_size + 1
     top = 2.0 * math.sqrt(params.window_size)  # the largest MPdist entry
     if profiles is None:
@@ -300,26 +302,23 @@ def select_snippets(
         fetch = profiles.__getitem__
 
     store = _ProfileStore(num_segments, num_windows, top)
-    round_one = np.empty(num_segments)
+    lower = np.empty(num_segments)  # round 1's bounds are its exact areas
     maxima = np.empty(num_segments)
 
     def profile_pass():
         for i in range(num_segments):
             profile = fetch(i)
-            round_one[i] = profile.values.sum()
+            lower[i] = profile.values.sum()
             maxima[i] = profile.values.max()
             store.keep(profile)
             yield profile.values
 
     nearest = _nearest_rows(profile_pass())
 
-    # Round 1 runs on the exact areas of the pass.  Every later round
-    # bounds the areas from below from the store and takes the exact
-    # area A* of the unchosen segment with the smallest bound (the
-    # probe), then of every other segment whose bound is at most A*.  A
-    # pruned segment cannot be the float64 greedy's pick, whose area is
-    # at most A* and at least its bound; nor can a segment tied with the
-    # pick.  So the smallest (area, index) measured is the float64 argmin.
+    # Every round takes exact areas in (bound, index) order and stops at
+    # the first bound past the smallest (area, index) so far.  An
+    # unscanned segment has (area, index) >= (bound, index) > that, so
+    # the smallest measured is the float64 argmin.
     chosen: dict[int, MPdistProfile] = {}  # segment index -> profile, in pick order
     curve = np.full(num_windows, np.inf)
     scratch = np.empty(num_windows)
@@ -327,17 +326,14 @@ def select_snippets(
         if chosen:
             lower = store.lower_bounds(curve)
             lower[list(chosen)] = np.inf
-            probe = int(np.argmin(lower))
-            best = fetch(probe)
-            best_area = np.minimum(best.values, curve, out=scratch).sum()
-            lower[probe] = np.inf
-            for index in np.flatnonzero(lower <= best_area):
-                profile = fetch(int(index))
-                area = np.minimum(profile.values, curve, out=scratch).sum()
-                if (area, index) < (best_area, best.segment_index):
-                    best, best_area = profile, area
-        else:
-            best = fetch(int(np.argmin(round_one)))
+        best_area, best_index = np.inf, num_segments
+        for index in np.argsort(lower, kind="stable"):
+            if (lower[index], index) > (best_area, best_index):
+                break
+            profile = fetch(int(index))
+            area = np.minimum(profile.values, curve, out=scratch).sum()
+            if (area, index) < (best_area, best_index):
+                best, best_area, best_index = profile, area, index
         chosen[best.segment_index] = best
         np.minimum(curve, best.values, out=curve)
 

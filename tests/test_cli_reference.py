@@ -4,7 +4,8 @@ Every case re-runs one command on the CLI tests' reference series and
 compares the text of each file it writes with ``tests/data/cli_reference/``
 exactly.  No BLAS call is on the output path, so the bytes are the same
 on every CPU; ``discover-m128`` is the case whose picks read diagonals
-that start in column 0 of the distance matrix.
+that start in column 0 of the distance matrix, and ``discover-k8`` runs
+seven bounded greedy rounds over 64 segments.
 
 After a deliberate change of output, rewrite the reference files with
 
@@ -27,6 +28,7 @@ REFERENCE_DIR = Path(__file__).parent / "data" / "cli_reference"
 CASES = {
     "discover-k2": ["discover", "--m", "16", "--k", "2"],
     "discover-k3": ["discover", "--m", "16", "--k", "3"],
+    "discover-k8": ["discover", "--m", "8", "--k", "8"],
     "discover-m128": ["discover", "--m", "128", "--k", "2"],
     "label-k2": ["label", "--m", "16", "--k", "2"],
     "sweep-k2": ["sweep", "--m-min", "8", "--m-max", "64", "--k", "2", "--no-log"],

@@ -28,6 +28,16 @@ def _tiled(pattern, reps):
     return TimeSeries(np.tile(np.asarray(pattern, dtype=np.float64), reps))
 
 
+def _count_profiles(monkeypatch):
+    """The segment index of every ``mpdist_profile`` call ``snippets`` makes from now on."""
+    calls = []
+    profile = snippets.mpdist_profile
+    monkeypatch.setattr(
+        snippets, "mpdist_profile", lambda *a, **kw: calls.append(a[1]) or profile(*a, **kw)
+    )
+    return calls
+
+
 class TestSegment:
     def test_even_split(self):
         assert segment_count(TimeSeries(np.arange(8.0)), 2) == 4
@@ -241,7 +251,7 @@ def _selection_case(draw):
                 start = int(rng.integers(0, n - 1))
                 values[start : start + int(rng.integers(2, m + 2))] = values[start]
     params = MPdistParams(snippet_size=m, k=draw(st.sampled_from([None, 1, 3])))
-    num_snippets = draw(st.integers(min_value=1, max_value=min(5, num_segments)))
+    num_snippets = draw(st.integers(min_value=1, max_value=min(8, num_segments)))
     return TimeSeries(values), params, num_snippets
 
 
@@ -297,34 +307,41 @@ class TestExactSelection:
         series = TimeSeries(np.tile(pattern, 40) + 1e-12 * rng.standard_normal(640))
         params = MPdistParams(snippet_size=16)
         profiles = segment_profiles(series, params)
-        calls = []
-        profile = snippets.mpdist_profile
-        monkeypatch.setattr(
-            snippets, "mpdist_profile", lambda *a, **kw: calls.append(a[1]) or profile(*a, **kw)
-        )
+        calls = _count_profiles(monkeypatch)
         result = select_snippets(series, params, 3)
         assert len(calls) > len(profiles) + 2
         _assert_same_result(result, select_snippets(series, params, 3, profiles=profiles))
         chosen, *_ = stacked_selection(np.vstack([p.values for p in profiles]), 3)
         assert sorted(s.index for s in result.snippets) == sorted(chosen)
 
+    def test_round_one_ties_cost_one_profile(self, monkeypatch):
+        # A noise-free tiled series: the 50 segments' round-1 areas take
+        # only 2 distinct values.  The scan stops at the second segment,
+        # whose (bound, index) passes the first's (area, index), so round
+        # 1 profiles one segment beyond the pass; a stop rule on the bound
+        # alone would measure every tied segment, 99 calls in all.
+        t = np.arange(8)
+        series = _tiled(np.sin(2 * np.pi * t / 8) + t / 8, 50)
+        params = MPdistParams(snippet_size=8)
+        calls = _count_profiles(monkeypatch)
+        result = select_snippets(series, params, 1)
+        assert len(calls) == 51
+        assert [s.index for s in result.snippets] == [0]
+
     def test_bounded_rounds_recompute_few(self, monkeypatch):
         # The bench's recipe at n = 4,000: period-8 sine and sawtooth
         # regimes alternating every 256 points, noise 0.05, offset 1e3.
-        # The pass profiles the 500 segments; round 1's pick and each of
-        # the three bounded rounds' probes and survivors are profiled
-        # again.  That made 9 to 23 more calls over these seeds; codes on
-        # a linear 8-bit scale (step 2 * sqrt(l) / 255) make 133 to 231.
+        # The pass profiles the 500 segments; every round profiles again
+        # the segments it scans before a bound passes the best area, one
+        # in round 1.  That made 9 to 23 more calls over these seeds;
+        # codes on a linear 8-bit scale (step 2 * sqrt(l) / 255) make 133
+        # to 231.
         n = 4000
         phase = np.arange(n) % 8 / 8
         regime = (np.arange(n) // 256) % 2
         clean = np.where(regime == 0, np.sin(2 * np.pi * phase), 2 * phase - 1) + 1e3
         params = MPdistParams(snippet_size=8)
-        calls = []
-        profile = snippets.mpdist_profile
-        monkeypatch.setattr(
-            snippets, "mpdist_profile", lambda *a, **kw: calls.append(a[1]) or profile(*a, **kw)
-        )
+        calls = _count_profiles(monkeypatch)
         for seed in range(4):
             noise = 0.05 * np.random.default_rng(seed).standard_normal(n)
             calls.clear()
@@ -341,11 +358,7 @@ class TestExactSelection:
         params = MPdistParams(snippet_size=40)
         assert 8 <= params.profile_width
         profiles = segment_profiles(series, params)
-        calls = []
-        profile = snippets.mpdist_profile
-        monkeypatch.setattr(
-            snippets, "mpdist_profile", lambda *a, **kw: calls.append(a[1]) or profile(*a, **kw)
-        )
+        calls = _count_profiles(monkeypatch)
         select_snippets(series, params, num_snippets)
         assert calls == list(range(8))
         calls.clear()
@@ -408,6 +421,25 @@ class TestProfileCodes:
         below = codes < 255
         assert np.all(values[below] < lo[codes[below] + 1])
 
+    def test_lower_bounds_cover_any_summation_order(self):
+        # Every entry sits on a code edge, so each bound term equals the
+        # exact term min(v, curve) and only the order of summing differs.
+        # The (N + 8) * eps shrink must leave every bound at or below the
+        # same terms summed in any order; unshrunk, the blocked sums pass
+        # one of these sequential sums on most rows.
+        rng = np.random.default_rng(35)
+        num_segments, num_windows, top = 64, 20_000, 2.0 * math.sqrt(4)
+        store = snippets._ProfileStore(num_segments, num_windows, top)
+        rows = store.lo[rng.integers(0, 255, size=(num_segments, num_windows))]
+        for segment, row in enumerate(rows):
+            store.keep(MPdistProfile(segment_index=segment, values=row))
+        curve = rng.uniform(0.0, top, num_windows)
+        for bound, row in zip(store.lower_bounds(curve), rows):
+            terms = np.minimum(row, curve)
+            ascending = np.sort(terms)
+            for order in (terms, terms[::-1], ascending, ascending[::-1]):
+                assert bound <= np.cumsum(order)[-1]
+
 
 class TestWorkers:
     @given(_selection_case())
@@ -423,6 +455,19 @@ class TestWorkers:
                 _assert_same_result(
                     select_snippets(series, params, num_snippets, workers=workers), solo
                 )
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_bad_count_rejected_before_any_work(self, monkeypatch, workers):
+        # With profiles= no segment is profiled and the count is never
+        # used, yet it is still an error, raised before any profiling.
+        series = TimeSeries(random_series(np.random.default_rng(3), 200))
+        params = MPdistParams(snippet_size=10)
+        profiles = segment_profiles(series, params)
+        calls = _count_profiles(monkeypatch)
+        for given in (None, profiles):
+            with pytest.raises(ValueError, match=f"need at least one worker, got {workers}"):
+                select_snippets(series, params, 2, profiles=given, workers=workers)
+        assert calls == []
 
     def test_default_reads_env(self, monkeypatch):
         series = TimeSeries(random_series(np.random.default_rng(3), 200))
