@@ -172,7 +172,7 @@ def evaluate(pred: LabelSequence, truth: LabelSequence) -> EvalReport:
 def read_labels(path) -> LabelSequence:
     """Read a labels file: one 64-bit integer per line."""
     values = []
-    with open(path) as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

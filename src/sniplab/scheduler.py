@@ -62,7 +62,7 @@ class Schedule:
         return max(self.predicted_loads)
 
 
-def _check_weights(weights) -> list[Fraction]:
+def _check_weights(weights, num_parts: int) -> list[Fraction]:
     vals = []
     for i, w in enumerate(weights):
         if not 0 <= w < math.inf:
@@ -70,6 +70,8 @@ def _check_weights(weights) -> list[Fraction]:
         vals.append(Fraction(w))
     if not vals:
         raise ValueError("no weights given")
+    if num_parts < 1:
+        raise ValueError(f"need at least one part, got {num_parts}")
     return vals
 
 
@@ -120,9 +122,7 @@ def kk_partition(weights, num_parts: int) -> Schedule:
     -------
     Schedule
     """
-    vals = _check_weights(weights)
-    if num_parts < 1:
-        raise ValueError(f"need at least one part, got {num_parts}")
+    vals = _check_weights(weights, num_parts)
     parts, difference = _multiway_kk(vals, num_parts)
 
     loads = [sum((vals[i] for i in part), Fraction(0)) for part in parts]
@@ -142,9 +142,7 @@ def kk_partition(weights, num_parts: int) -> Schedule:
 
 def lpt_partition(weights, num_parts: int) -> Schedule:
     """Longest-processing-time baseline: heaviest job to the lightest worker."""
-    vals = _check_weights(weights)
-    if num_parts < 1:
-        raise ValueError(f"need at least one part, got {num_parts}")
+    vals = _check_weights(weights, num_parts)
     loads = [(Fraction(0), w) for w in range(num_parts)]
     heapq.heapify(loads)
     parts: list[list[int]] = [[] for _ in range(num_parts)]

@@ -99,7 +99,7 @@ def load_series(path, column: int = 0) -> TimeSeries:
 
     values: list[float] = []
     row_no = 0
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         try:
             for row_no, row in enumerate(csv.reader(handle), start=1):
                 if not row or all(not cell.strip() for cell in row):

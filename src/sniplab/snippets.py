@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mpdist import MPdistParams, MPdistProfile, mpdist_profile
+from .mpdist import _BLOCK_BYTES, MPdistParams, MPdistProfile, mpdist_profile
 from .series import TimeSeries
 from .zdist import compute_sliding_stats
 
@@ -165,9 +165,6 @@ class _ProfileStore:
 
     SHIFT = 52 - 5
 
-    # Decoded entries per block when bounding areas.
-    BLOCK_ENTRIES = 1 << 15
-
     def __init__(self, num_segments, num_windows, top):
         self.offset = int(np.float64(top).view(np.int64) >> self.SHIFT) - 254
         edges = (np.arange(256, dtype=np.int64) + self.offset) << self.SHIFT
@@ -194,7 +191,9 @@ class _ProfileStore:
         rounded by a relative ``eps``, leaves it at or below that area.
         """
         num_segments, num_windows = self.codes.shape
-        rows = max(1, self.BLOCK_ENTRIES // num_windows)
+        # A decoded entry takes 16 bytes: its float64 and the intp index
+        # np.take casts its code to.
+        rows = max(1, _BLOCK_BYTES // (16 * num_windows))
         decoded = np.empty((rows, num_windows))
         lower = np.empty(num_segments)
         for start in range(0, num_segments, rows):

@@ -3,14 +3,14 @@
 The kernel computes, for the i-th length-``subseq_len`` window of a
 segment, its Pearson correlation ``rho`` with every length-``subseq_len``
 window of the series, from mean-centred cross products: the first row
-and column by elementwise passes, every other entry by SCAMP's O(1)
-diagonal update (Zimmerman et al., "Matrix Profile XIV", SoCC 2019),
-over a series centred on its own mean, so an offset as large as the
-samples allow costs no precision.  No BLAS call, whose kernel varies by
-CPU, is on the path.  The module owns the window statistics it reads
-(:class:`SlidingStats`, built once per search by
+and column, where every diagonal starts, by elementwise passes, every
+other entry by SCAMP's O(1) diagonal update (Zimmerman et al., "Matrix
+Profile XIV", SoCC 2019), over a series centred on its own mean, so an
+offset as large as the samples allow costs no precision.  No BLAS call,
+whose kernel varies by CPU, is on the path.  The module owns the window
+statistics it reads (:class:`SlidingStats`, built once per search by
 :func:`compute_sliding_stats`), and each kernel call computes its own
-first row over just the columns it reads.
+first row and column for just the diagonals that reach its columns.
 Distances follow from the correlation identity
 
     dist = sqrt(2 * subseq_len * (1 - rho))
@@ -222,15 +222,16 @@ def neg_correlations(
     differ in its last bits from the same query computed on its own
     (``num_rows=1``).
 
-    A column range ``[start, stop)`` runs the update from column
-    ``start - (num_rows - 1)`` (at least 0) of row 0, whose cross
-    products are computed over just those columns, and row ``i``
-    keeps only the diagonals that reach the range by the last row.
-    Row ``i`` reaches column ``j`` along the diagonal from column
-    ``j - i`` of row 0 or from column 0 of row ``i - j``, so every entry
-    in the range takes the same float operations as when all columns
-    are computed, and the rows are the same bits as that matrix's
-    columns ``start`` to ``stop``.
+    Every diagonal starts in row 0 or column 0, and both kinds of start
+    are seeded before the first update.  A column range ``[start,
+    stop)`` keeps only the diagonals that reach it by the last row:
+    row 0's cross products from column ``start - (num_rows - 1)`` (at
+    least 0) on, and column 0's for rows 1 to ``num_rows - 1 - start``
+    (none once ``start >= num_rows - 1``).  Row ``i >= 1`` then updates
+    its columns from ``max(1, start - (num_rows - 1 - i))`` on.  Every
+    entry in the range takes the same float operations as when all
+    columns are computed, so the rows are the same bits as that
+    matrix's columns ``start`` to ``stop``.
 
     ``-rho`` is ``-cov / sqrt(sumsq[j] * sumsq[q])`` rather than a product
     of inverse norms.  In row 0, a window bit-equal to the query has
@@ -260,24 +261,24 @@ def neg_correlations(
     col_sumsq = sumsq[start:stop]
     constant = np.flatnonzero(col_sumsq == 0.0)
     out = np.empty((num_rows, width))
-    # Diagonal j - i of row i sits at buffer[j - i + lead]; row 0 fills
-    # it from column ``halo`` on.
+    # Diagonal j - i of row i sits at buffer[j - i + lead].  Row 0 seeds
+    # it from column ``halo`` on, and column 0 of rows 1 to ``lead``
+    # seeds the diagonals that start there, reversed, in buffer[:lead].
     lead = num_rows - 1 - start
     halo = max(0, -lead)
     buffer, scratch = np.empty((2, width + num_rows - 1))
     np.negative(_sliding_dots(stats, first_query, halo, stop), out=buffer[halo + lead :])
-    column0 = _sliding_dots(stats, 0, first_query, first_query + num_rows)
+    if lead > 0:
+        column0 = _sliding_dots(stats, 0, first_query + 1, first_query + lead + 1)
+        np.negative(column0[::-1], out=buffer[:lead])
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(num_rows):
             query = first_query + i
             if i:
-                # Columns [lo, stop) of this row still reach the range.
-                lo = max(0, start - (num_rows - 1 - i))
+                # Columns [lo, stop) of this row still reach the range;
+                # column 0 is seeded.
+                lo = max(1, start - (num_rows - 1 - i))
                 cov = buffer[lo - i + lead : stop - i + lead]
-                if lo == 0:
-                    cov[0] = -column0[i]
-                    cov = cov[1:]
-                    lo = 1
                 term = scratch[: cov.size]
                 np.multiply(dg[lo:stop], df[query], out=term)
                 np.subtract(cov, term, out=cov)

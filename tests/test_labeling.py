@@ -204,6 +204,11 @@ class TestLabelFiles:
         with pytest.raises(ValueError, match="line 3"):
             read_labels(path)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_bytes(b"\xef\xbb\xbf0\n1\n")
+        np.testing.assert_array_equal(read_labels(path).labels, [0, 1])
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("\n\n")

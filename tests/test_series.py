@@ -76,6 +76,12 @@ class TestLoadSeries:
         s = load_series(path)
         np.testing.assert_array_equal(s.values, [1.0, 2.0])
 
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        # A UTF-8 BOM before a numeric first cell must not make it a header.
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.5\n")
+        np.testing.assert_array_equal(load_series(path).values, [1.5, 2.5, 3.5])
+
     def test_second_column(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("1.0,10.0\n2.0,20.0\n3.0,30.0\n")

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sniplab import MPdistParams, TimeSeries, compute_sliding_stats, distance_row, mpdist_profile
+from sniplab import zdist
 from sniplab.zdist import _sliding_dots, neg_correlations, segment_distance_matrix
 from oracles import naive_distance_row, znorm_euclid
 
@@ -201,7 +203,7 @@ class TestNegCorrelationColumns:
         full = neg_correlations(stats, first_query, num_rows)
         part = neg_correlations(stats, first_query, num_rows, columns=(start, stop))
         assert part.shape == (num_rows, stop - start)
-        assert np.all(part == full[:, start:stop])
+        assert np.array_equal(part.view(np.int64), full[:, start:stop].view(np.int64))
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -237,6 +239,28 @@ class TestNegCorrelationColumns:
         for i in range(num_rows):
             alone = neg_correlations(stats, first_query + i, 1, columns=(0, 1))
             assert rows[i, 0] == alone[0, 0], f"row {i}"
+
+    def test_column_zero_computed_only_where_a_diagonal_starts(self):
+        # Column 0 seeds the diagonals that start there, so a range that no
+        # such diagonal reaches by its last row, and a single row, take
+        # only row 0's cross products.
+        series = TimeSeries(np.random.default_rng(6).standard_normal(60))
+        stats = compute_sliding_stats(series, 8)
+        first_query = 20
+
+        def calls(run):
+            with mock.patch.object(zdist, "_sliding_dots", wraps=zdist._sliding_dots) as dots:
+                run()
+            return [tuple(call.args[1:]) for call in dots.call_args_list]
+
+        for start in (4, 10):
+            ranged = calls(lambda: neg_correlations(stats, first_query, 5, columns=(start, 30)))
+            assert ranged == [(first_query, max(0, start - 4), 30)]
+        assert calls(lambda: distance_row(series, stats, first_query, 0, 8)) == [(first_query, 0, 53)]
+        assert calls(lambda: neg_correlations(stats, first_query, 5, columns=(0, 30))) == [
+            (first_query, 0, 30),
+            (0, first_query + 1, first_query + 5),
+        ]
 
 
 @st.composite
