@@ -21,7 +21,7 @@ from .labeling import evaluate, label_series, read_labels, write_labels
 from .length_select import make_grid, select_length
 from .mpdist import MPdistParams
 from .series import load_series
-from .snippets import env_workers, export_curve_csv, export_profiles_csv, select_snippets
+from .snippets import export_curve_csv, export_profiles_csv, resolve_workers, select_snippets
 
 
 def _at_least(low: int):
@@ -221,9 +221,9 @@ def main(argv=None) -> int:
             parser.error(conflict)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if "workers" in args and args.workers is None:
+    if "workers" in args:
         try:
-            args.workers = env_workers()
+            args.workers = resolve_workers(args.workers)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -1,10 +1,10 @@
 """Per-point labeling from snippets, and scoring against ground truth.
 
 Each series window takes the id of the snippet whose profile value at
-that window is smallest, points take the label of the window starting
-at them, and the trailing points with no window of their own inherit
-the last window's label.  Snippet ids are positions in the result's
-ordering, so id 0 is the highest-coverage snippet.
+that window is smallest, and each point takes the label of the window
+centred on it, clipped to the first and last windows at the ends.
+Snippet ids are positions in the result's ordering, so id 0 is the
+highest-coverage snippet.
 
 Scoring counts one truth-by-predicted confusion matrix, matches
 predicted classes to truth classes greedily by its overlaps (ids carry
@@ -85,15 +85,17 @@ def label_series(result: SnippetResult) -> LabelSequence:
     Returns
     -------
     LabelSequence
-        Length matches the series.  Labels are snippet positions in
-        ``result.snippets`` (0 is the highest-coverage snippet);
-        profile ties go to the lower position.
+        Length matches the series.  Point ``t`` takes the label of
+        window ``clip(t - m // 2, 0, N - 1)`` of the N windows of length
+        m, the one centred on it, so a label change sits where a window
+        is half in each regime rather than m / 2 points later.  Labels
+        are snippet positions in ``result.snippets`` (0 is the
+        highest-coverage snippet); profile ties go to the lower position.
     """
     window_labels = _nearest_rows([p.values for p in result.profiles])
-    labels = np.empty(result.series_length, dtype=np.int64)
-    labels[: window_labels.size] = window_labels
-    labels[window_labels.size :] = window_labels[-1]
-    return LabelSequence(labels=labels)
+    points = np.arange(result.series_length) - result.snippet_size // 2
+    window = np.clip(points, 0, window_labels.size - 1)
+    return LabelSequence(labels=window_labels[window])
 
 
 def evaluate(pred: LabelSequence, truth: LabelSequence) -> EvalReport:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .mpdist import MPdistParams, default_window_size
 from .series import TimeSeries
-from .snippets import SnippetResult, env_workers, select_snippets
+from .snippets import SnippetResult, resolve_workers, select_snippets
 
 TRAINING_LOG_ENV = "SNIPLAB_TRAINING_LOG"
 
@@ -291,10 +291,7 @@ def run_schedule(
     sizes = [params.snippet_size for params in jobs]
     if len(set(sizes)) != len(sizes):
         raise ValueError(f"duplicate snippet lengths in job list: {sizes}")
-    if workers is None:
-        workers = env_workers()
-    if workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
+    workers = resolve_workers(workers)
     if training_log is None:
         training_log = os.environ.get(TRAINING_LOG_ENV)
     if training_log:

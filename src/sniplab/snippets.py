@@ -26,23 +26,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mpdist import _BLOCK_BYTES, MPdistParams, MPdistProfile, mpdist_profile
+from .mpdist import MPdistParams, MPdistProfile, mpdist_profile
 from .series import TimeSeries
 from .zdist import compute_sliding_stats
 
 WORKERS_ENV = "SNIPLAB_WORKERS"
 
 
-def env_workers() -> int:
-    """Worker count from ``SNIPLAB_WORKERS``, 1 when unset.
+def resolve_workers(workers: int | None = None) -> int:
+    """``workers`` if given, else ``SNIPLAB_WORKERS``, 1 when unset.
 
-    Raises ``ValueError`` naming the variable unless it is a positive
-    integer.
+    Raises ``ValueError`` for a given count below 1, or naming the
+    variable unless it is a positive integer.
     """
-    raw = os.environ.get(WORKERS_ENV, "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
-    return int(raw)
+    if workers is None:
+        raw = os.environ.get(WORKERS_ENV, "1")
+        if not raw.strip().isdecimal() or int(raw) < 1:
+            raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+        return int(raw)
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
+    return workers
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,9 @@ class _ProfileStore:
     zero, so ``lo[code(v)] <= v`` exactly for every finite ``v >= 0``,
     and ``v < lo[code(v) + 1]`` below code 255: 32 codes per octave.
     Code 0 has edge 0 and takes every entry below about ``2 * sqrt(l) /
-    240``; code 255 has no upper limit.  The store holds no float64 row.
+    240``; code 255 has no upper limit.  The store holds no float64 row;
+    ``lower_bounds`` decodes one segment at a time, into one float64 row
+    plus the intp copy of its codes that ``np.take`` indexes with.
     """
 
     SHIFT = 52 - 5
@@ -191,18 +197,13 @@ class _ProfileStore:
         rounded by a relative ``eps``, leaves it at or below that area.
         """
         num_segments, num_windows = self.codes.shape
-        # A decoded entry takes 16 bytes: its float64 and the intp index
-        # np.take casts its code to.
-        rows = max(1, _BLOCK_BYTES // (16 * num_windows))
-        decoded = np.empty((rows, num_windows))
+        row = np.empty(num_windows)
         lower = np.empty(num_segments)
-        for start in range(0, num_segments, rows):
-            stop = min(start + rows, num_segments)
-            block = decoded[: stop - start]
+        for i, codes in enumerate(self.codes):
             # Every code indexes lo, so "clip" clips nothing; unlike
-            # "raise", it writes straight into block.
-            np.take(self.lo, self.codes[start:stop], out=block, mode="clip")
-            lower[start:stop] = np.minimum(block, curve, out=block).sum(axis=1)
+            # "raise", it writes straight into row.
+            np.take(self.lo, codes, out=row, mode="clip")
+            lower[i] = np.minimum(row, curve, out=row).sum()
         return lower - (num_windows + 8) * np.finfo(np.float64).eps * lower
 
 
@@ -263,10 +264,7 @@ def select_snippets(
         raise ValueError(
             f"snippet count {num_snippets} out of range [1, {num_segments}]"
         )
-    if workers is None:
-        workers = env_workers()
-    if workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
+    workers = resolve_workers(workers)
     num_windows = series.n - params.snippet_size + 1
     top = 2.0 * math.sqrt(params.window_size)  # the largest MPdist entry
     if profiles is None:

@@ -61,20 +61,26 @@ class TestLabelSeries:
         assert set(np.unique(labels.labels)) == {0}
 
     def test_trailing_points_inherit_last_window(self):
+        # m = 16: point t takes window clip(t - 8, 0, N - 1), so the
+        # first 8 points take window 0 and the last 8 the last window.
         result, series, _ = self._result(block_len=128, num_snippets=2)
-        labels = label_series(result)
-        last_window = series.n - 16
-        assert np.all(labels.labels[last_window:] == labels.labels[last_window])
+        labels = label_series(result).labels
+        windows = np.argmin(np.stack([p.values for p in result.profiles]), axis=0)
+        num_windows = series.n - 16 + 1
+        assert np.all(labels[:8] == windows[0])
+        assert np.all(labels[-8:] == windows[num_windows - 1])
+        np.testing.assert_array_equal(labels[8 : num_windows + 8], windows)
 
     def test_boundaries_off_by_less_than_a_window(self):
-        # Noise-free regimes give exact argmin margins, so every label
-        # change must sit within one window of a true regime flip.
+        # Noise-free regimes give exact argmin margins, and each point
+        # is labelled by the window centred on it, so every label change
+        # must sit within one point of a true regime flip.
         result, _, regime = self._result(block_len=128, num_snippets=2, noise=0.0)
         labels = label_series(result).labels
         changes = np.flatnonzero(np.diff(labels)) + 1
         true_flips = np.flatnonzero(np.diff(regime)) + 1
         assert changes.size == true_flips.size
-        assert np.all(np.abs(changes - true_flips) < 16)
+        assert np.all(np.abs(changes - true_flips) <= 1)
 
 
 class TestEvaluate:
