@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .labeling import evaluate, label_series, read_labels, write_labels
@@ -89,16 +88,11 @@ def cmd_discover(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     series = load_series(args.input, column=args.column)
     grid = make_grid(args.m_min, args.m_max, rule=args.grid, step=args.step)
-    frac = args.l_frac
-
-    def window_rule(m: int) -> int:
-        return max(1, min(m, math.ceil(m * frac)))
-
     report, results = select_length(
         series,
         grid,
         args.k,
-        window_rule=window_rule,
+        l_frac=args.l_frac,
         workers=args.workers,
         training_log=False if args.no_log else args.training_log,
     )

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
 
 import numpy as np
 
-from .mpdist import MPdistParams, default_window_size
+from .mpdist import MPdistParams
 from .scheduler import run_schedule
 from .series import TimeSeries
 from .snippets import SnippetResult, segment_count
@@ -115,7 +114,7 @@ def select_length(
     grid,
     num_snippets: int,
     *,
-    window_rule: Callable[[int], int] = default_window_size,
+    l_frac: float = 0.5,
     workers: int | None = None,
     training_log=None,
 ) -> tuple[LengthReport, dict[int, SnippetResult]]:
@@ -128,8 +127,10 @@ def select_length(
         Candidate snippet lengths; duplicates are rejected.
     num_snippets : int
         Snippets per search.
-    window_rule : callable, optional
-        Maps a snippet length to its inner window length.
+    l_frac : float, optional
+        Inner window length as a fraction of each snippet length, in
+        (0, 1]: length ``m`` gets ``max(1, min(m, ceil(m * l_frac)))``,
+        which at 0.5 is ``default_window_size(m)``.
     workers : int, optional
         Worker processes for the searches, which take the lengths from
         a work queue in grid order; forwarded to the scheduler.
@@ -143,6 +144,8 @@ def select_length(
     results : dict
         The full search result per length, keyed by snippet length.
     """
+    if not 0.0 < l_frac <= 1.0:
+        raise ValueError(f"l_frac must be in (0, 1], got {l_frac}")
     grid = [int(m) for m in grid]
     if not grid:
         raise ValueError("length grid is empty")
@@ -159,7 +162,8 @@ def select_length(
                 f"snippet size {m} leaves {count} segments, "
                 f"fewer than the {num_snippets} snippets asked for"
             )
-    jobs = [MPdistParams(snippet_size=m, window_size=window_rule(m)) for m in grid]
+    windows = [max(1, min(m, int(np.ceil(m * l_frac)))) for m in grid]
+    jobs = [MPdistParams(snippet_size=m, window_size=w) for m, w in zip(grid, windows)]
     results = run_schedule(
         series, jobs, num_snippets, workers=workers, training_log=training_log
     )

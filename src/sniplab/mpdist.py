@@ -38,11 +38,9 @@ change by a bit.
 For ``k > 1`` each part selects in tiles of positions: it copies a
 tile's columns of the filtered rows (transposed) and its sliding
 windows of the column minima into the rows of one reused C-ordered
-block, and partitions the block along its rows.  A partition down the
-columns of a ``2 * width``-row merge buffer read every candidate at a
-stride of a whole row, a cache miss each; a tile's rows are contiguous
-and the tile stays in cache.  An order statistic is one of the
-candidates, so the tiling changes no value.
+block, and partitions the block along its rows.  Each tile's
+candidates are contiguous and the tile stays in cache.  An order
+statistic is one of the candidates, so the tiling changes no value.
 
 The column minima release the GIL for their whole call; the kernel,
 the row filter and the selection are a few numpy calls per row, block

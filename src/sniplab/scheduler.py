@@ -23,22 +23,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .mpdist import MPdistParams, default_window_size
+from .mpdist import MPdistParams
 from .series import TimeSeries
 from .snippets import SnippetResult, resolve_workers, select_snippets
 
 TRAINING_LOG_ENV = "SNIPLAB_TRAINING_LOG"
 
 
-def default_cost(series_length: int, snippet_size: int, window_size: int | None = None) -> float:
+def default_cost(series_length: int, snippet_size: int, window_size: int) -> float:
     """Operation-count estimate of one search.
 
     Counts one distance-matrix build per segment: each matrix has
     ``snippet_size - window_size + 1`` rows of
     ``series_length - window_size + 1`` columns.
     """
-    if window_size is None:
-        window_size = default_window_size(snippet_size)
     rows = snippet_size - window_size + 1
     cols = series_length - window_size + 1
     segments = series_length // snippet_size
@@ -73,6 +71,16 @@ def _check_weights(weights, num_parts: int) -> list[Fraction]:
     if num_parts < 1:
         raise ValueError(f"need at least one part, got {num_parts}")
     return vals
+
+
+def _schedule(vals: list[Fraction], parts) -> Schedule:
+    """The Schedule of ``parts``, with each part's exact load summed from ``vals``."""
+    loads = [sum((vals[i] for i in part), Fraction(0)) for part in parts]
+    return Schedule(
+        assignments=tuple(tuple(part) for part in parts),
+        predicted_loads=tuple(float(load) for load in loads),
+        difference=max(loads) - min(loads),
+    )
 
 
 def _multiway_kk(weights: list[Fraction], num_parts: int) -> tuple[list[tuple[int, ...]], Fraction]:
@@ -124,20 +132,15 @@ def kk_partition(weights, num_parts: int) -> Schedule:
     """
     vals = _check_weights(weights, num_parts)
     parts, difference = _multiway_kk(vals, num_parts)
-
-    loads = [sum((vals[i] for i in part), Fraction(0)) for part in parts]
+    schedule = _schedule(vals, parts)
     # The differencing value must agree with the reconstruction; exact
     # arithmetic makes this an equality, not an approximation.
-    if max(loads) - min(loads) != difference:
+    if schedule.difference != difference:
         raise RuntimeError(
-            f"partition reconstructs a load gap of {max(loads) - min(loads)}, "
+            f"partition reconstructs a load gap of {schedule.difference}, "
             f"not the differencing value {difference}"
         )
-    return Schedule(
-        assignments=tuple(tuple(part) for part in parts),
-        predicted_loads=tuple(float(load) for load in loads),
-        difference=difference,
-    )
+    return schedule
 
 
 def lpt_partition(weights, num_parts: int) -> Schedule:
@@ -150,12 +153,7 @@ def lpt_partition(weights, num_parts: int) -> Schedule:
         load, worker = heapq.heappop(loads)
         parts[worker].append(i)
         heapq.heappush(loads, (load + vals[i], worker))
-    totals = [sum((vals[i] for i in part), Fraction(0)) for part in parts]
-    return Schedule(
-        assignments=tuple(tuple(part) for part in parts),
-        predicted_loads=tuple(float(t) for t in totals),
-        difference=max(totals) - min(totals),
-    )
+    return _schedule(vals, parts)
 
 
 def _run_job(series: TimeSeries, params: MPdistParams, num_snippets: int):

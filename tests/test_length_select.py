@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,11 @@ from sniplab import (
     SnippetResult,
     TimeSeries,
     criterion_score,
+    default_window_size,
     make_grid,
     select_length,
 )
-from sniplab import scheduler
+from sniplab import length_select, scheduler
 from seriesgen import two_regime_series
 
 
@@ -155,6 +158,39 @@ class TestSelectLength:
                 select_length(
                     TimeSeries(values), grid, num_snippets, workers=1, training_log=False
                 )
+        assert calls == []
+
+    @staticmethod
+    def _windows(monkeypatch, **kwargs):
+        # Capture the jobs select_length hands the scheduler; run none.
+        jobs = []
+
+        def captured(series, batch, num_snippets, **_):
+            jobs.extend(batch)
+            raise LookupError("captured")
+
+        monkeypatch.setattr(length_select, "run_schedule", captured)
+        grid = range(2, 4097)
+        with pytest.raises(LookupError, match="captured"):
+            select_length(TimeSeries(np.arange(8192.0)), grid, 2, **kwargs)
+        assert [job.snippet_size for job in jobs] == list(grid)
+        return {job.snippet_size: job.window_size for job in jobs}
+
+    def test_default_window_rule(self, monkeypatch):
+        windows = self._windows(monkeypatch)
+        assert windows == {m: default_window_size(m) for m in windows}
+
+    @pytest.mark.parametrize("l_frac", [0.25, 1 / 3, 0.75, 1.0])
+    def test_window_fraction(self, monkeypatch, l_frac):
+        windows = self._windows(monkeypatch, l_frac=l_frac)
+        assert windows == {m: max(1, min(m, math.ceil(m * l_frac))) for m in windows}
+
+    @pytest.mark.parametrize("l_frac", [0.0, float("nan"), 1.5])
+    def test_bad_window_fraction_rejected_before_any_search(self, monkeypatch, l_frac):
+        calls = []
+        monkeypatch.setattr(length_select, "run_schedule", lambda *args, **kw: calls.append(args))
+        with pytest.raises(ValueError, match=r"l_frac must be in \(0, 1\]"):
+            select_length(TimeSeries(np.arange(64.0)), [8, 16], 2, l_frac=l_frac)
         assert calls == []
 
     def test_json_document(self):

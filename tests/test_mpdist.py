@@ -160,6 +160,11 @@ class TestMPdistProfile:
         with pytest.raises(ValueError):
             mpdist_profile(series, -1, params)
 
+    def test_snippet_longer_than_series(self):
+        series = TimeSeries(np.arange(40.0))
+        with pytest.raises(ValueError, match="snippet size 50 exceeds series length 40"):
+            mpdist_profile(series, 0, MPdistParams(snippet_size=50))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_naive_oracle(self, seed):
         rng = np.random.default_rng(100 + seed)
@@ -311,3 +316,8 @@ class TestMPdistProfileType:
     def test_rejects_negative(self, bad):
         with pytest.raises(ValueError, match="entry 0 is .*, not finite and >= 0"):
             MPdistProfile(segment_index=0, values=np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("values", [[], [[1.0, 2.0]]], ids=["empty", "2d"])
+    def test_rejects_empty_or_matrix(self, values):
+        with pytest.raises(ValueError, match="profile must be a non-empty vector"):
+            MPdistProfile(segment_index=0, values=np.asarray(values))

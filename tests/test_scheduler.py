@@ -31,9 +31,6 @@ class TestCostModel:
         # 1000-point series, m=100, l=50: 51 rows by 951 cols, 10 segments
         assert default_cost(1000, 100, 50) == 51.0 * 951.0 * 10.0
 
-    def test_default_cost_default_window(self):
-        assert default_cost(1000, 100) == default_cost(1000, 100, 50)
-
 
 class TestKKPartition:
     def test_classic_example(self):
@@ -68,6 +65,12 @@ class TestKKPartition:
     def test_negative_weight(self, partition, bad):
         with pytest.raises(ValueError, match="weight 1 is negative or not finite"):
             partition([1.0, bad], 2)
+
+    @pytest.mark.parametrize("partition", [kk_partition, lpt_partition])
+    @pytest.mark.parametrize("num_parts", [0, -1])
+    def test_no_parts(self, partition, num_parts):
+        with pytest.raises(ValueError, match=f"need at least one part, got {num_parts}"):
+            partition([1.0, 2.0], num_parts)
 
     def test_no_weights(self):
         with pytest.raises(ValueError, match="no weights"):
@@ -287,10 +290,18 @@ class TestRunSchedule:
             run_schedule(self._series(), jobs, 2, training_log=False)
 
     @pytest.mark.parametrize(
-        "bad_line", ['{"m": 8}', "[1, 2]", '{"m": 16, "n": 512, "seconds": NaN}']
+        "bad_line", ['{"m": 8}', "[1, 2]", '{"m": 16, "n": 512, "seconds": NaN}', "not json"]
     )
     def test_malformed_log_line(self, tmp_path, bad_line):
         log = tmp_path / "timings.jsonl"
         log.write_text('{"m": 8, "n": 512, "seconds": 0.1}\n' + bad_line + "\n")
         with pytest.raises(ValueError, match="line 2"):
             load_training_samples(log)
+
+    def test_blank_log_lines_skipped(self, tmp_path):
+        log = tmp_path / "timings.jsonl"
+        lines = ["", '{"m": 8, "n": 512, "seconds": 0.1}', "  ", '{"m": 16, "n": 512, "seconds": 0.3}']
+        log.write_text("\n".join(lines) + "\n")
+        sizes, seconds = load_training_samples(log)
+        np.testing.assert_array_equal(sizes, [8.0, 16.0])
+        np.testing.assert_array_equal(seconds, [0.1, 0.3])

@@ -94,6 +94,26 @@ class TestLoadSeries:
         with pytest.raises(ValueError, match="column"):
             load_series(path, column=4)
 
+    def test_negative_column(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("1.0\n2.0\n")
+        with pytest.raises(ValueError, match="column index must be non-negative, got -1"):
+            load_series(path, column=-1)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_row(self, tmp_path, cell):
+        path = tmp_path / "s.csv"
+        path.write_text(f"1.0\n2.0\n{cell}\n4.0\n")
+        with pytest.raises(ValueError, match=f"non-finite value '{cell}' at row 3"):
+            load_series(path)
+
+    @pytest.mark.parametrize("text, count", [("1.0\n", 1), ("value\n\n", 0)])
+    def test_fewer_than_two_samples(self, tmp_path, text, count):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"has {count} samples, need at least 2"):
+            load_series(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("1.0\n\n2.0\n\n")

@@ -150,6 +150,14 @@ class TestSelectSnippets:
         with pytest.raises(ValueError, match="profile 2 has length 50, expected 51"):
             select_snippets(series, params, 2, profiles=profiles)
 
+    def test_wrong_profile_count_rejected(self):
+        rng = np.random.default_rng(11)
+        series = TimeSeries(random_series(rng, 60))
+        params = MPdistParams(snippet_size=10)
+        profiles = segment_profiles(series, params)[:-1]
+        with pytest.raises(ValueError, match="got 5 profiles for 6 segments"):
+            select_snippets(series, params, 2, profiles=profiles)
+
     def test_profile_out_of_order_rejected(self):
         rng = np.random.default_rng(13)
         series = TimeSeries(random_series(rng, 200))

@@ -153,6 +153,19 @@ class TestSegmentDistanceMatrix:
                 mat[i], naive_distance_row(values, 12 + i, l), atol=1e-6
             )
 
+    def test_snippet_shorter_than_window(self):
+        series = TimeSeries(np.random.default_rng(5).standard_normal(100))
+        stats = compute_sliding_stats(series, 10)
+        with pytest.raises(ValueError, match="snippet size 5 is smaller than window length 10"):
+            segment_distance_matrix(series, stats, seg_start=0, snippet_size=5)
+
+    @pytest.mark.parametrize("seg_start", [-1, 90])
+    def test_segment_outside_series(self, seg_start):
+        series = TimeSeries(np.random.default_rng(5).standard_normal(100))
+        stats = compute_sliding_stats(series, 10)
+        with pytest.raises(ValueError, match=r"segment \[.*\) is outside a series of length 100"):
+            segment_distance_matrix(series, stats, seg_start=seg_start, snippet_size=20)
+
 
 
 @pytest.mark.parametrize("source_length", [400, 100])
