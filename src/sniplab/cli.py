@@ -20,7 +20,13 @@ from .labeling import evaluate, label_series, read_labels, write_labels
 from .length_select import make_grid, select_length
 from .mpdist import MPdistParams
 from .series import load_series
-from .snippets import export_curve_csv, export_profiles_csv, resolve_workers, select_snippets
+from .snippets import (
+    SnippetResult,
+    export_curve_csv,
+    export_profiles_csv,
+    resolve_workers,
+    select_snippets,
+)
 
 
 def _at_least(low: int):
@@ -66,22 +72,23 @@ def _emit_json(doc: dict, path: str | None) -> None:
             handle.write(text)
 
 
-def _discover_params(args: argparse.Namespace) -> MPdistParams:
-    return MPdistParams(
-        snippet_size=args.m,
-        window_size=args.l,
-        k=args.mpdist_k,
-    )
-
-
-def cmd_discover(args: argparse.Namespace) -> int:
+def _search(args: argparse.Namespace) -> SnippetResult:
     series = load_series(args.input, column=args.column)
-    result = select_snippets(series, _discover_params(args), args.k, workers=args.workers)
-    _emit_json(result.to_dict(), args.output)
+    params = MPdistParams(snippet_size=args.m, window_size=args.l, k=args.mpdist_k)
+    return select_snippets(series, params, args.k, workers=args.workers)
+
+
+def _export(result: SnippetResult, args: argparse.Namespace) -> None:
     if args.export_curve:
         export_curve_csv(result, args.export_curve)
     if args.export_profiles:
         export_profiles_csv(result, args.export_profiles)
+
+
+def cmd_discover(args: argparse.Namespace) -> int:
+    result = _search(args)
+    _emit_json(result.to_dict(), args.output)
+    _export(result, args)
     return 0
 
 
@@ -100,22 +107,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     winner = results[report.m_best]
     if args.output_snippets:
         _emit_json(winner.to_dict(), args.output_snippets)
-    if args.export_curve:
-        export_curve_csv(winner, args.export_curve)
-    if args.export_profiles:
-        export_profiles_csv(winner, args.export_profiles)
+    _export(winner, args)
     return 0
 
 
 def cmd_label(args: argparse.Namespace) -> int:
-    series = load_series(args.input, column=args.column)
-    result = select_snippets(series, _discover_params(args), args.k, workers=args.workers)
-    labels = label_series(result)
-    if args.output is None:
-        for value in labels.labels:
-            sys.stdout.write(f"{value}\n")
-    else:
-        write_labels(labels, args.output)
+    write_labels(label_series(_search(args)), args.output or sys.stdout)
     return 0
 
 
@@ -156,6 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"{what} (default: SNIPLAB_WORKERS or 1)")
 
     p = sub.add_parser("discover", help="find snippets at a fixed length")
+    p.set_defaults(run=cmd_discover)
     add_input(p)
     add_fixed_m(p)
     add_k(p)
@@ -165,6 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export-profiles", default=None, help="snippet profiles CSV")
 
     p = sub.add_parser("sweep", help="pick the snippet length from a grid")
+    p.set_defaults(run=cmd_sweep)
     add_input(p)
     add_k(p)
     add_output(p)
@@ -184,6 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export-profiles", default=None, help="winning profiles CSV")
 
     p = sub.add_parser("label", help="label every point with its nearest snippet")
+    p.set_defaults(run=cmd_label)
     add_input(p)
     add_fixed_m(p)
     add_k(p)
@@ -191,19 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_workers(p, "threads per segment profile")
 
     p = sub.add_parser("eval", help="score predicted labels against ground truth")
+    p.set_defaults(run=cmd_eval)
     p.add_argument("--pred", required=True, help="predicted labels CSV")
     p.add_argument("--truth", required=True, help="ground-truth labels CSV")
     add_output(p)
 
     return parser
-
-
-_COMMANDS = {
-    "discover": cmd_discover,
-    "sweep": cmd_sweep,
-    "label": cmd_label,
-    "eval": cmd_eval,
-}
 
 
 def main(argv=None) -> int:
@@ -222,7 +215,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -191,5 +191,5 @@ def read_labels(path) -> LabelSequence:
 
 
 def write_labels(labels: LabelSequence, path) -> None:
-    """Write labels as one integer per line."""
+    """Write labels as one integer per line to a path or an open text stream."""
     np.savetxt(path, labels.labels, fmt="%d")

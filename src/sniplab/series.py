@@ -67,8 +67,9 @@ def load_series(path, column: int = 0) -> TimeSeries:
     """Read one column of a CSV file into a :class:`TimeSeries`.
 
     The file holds one record per line with a period decimal separator.
-    A single header line is tolerated: if the selected cell of the first
-    row does not parse as a number, that row is skipped.
+    Blank rows are skipped.  A single header line is tolerated: if the
+    selected cell of the first non-blank row does not parse as a number,
+    that row is skipped.
 
     Parameters
     ----------
@@ -99,11 +100,13 @@ def load_series(path, column: int = 0) -> TimeSeries:
 
     values: list[float] = []
     row_no = 0
+    first_row = 0
     with open(path, newline="", encoding="utf-8-sig") as handle:
         try:
             for row_no, row in enumerate(csv.reader(handle), start=1):
                 if not row or all(not cell.strip() for cell in row):
                     continue
+                first_row = first_row or row_no
                 if column >= len(row):
                     raise ValueError(
                         f"column {column} out of range at row {row_no} ({len(row)} columns)"
@@ -112,7 +115,7 @@ def load_series(path, column: int = 0) -> TimeSeries:
                 try:
                     value = float(cell)
                 except ValueError:
-                    if row_no == 1:
+                    if row_no == first_row:
                         continue  # header line
                     raise ValueError(
                         f"non-numeric cell {cell!r} at row {row_no}, column {column}"

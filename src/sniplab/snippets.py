@@ -19,7 +19,6 @@ so the result is still bit for bit the float64 greedy's.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -370,8 +369,11 @@ def export_curve_csv(result: SnippetResult, path) -> None:
 
 def export_profiles_csv(result: SnippetResult, path) -> None:
     """Write the chosen snippets' profiles as columns, one header row."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"segment_{p.segment_index}" for p in result.profiles])
-        for row in np.column_stack([p.values for p in result.profiles]):
-            writer.writerow([f"{v:.17g}" for v in row])
+    np.savetxt(
+        path,
+        np.column_stack([p.values for p in result.profiles]),
+        fmt="%.17g",
+        delimiter=",",
+        header=",".join(f"segment_{p.segment_index}" for p in result.profiles),
+        comments="",
+    )

@@ -11,7 +11,8 @@ import pytest
 import sniplab
 from sniplab import cli, mpdist, scheduler
 from sniplab.cli import main
-from sniplab.series import save_series
+from sniplab.length_select import select_length
+from sniplab.series import load_series, save_series
 from sniplab import TimeSeries
 from seriesgen import two_regime_series
 
@@ -242,6 +243,42 @@ class TestSweep:
             outputs[workers] = (out_json.read_bytes(), snip_json.read_bytes())
         assert outputs["1"] == outputs["2"]
 
+    def test_winner_exports_equal_discover_exports(self, series_csv, tmp_path, capsys):
+        path, _ = series_csv
+
+        def run_with_exports(argv):
+            files = [tmp_path / f"{argv[0]}-curve.csv", tmp_path / f"{argv[0]}-profiles.csv"]
+            code, out, _ = _run(
+                argv + [
+                    "--input", str(path), "--k", "2", "--workers", "1",
+                    "--export-curve", str(files[0]), "--export-profiles", str(files[1]),
+                ],
+                capsys,
+            )
+            assert code == 0
+            return out, [f.read_bytes() for f in files]
+
+        out, swept = run_with_exports(["sweep", "--m-min", "8", "--m-max", "64", "--no-log"])
+        m_best = json.loads(out)["m_best"]
+        assert m_best == 32
+        _, discovered = run_with_exports(["discover", "--m", str(m_best)])
+        assert swept == discovered
+
+    def test_valid_l_frac(self, series_csv, capsys):
+        path, _ = series_csv
+        code, out, _ = _run(
+            [
+                "sweep", "--input", str(path), "--m-min", "8", "--m-max", "32", "--k", "2",
+                "--l-frac", "0.75", "--no-log", "--workers", "1",
+            ],
+            capsys,
+        )
+        assert code == 0
+        report, _ = select_length(
+            load_series(path), [8, 16, 32], 2, l_frac=0.75, training_log=False
+        )
+        assert out == json.dumps(report.to_dict(), indent=2) + "\n"
+
     def test_inverted_range_is_usage_error(self, series_csv, capsys):
         path, _ = series_csv
         code, _, err = _run(
@@ -367,6 +404,16 @@ class TestLabel:
         )
         assert code == 0
         assert out.split() == ["0"] * 512
+
+    def test_stdout_bytes_equal_output_file(self, series_csv, tmp_path, capsysbinary):
+        path, _ = series_csv
+        out_path = tmp_path / "labels.csv"
+        argv = ["label", "--input", str(path), "--m", "16", "--k", "2", "--workers", "1"]
+        assert main(argv) == 0
+        stdout = capsysbinary.readouterr().out
+        assert main(argv + ["--output", str(out_path)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert stdout == out_path.read_bytes()
 
     def test_l_above_m_is_usage_error(self, series_csv, capsys):
         path, _ = series_csv

@@ -1,11 +1,11 @@
 """CLI outputs on the reference series against committed reference files.
 
 Every case re-runs one command on the CLI tests' reference series and
-compares the text of each file it writes with ``tests/data/cli_reference/``
-exactly.  No BLAS call is on the output path, so the bytes are the same
-on every CPU; ``discover-m128`` is the case whose picks read diagonals
-that start in column 0 of the distance matrix, and ``discover-k8`` runs
-seven bounded greedy rounds over 64 segments.
+compares the bytes of each file it writes, line ends included, with
+``tests/data/cli_reference/``.  No BLAS call is on the output path, so
+the bytes are the same on every CPU; ``discover-m128`` is the case whose
+picks read diagonals that start in column 0 of the distance matrix, and
+``discover-k8`` runs seven bounded greedy rounds over 64 segments.
 
 After a deliberate change of output, rewrite the reference files with
 
@@ -37,19 +37,20 @@ CASES = {
 
 def _output_flags(name: str) -> dict[str, str]:
     command = CASES[name][0]
-    if command == "discover":
-        return {
-            "--output": f"{name}.json",
-            "--export-curve": f"{name}-curve.csv",
-            "--export-profiles": f"{name}-profiles.csv",
-        }
     if command == "label":
         return {"--output": f"{name}.csv"}
-    return {"--output": f"{name}.json", "--output-snippets": f"{name}-snippets.json"}
+    flags = {
+        "--output": f"{name}.json",
+        "--export-curve": f"{name}-curve.csv",
+        "--export-profiles": f"{name}-profiles.csv",
+    }
+    if command == "sweep":
+        flags["--output-snippets"] = f"{name}-snippets.json"
+    return flags
 
 
-def run_case(name: str, workdir: Path) -> dict[str, str]:
-    """Run one case in ``workdir``; returns its output file names and texts."""
+def run_case(name: str, workdir: Path) -> dict[str, bytes]:
+    """Run one case in ``workdir``; returns its output file names and bytes."""
     values, _ = two_regime_series(n=512, period=16, block_len=128, noise=0.05, seed=9)
     series_path = workdir / "series.csv"
     save_series(TimeSeries(values), series_path)
@@ -59,13 +60,13 @@ def run_case(name: str, workdir: Path) -> dict[str, str]:
         argv += [flag, str(workdir / file_name)]
     code = main(argv)
     assert code == 0, f"{name} exited {code}"
-    return {file_name: (workdir / file_name).read_text() for file_name in outputs.values()}
+    return {file_name: (workdir / file_name).read_bytes() for file_name in outputs.values()}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_reference(name, tmp_path):
-    for file_name, text in run_case(name, tmp_path).items():
-        assert text == (REFERENCE_DIR / file_name).read_text(), f"{file_name} differs"
+    for file_name, data in run_case(name, tmp_path).items():
+        assert data == (REFERENCE_DIR / file_name).read_bytes(), f"{file_name} differs"
 
 
 def test_reference_files_are_all_checked():
@@ -79,8 +80,8 @@ def regenerate() -> None:
     REFERENCE_DIR.mkdir(parents=True, exist_ok=True)
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as workdir:
-            for file_name, text in run_case(name, Path(workdir)).items():
-                (REFERENCE_DIR / file_name).write_text(text)
+            for file_name, data in run_case(name, Path(workdir)).items():
+                (REFERENCE_DIR / file_name).write_bytes(data)
                 print(REFERENCE_DIR / file_name)
 
 

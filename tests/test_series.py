@@ -76,6 +76,27 @@ class TestLoadSeries:
         s = load_series(path)
         np.testing.assert_array_equal(s.values, [1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "text",
+        ["\nvalue\n1\n2\n3\n", "  \n,\n\nvalue\n1\n2\n3\n"],
+        ids=["blank-row", "whitespace-and-empty-cells"],
+    )
+    def test_header_after_blank_rows(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        np.testing.assert_array_equal(load_series(path).values, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "text, row, cell",
+        [("\nvalue\nname\n1\n2\n", 3, "name"), ("\n1\nvalue\n2\n3\n", 3, "value")],
+        ids=["second-text-row", "text-after-number"],
+    )
+    def test_only_first_non_blank_row_is_a_header(self, tmp_path, text, row, cell):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"non-numeric cell '{cell}' at row {row}, column 0"):
+            load_series(path)
+
     def test_byte_order_mark_is_not_a_header(self, tmp_path):
         # A UTF-8 BOM before a numeric first cell must not make it a header.
         path = tmp_path / "s.csv"
