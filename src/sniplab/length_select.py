@@ -16,10 +16,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .mpdist import MPdistParams
+from .mpdist import MPdistParams, default_window_size
 from .scheduler import run_schedule
 from .series import TimeSeries
-from .snippets import SnippetResult, segment_count
+from .snippets import SnippetResult
 
 
 @dataclass(frozen=True)
@@ -124,13 +124,13 @@ def select_length(
     ----------
     series : TimeSeries
     grid : sequence of int
-        Candidate snippet lengths; duplicates are rejected.
+        Candidate snippet lengths, checked by the scheduler (see
+        :func:`~sniplab.scheduler.run_schedule`) before any search runs.
     num_snippets : int
         Snippets per search.
     l_frac : float, optional
         Inner window length as a fraction of each snippet length, in
-        (0, 1]: length ``m`` gets ``max(1, min(m, ceil(m * l_frac)))``,
-        which at 0.5 is ``default_window_size(m)``.
+        (0, 1]: length ``m`` gets ``default_window_size(m, l_frac)``.
     workers : int, optional
         Worker processes for the searches, which take the lengths from
         a work queue in grid order; forwarded to the scheduler.
@@ -144,37 +144,18 @@ def select_length(
     results : dict
         The full search result per length, keyed by snippet length.
     """
-    if not 0.0 < l_frac <= 1.0:
-        raise ValueError(f"l_frac must be in (0, 1], got {l_frac}")
-    grid = [int(m) for m in grid]
-    if not grid:
-        raise ValueError("length grid is empty")
-    if len(set(grid)) != len(grid):
-        raise ValueError(f"length grid has duplicates: {grid}")
     if num_snippets < 2:
         raise ValueError(
             f"length selection needs at least 2 snippets per search, got {num_snippets}"
         )
-
-    for m in grid:  # reject a length that cannot be searched before any search runs
-        if (count := segment_count(series, m)) < num_snippets:
-            raise ValueError(
-                f"snippet size {m} leaves {count} segments, "
-                f"fewer than the {num_snippets} snippets asked for"
-            )
-    windows = [max(1, min(m, int(np.ceil(m * l_frac)))) for m in grid]
-    jobs = [MPdistParams(snippet_size=m, window_size=w) for m, w in zip(grid, windows)]
+    jobs = [MPdistParams(m, default_window_size(m, l_frac)) for m in grid]
     results = run_schedule(
         series, jobs, num_snippets, workers=workers, training_log=training_log
     )
 
     candidates = tuple(
-        LengthCandidate(
-            snippet_size=m,
-            score=criterion_score(results[m]),
-            profile_area=results[m].profile_area,
-        )
-        for m in grid
+        LengthCandidate(m, criterion_score(results[m]), results[m].profile_area)
+        for m in (job.snippet_size for job in jobs)
     )
     best = max(candidates, key=lambda c: (c.score, -c.snippet_size))
     return LengthReport(m_best=best.snippet_size, candidates=candidates), results

@@ -77,9 +77,11 @@ MIN_PART_ENTRIES = 1 << 19
 _BLOCK_BYTES = 1 << 19
 
 
-def default_window_size(snippet_size: int) -> int:
-    """Inner window length used when none is given: half the snippet, rounded up."""
-    return max(1, math.ceil(snippet_size / 2))
+def default_window_size(snippet_size: int, l_frac: float = 0.5) -> int:
+    """Inner window length: the snippet's ``l_frac``, in (0, 1], rounded up, at least 1."""
+    if not 0.0 < l_frac <= 1.0:
+        raise ValueError(f"l_frac must be in (0, 1], got {l_frac}")
+    return max(1, min(snippet_size, math.ceil(snippet_size * l_frac)))
 
 
 def default_order_stat(snippet_size: int) -> int:
@@ -89,7 +91,7 @@ def default_order_stat(snippet_size: int) -> int:
 
 @dataclass(frozen=True)
 class MPdistParams:
-    """Parameters of the MPdist measure.
+    """Parameters of the MPdist measure, each a Python or numpy integer kept as ``int``.
 
     Parameters
     ----------
@@ -107,6 +109,11 @@ class MPdistParams:
     k: int | None = None
 
     def __post_init__(self):
+        for name in ("snippet_size", "window_size", "k"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer, type(None))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, None if value is None else int(value))
         if self.snippet_size < 2:
             raise ValueError(f"snippet size must be at least 2, got {self.snippet_size}")
         if self.window_size is None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .mpdist import MPdistParams
 from .series import TimeSeries
-from .snippets import SnippetResult, resolve_workers, select_snippets
+from .snippets import SnippetResult, _check_count, resolve_workers, select_snippets
 
 TRAINING_LOG_ENV = "SNIPLAB_TRAINING_LOG"
 
@@ -277,6 +277,9 @@ def run_schedule(
 
     Raises
     ------
+    ValueError
+        If there are no jobs, a repeated length, or a length leaving fewer than
+        ``num_snippets`` segments; no search runs and no log is opened.
     RuntimeError
         If a search fails; the message names its snippet length.  No job
         starts after the failure, and the ones already running finish.
@@ -289,6 +292,8 @@ def run_schedule(
     sizes = [params.snippet_size for params in jobs]
     if len(set(sizes)) != len(sizes):
         raise ValueError(f"duplicate snippet lengths in job list: {sizes}")
+    for size in sizes:
+        _check_count(series, size, num_snippets)
     workers = resolve_workers(workers)
     if training_log is None:
         training_log = os.environ.get(TRAINING_LOG_ENV)

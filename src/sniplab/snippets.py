@@ -130,6 +130,17 @@ def segment_count(series: TimeSeries, snippet_size: int) -> int:
     return count
 
 
+def _check_count(series: TimeSeries, snippet_size: int, num_snippets: int) -> int:
+    """:func:`segment_count`, checked to be at least ``num_snippets``, itself at least 1."""
+    count = segment_count(series, snippet_size)
+    if not 1 <= num_snippets <= count:
+        raise ValueError(
+            f"snippet count {num_snippets} out of range [1, {count}] "
+            f"for snippet size {snippet_size}"
+        )
+    return count
+
+
 def segment_profiles(series: TimeSeries, params: MPdistParams) -> list[MPdistProfile]:
     """MPdist profile of every segment, sharing one statistics pass."""
     num_segments = segment_count(series, params.snippet_size)
@@ -258,11 +269,7 @@ def select_snippets(
     -------
     SnippetResult
     """
-    num_segments = segment_count(series, params.snippet_size)
-    if not 1 <= num_snippets <= num_segments:
-        raise ValueError(
-            f"snippet count {num_snippets} out of range [1, {num_segments}]"
-        )
+    num_segments = _check_count(series, params.snippet_size, num_snippets)
     workers = resolve_workers(workers)
     num_windows = series.n - params.snippet_size + 1
     top = 2.0 * math.sqrt(params.window_size)  # the largest MPdist entry

@@ -130,12 +130,27 @@ class TestSelectLength:
             assert b.score == pytest.approx(a.score, rel=1e-6)
 
     def test_empty_grid(self):
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="no jobs"):
             select_length(TimeSeries(np.arange(64.0)), [], 2)
 
     def test_duplicate_grid(self):
-        with pytest.raises(ValueError, match="duplicates"):
+        with pytest.raises(ValueError, match="duplicate"):
             select_length(TimeSeries(np.arange(64.0)), [8, 8], 2)
+
+    @pytest.mark.parametrize("grid", [[8.7, 16], [8, np.float64(16.0)]])
+    def test_non_integer_length_rejected(self, monkeypatch, grid):
+        calls = []
+        monkeypatch.setattr(length_select, "run_schedule", lambda *args, **kw: calls.append(args))
+        with pytest.raises(ValueError, match="snippet_size must be an integer"):
+            select_length(TimeSeries(np.arange(64.0)), grid, 2)
+        assert calls == []
+
+    def test_numpy_integer_grid_reports_int(self):
+        values, _ = two_regime_series(n=512, period=16, block_len=64, noise=0.05, seed=7)
+        report, results = select_length(TimeSeries(values), np.array([8, 16]), 2)
+        doc = report.to_dict()
+        assert [type(c["m"]) for c in doc["candidates"]] == [int, int]
+        assert type(doc["m_best"]) is int and list(results) == [8, 16]
 
     def test_single_snippet_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):

@@ -27,6 +27,15 @@ class TestDefaults:
         assert default_window_size(32) == 16
         assert default_window_size(7) == 4
         assert default_window_size(2) == 1
+        assert default_window_size(32, 0.25) == 8
+        assert default_window_size(7, 0.75) == 6
+        assert default_window_size(2, 0.1) == 1
+        assert default_window_size(9, 1.0) == 9
+
+    @pytest.mark.parametrize("l_frac", [0.0, -0.5, float("nan"), 1.5])
+    def test_bad_window_fraction(self, l_frac):
+        with pytest.raises(ValueError, match=r"l_frac must be in \(0, 1\]"):
+            default_window_size(16, l_frac)
 
     def test_order_stat(self):
         # 5% of 2m, rounded up, never below 1.
@@ -60,6 +69,24 @@ class TestMPdistParams:
     def test_bad_order_stat(self):
         with pytest.raises(ValueError, match="order statistic"):
             MPdistParams(snippet_size=8, k=0)
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"snippet_size": 8.0}, "snippet_size must be an integer, got 8.0"),
+            ({"snippet_size": 16, "window_size": 8.0}, "window_size must be an integer, got 8.0"),
+            ({"snippet_size": 16, "k": 2.5}, "k must be an integer, got 2.5"),
+            ({"snippet_size": np.float64(16)}, "snippet_size must be an integer"),
+        ],
+    )
+    def test_non_integer_size_rejected(self, fields, named):
+        with pytest.raises(ValueError, match=named):
+            MPdistParams(**fields)
+
+    def test_numpy_integers_kept_as_int(self):
+        p = MPdistParams(np.int64(16), window_size=np.int32(4), k=np.uint8(3))
+        assert (p.snippet_size, p.window_size, p.k) == (16, 4, 3)
+        assert all(type(v) is int for v in (p.snippet_size, p.window_size, p.k))
 
 
 class TestRowSlidingMinima:

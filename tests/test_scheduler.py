@@ -25,6 +25,11 @@ from sniplab import (
 from sniplab import scheduler
 from seriesgen import two_regime_series
 
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched search reaches the workers only through fork",
+)
+
 
 class TestCostModel:
     def test_default_cost_formula(self):
@@ -189,6 +194,23 @@ class TestRunSchedule:
         with pytest.raises(ValueError, match="no jobs"):
             run_schedule(self._series(), [], 2, workers=1, training_log=False)
 
+    def test_too_long_length_rejected_before_any_search(self, tmp_path, monkeypatch):
+        # m=400 on n=512 leaves one segment, too few for two snippets.
+        calls = []
+        search = scheduler.select_snippets
+
+        def counted(series, params, *args, **kwargs):
+            calls.append(params.snippet_size)
+            return search(series, params, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "select_snippets", counted)
+        log = tmp_path / "timings.jsonl"
+        jobs = [MPdistParams(snippet_size=m) for m in (16, 400)]
+        with pytest.raises(ValueError, match="snippet size 400"):
+            run_schedule(self._series(), jobs, 2, workers=1, training_log=log)
+        assert calls == []
+        assert not log.exists()
+
     def test_training_log_entries(self, tmp_path):
         series = self._series()
         log = tmp_path / "timings.jsonl"
@@ -249,36 +271,40 @@ class TestRunSchedule:
         sizes_all, _ = load_training_samples(log)
         assert sizes_all.size == 3
 
-    def test_worker_failure_names_length(self):
-        # m=400 on n=512 leaves one segment, too few for two snippets.
-        jobs = [MPdistParams(snippet_size=m) for m in (16, 400)]
-        with pytest.raises(RuntimeError, match="m=400"):
-            run_schedule(self._series(), jobs, 2, workers=2, training_log=False)
-
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the patched search reaches the workers only through fork",
-    )
-    def test_failure_starts_no_further_jobs(self, tmp_path, monkeypatch):
-        # Each started job leaves a file behind; the valid ones are slow.
+    @fork_only
+    def test_worker_failure_names_length(self, monkeypatch):
         search = scheduler.select_snippets
 
-        def recorded(series, params, num_snippets, **kwargs):
+        def failing(series, params, *args, **kwargs):
+            if params.snippet_size == 32:
+                raise FloatingPointError("planted failure")
+            return search(series, params, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "select_snippets", failing)
+        jobs = [MPdistParams(snippet_size=m) for m in (16, 32)]
+        with pytest.raises(RuntimeError, match="m=32: planted failure"):
+            run_schedule(self._series(), jobs, 2, workers=2, training_log=False)
+
+    @fork_only
+    def test_failure_starts_no_further_jobs(self, tmp_path, monkeypatch):
+        # Each started job leaves a file behind; m=64 fails at once and
+        # the others are slow.
+        search = scheduler.select_snippets
+
+        def recorded(series, params, *args, **kwargs):
             (tmp_path / str(params.snippet_size)).touch()
-            if params.snippet_size <= 256:
-                time.sleep(0.3)
-            return search(series, params, num_snippets, **kwargs)
+            if params.snippet_size == 64:
+                raise FloatingPointError("planted failure")
+            time.sleep(0.3)
+            return search(series, params, *args, **kwargs)
 
         monkeypatch.setattr(scheduler, "select_snippets", recorded)
-        sizes = [400] + list(range(8, 18))
+        sizes = [64] + list(range(8, 18))
         jobs = [MPdistParams(snippet_size=m) for m in sizes]
-        with pytest.raises(RuntimeError, match="m=400"):
+        with pytest.raises(RuntimeError, match="m=64"):
             run_schedule(self._series(), jobs, 2, workers=2, training_log=False)
-        # Two workers start m=400 and m=8; one more may start if m=8
-        # happened to finish first.  Nothing starts after the failure.
-        started = {int(p.name) for p in tmp_path.iterdir()}
-        assert 400 in started
-        assert len(started) <= 3 < len(jobs)
+        # Two workers start m=64 and m=8; nothing starts after the failure.
+        assert {int(p.name) for p in tmp_path.iterdir()} == {64, 8}
 
     @pytest.mark.parametrize("value", ["two", "0"])
     def test_bad_workers_env_names_variable(self, monkeypatch, value):
