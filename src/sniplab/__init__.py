@@ -26,7 +26,6 @@ from .length_select import (
 from .mpdist import (
     MPdistParams,
     MPdistProfile,
-    default_order_stat,
     default_window_size,
     mpdist_profile,
 )
@@ -44,7 +43,6 @@ from .snippets import (
     SnippetResult,
     export_curve_csv,
     export_profiles_csv,
-    segment_count,
     segment_profiles,
     select_snippets,
 )
@@ -53,7 +51,6 @@ from .zdist import (
     SlidingStats,
     compute_sliding_stats,
     distance_row,
-    segment_distance_matrix,
 )
 
 __version__ = "0.1.0"
@@ -75,7 +72,6 @@ __all__ = [
     "compute_sliding_stats",
     "criterion_score",
     "default_cost",
-    "default_order_stat",
     "default_window_size",
     "distance_row",
     "evaluate",
@@ -91,8 +87,6 @@ __all__ = [
     "read_labels",
     "run_schedule",
     "save_series",
-    "segment_count",
-    "segment_distance_matrix",
     "segment_profiles",
     "select_length",
     "select_snippets",

@@ -84,11 +84,6 @@ def default_window_size(snippet_size: int, l_frac: float = 0.5) -> int:
     return max(1, min(snippet_size, math.ceil(snippet_size * l_frac)))
 
 
-def default_order_stat(snippet_size: int) -> int:
-    """Order statistic used when none is given: 5% of twice the snippet size, at least 1."""
-    return max(1, math.ceil(0.05 * 2 * snippet_size))
-
-
 @dataclass(frozen=True)
 class MPdistParams:
     """Parameters of the MPdist measure, each a Python or numpy integer kept as ``int``.
@@ -119,7 +114,7 @@ class MPdistParams:
         if self.window_size is None:
             object.__setattr__(self, "window_size", default_window_size(self.snippet_size))
         if self.k is None:
-            object.__setattr__(self, "k", default_order_stat(self.snippet_size))
+            object.__setattr__(self, "k", max(1, math.ceil(0.05 * 2 * self.snippet_size)))
         if not 1 <= self.window_size <= self.snippet_size:
             raise ValueError(
                 f"window size {self.window_size} out of range [1, {self.snippet_size}]"

@@ -110,29 +110,20 @@ class SnippetResult:
         }
 
 
-def segment_count(series: TimeSeries, snippet_size: int) -> int:
-    """Number of non-overlapping segments of ``snippet_size`` in the series.
+def _check_count(series: TimeSeries, snippet_size: int, num_snippets: int) -> int:
+    """Number of segments a search at ``snippet_size`` cuts the series into.
 
-    Segment ``i`` starts at ``i * snippet_size``.  A trailing remainder
-    shorter than the snippet size is not segmented (it is still covered
-    by sliding windows).  Requires at least two segments, so
-    ``2 <= snippet_size <= n / 2``.
+    Segment ``i`` starts at ``i * snippet_size``; a trailing remainder
+    shorter than the snippet size is not segmented (sliding windows
+    still cover it).  Raises ``ValueError`` unless there are at least 2
+    segments and ``num_snippets`` is between 1 and their number.
     """
-    n = series.n
-    if snippet_size < 2:
-        raise ValueError(f"snippet size must be at least 2, got {snippet_size}")
-    count = n // snippet_size
+    count = series.n // snippet_size
     if count < 2:
         raise ValueError(
             f"snippet size {snippet_size} leaves only {count} segment(s) of a "
-            f"series of length {n}; need at least 2"
+            f"series of length {series.n}; need at least 2"
         )
-    return count
-
-
-def _check_count(series: TimeSeries, snippet_size: int, num_snippets: int) -> int:
-    """:func:`segment_count`, checked to be at least ``num_snippets``, itself at least 1."""
-    count = segment_count(series, snippet_size)
     if not 1 <= num_snippets <= count:
         raise ValueError(
             f"snippet count {num_snippets} out of range [1, {count}] "
@@ -143,7 +134,7 @@ def _check_count(series: TimeSeries, snippet_size: int, num_snippets: int) -> in
 
 def segment_profiles(series: TimeSeries, params: MPdistParams) -> list[MPdistProfile]:
     """MPdist profile of every segment, sharing one statistics pass."""
-    num_segments = segment_count(series, params.snippet_size)
+    num_segments = _check_count(series, params.snippet_size, 1)
     stats = compute_sliding_stats(series, params.window_size)
     return [mpdist_profile(series, i, params, stats=stats) for i in range(num_segments)]
 

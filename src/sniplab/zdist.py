@@ -156,7 +156,6 @@ class DistanceRow:
     position is exactly 0.
     """
 
-    row_index: int
     entries: np.ndarray
 
 
@@ -351,7 +350,7 @@ def distance_row(
         )
     neg_rho = neg_correlations(stats, query_start, 1)[0]
     entries = neg_correlation_to_distance(neg_rho, subseq_len)
-    return DistanceRow(row_index=row_offset, entries=entries)
+    return DistanceRow(entries=entries)
 
 
 def segment_distance_matrix(

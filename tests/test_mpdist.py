@@ -12,7 +12,6 @@ from sniplab import (
     MPdistProfile,
     TimeSeries,
     compute_sliding_stats,
-    default_order_stat,
     default_window_size,
     mpdist_profile,
 )
@@ -39,10 +38,8 @@ class TestDefaults:
 
     def test_order_stat(self):
         # 5% of 2m, rounded up, never below 1.
-        assert default_order_stat(32) == 4
-        assert default_order_stat(8) == 1
-        assert default_order_stat(100) == 10
-        assert default_order_stat(2) == 1
+        for m, k in [(32, 4), (8, 1), (100, 10), (2, 1)]:
+            assert MPdistParams(snippet_size=m).k == k
 
 
 class TestMPdistParams:

@@ -15,7 +15,6 @@ from sniplab import (
     export_curve_csv,
     export_profiles_csv,
     label_series,
-    segment_count,
     segment_profiles,
     select_snippets,
 )
@@ -40,18 +39,14 @@ def _count_profiles(monkeypatch):
 
 class TestSegment:
     def test_even_split(self):
-        assert segment_count(TimeSeries(np.arange(8.0)), 2) == 4
+        assert snippets._check_count(TimeSeries(np.arange(8.0)), 2, 1) == 4
 
     def test_remainder_excluded(self):
-        assert segment_count(TimeSeries(np.arange(9.0)), 2) == 4
+        assert snippets._check_count(TimeSeries(np.arange(9.0)), 2, 1) == 4
 
     def test_too_few_segments(self):
         with pytest.raises(ValueError, match="at least 2"):
-            segment_count(TimeSeries(np.arange(9.0)), 5)
-
-    def test_tiny_snippet_rejected(self):
-        with pytest.raises(ValueError):
-            segment_count(TimeSeries(np.arange(8.0)), 1)
+            snippets._check_count(TimeSeries(np.arange(9.0)), 5, 1)
 
 
 class TestSelectSnippets:
