@@ -1,10 +1,8 @@
 """Per-point labeling from snippets, and scoring against ground truth.
 
-Each series window takes the id of the snippet whose profile value at
-that window is smallest, and each point takes the label of the window
-centred on it, clipped to the first and last windows at the ends.
-Snippet ids are positions in the result's ordering, so id 0 is the
-highest-coverage snippet.
+Each point takes the id of the snippet whose profile, summed over the
+windows that cover the point, is smallest.  Snippet ids are positions
+in the result's ordering, so id 0 is the highest-coverage snippet.
 
 Scoring counts one truth-by-predicted confusion matrix, matches
 predicted classes to truth classes greedily by its overlaps (ids carry
@@ -85,17 +83,25 @@ def label_series(result: SnippetResult) -> LabelSequence:
     Returns
     -------
     LabelSequence
-        Length matches the series.  Point ``t`` takes the label of
-        window ``clip(t - m // 2, 0, N - 1)`` of the N windows of length
-        m, the one centred on it, so a label change sits where a window
-        is half in each regime rather than m / 2 points later.  Labels
-        are snippet positions in ``result.snippets`` (0 is the
-        highest-coverage snippet); profile ties go to the lower position.
+        Length matches the series.  Point ``t`` takes the snippet whose
+        profile summed over the windows that cover it, windows
+        ``max(0, t - m + 1)`` to ``min(t, N - 1)`` of the N windows of
+        length m, is smallest; profile ties go to the lower position.
+        Labels are snippet positions in ``result.snippets`` (0 is the
+        highest-coverage snippet).
     """
-    window_labels = _nearest_rows([p.values for p in result.profiles])
-    points = np.arange(result.series_length) - result.snippet_size // 2
-    window = np.clip(points, 0, window_labels.size - 1)
-    return LabelSequence(labels=window_labels[window])
+    points = np.arange(result.series_length)
+    num_windows = result.series_length - result.snippet_size + 1
+    first = np.maximum(points - result.snippet_size + 1, 0)
+    stop = np.minimum(points, num_windows - 1) + 1
+
+    def covering_sums():
+        # Prefix sums give each point's span sum in O(n) per snippet.
+        for profile in result.profiles:
+            prefix = np.concatenate(([0.0], np.cumsum(profile.values)))
+            yield prefix[stop] - prefix[first]
+
+    return LabelSequence(labels=_nearest_rows(covering_sums()))
 
 
 def evaluate(pred: LabelSequence, truth: LabelSequence) -> EvalReport:

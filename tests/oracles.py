@@ -147,6 +147,22 @@ def stacked_selection(profile_matrix, num_snippets):
     return chosen, curve, nearest, counts, float(matrix.max())
 
 
+def covering_sums(profile_matrix, snippet_size):
+    """Each row summed over the windows that cover each point, span by span.
+
+    Of ``N`` windows of length ``snippet_size``, point ``t`` is covered
+    by windows ``max(0, t - snippet_size + 1)`` to ``min(t, N - 1)``.
+    Returns a rows-by-points array, one direct sum per entry.
+    """
+    matrix = np.asarray(profile_matrix, dtype=np.float64)
+    num_windows = matrix.shape[1]
+    sums = np.empty((matrix.shape[0], num_windows + snippet_size - 1))
+    for t in range(sums.shape[1]):
+        span = matrix[:, max(0, t - snippet_size + 1) : min(t, num_windows - 1) + 1]
+        sums[:, t] = span.sum(axis=1)
+    return sums
+
+
 def _mask_loop_match(truth, pred):
     """Greedy maximal-overlap matching, one boolean mask per class pair."""
     truth_classes = np.unique(truth)

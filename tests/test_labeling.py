@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from sniplab import (
     LabelSequence,
     MPdistParams,
+    MPdistProfile,
     TimeSeries,
     evaluate,
     label_series,
@@ -13,8 +16,8 @@ from sniplab import (
     select_snippets,
     write_labels,
 )
-from oracles import mask_loop_report
-from seriesgen import two_regime_series
+from oracles import covering_sums, mask_loop_report
+from seriesgen import random_series, two_regime_series
 
 
 class TestLabelSequence:
@@ -61,20 +64,53 @@ class TestLabelSeries:
         assert set(np.unique(labels.labels)) == {0}
 
     def test_trailing_points_inherit_last_window(self):
-        # m = 16: point t takes window clip(t - 8, 0, N - 1), so the
-        # first 8 points take window 0 and the last 8 the last window.
+        # m = 16: the first j points are covered by the first j windows
+        # or fewer, and the last j by the last j windows, so point 0
+        # takes window 0's label and the last point the last window's.
         result, series, _ = self._result(block_len=128, num_snippets=2)
         labels = label_series(result).labels
-        windows = np.argmin(np.stack([p.values for p in result.profiles]), axis=0)
+        matrix = np.stack([p.values for p in result.profiles])
         num_windows = series.n - 16 + 1
-        assert np.all(labels[:8] == windows[0])
-        assert np.all(labels[-8:] == windows[num_windows - 1])
-        np.testing.assert_array_equal(labels[8 : num_windows + 8], windows)
+        for j in range(1, 17):
+            assert labels[j - 1] == np.argmin(matrix[:, :j].sum(axis=1))
+            assert labels[series.n - j] == np.argmin(matrix[:, num_windows - j :].sum(axis=1))
+        inner = [np.argmin(matrix[:, t - 15 : t + 1].sum(axis=1)) for t in range(15, num_windows)]
+        np.testing.assert_array_equal(labels[15:num_windows], inner)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_covering_sums_oracle(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = data.draw(st.integers(2, 12))
+        n = data.draw(st.integers(max(2 * m, 16), 120))
+        num_snippets = data.draw(st.integers(1, min(3, n // m)))
+        params = MPdistParams(snippet_size=m)
+        result = select_snippets(TimeSeries(random_series(rng, n)), params, num_snippets)
+        tied = data.draw(st.booleans())
+        if tied:
+            # Rows 0 and 1 are equal, so row 1 must never win; row 2 is
+            # a few ulps above them, within the rounding of the sums.
+            row = rng.uniform(0, 2 * np.sqrt(params.window_size), n - m + 1)
+            rows = [row, row.copy(), row * (1 + 4 * np.finfo(np.float64).eps), row[::-1]]
+            profiles = tuple(MPdistProfile(i, values) for i, values in enumerate(rows))
+            result = dataclasses.replace(result, profiles=profiles)
+        labels = label_series(result).labels
+        matrix = np.stack([p.values for p in result.profiles])
+        sums = covering_sums(matrix, m)
+        # A prefix-sum difference and a direct span sum are each off by
+        # at most a relative (n + m) * eps of the row's whole area, so a
+        # pick other than the oracle's argmin is allowed only where its
+        # sum is within twice that of the smallest.
+        bound = 2 * (n + m) * np.finfo(np.float64).eps * matrix.sum(axis=1).max()
+        assert np.all(sums[labels, np.arange(n)] <= sums.min(axis=0) + bound)
+        if tied:
+            assert not np.any(labels == 1)
 
     def test_boundaries_off_by_less_than_a_window(self):
-        # Noise-free regimes give exact argmin margins, and each point
-        # is labelled by the window centred on it, so every label change
-        # must sit within one point of a true regime flip.
+        # Noise-free regimes give exact margins, and each point is
+        # labelled by the profile sums over the windows that cover it,
+        # so every label change must sit within one point of a true
+        # regime flip.
         result, _, regime = self._result(block_len=128, num_snippets=2, noise=0.0)
         labels = label_series(result).labels
         changes = np.flatnonzero(np.diff(labels)) + 1
