@@ -29,6 +29,21 @@ def two_regime_series(n, period=32, block_len=32, noise=0.1, seed=0):
     return values, regime
 
 
+def sine_sawtooth_series(n, period, block_len, seed):
+    """The benchmark's input: sine and sawtooth regimes of one period.
+
+    Regimes swap every ``block_len`` points; Gaussian noise of 0.05 and
+    an offset of 1e3 are added in the benchmark's order, so the values
+    are bit for bit those of its workloads at the same seed.  Returns
+    the values and the per-point regime id (0 for sine).
+    """
+    rng = np.random.default_rng(seed)
+    phase = np.arange(n) % period / period
+    regime = (np.arange(n) // block_len) % 2
+    values = np.where(regime == 0, np.sin(2 * np.pi * phase), 2 * phase - 1)
+    return values + 0.05 * rng.standard_normal(n) + 1e3, regime
+
+
 def random_series(rng, n):
     """A random series mixing flavors: noise, walks, waves, flat spells.
 

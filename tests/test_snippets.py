@@ -20,7 +20,7 @@ from sniplab import (
 )
 from sniplab import mpdist, snippets
 from oracles import covering_sums, exhaustive_min_area, stacked_selection
-from seriesgen import random_series, two_regime_series
+from seriesgen import random_series, sine_sawtooth_series, two_regime_series
 
 
 def _tiled(pattern, reps):
@@ -343,17 +343,23 @@ class TestExactSelection:
         # in round 1.  That made 9 to 23 more calls over these seeds;
         # codes on a linear 8-bit scale (step 2 * sqrt(l) / 255) make 133
         # to 231.
-        n = 4000
-        phase = np.arange(n) % 8 / 8
-        regime = (np.arange(n) // 256) % 2
-        clean = np.where(regime == 0, np.sin(2 * np.pi * phase), 2 * phase - 1) + 1e3
         params = MPdistParams(snippet_size=8)
         calls = _count_profiles(monkeypatch)
         for seed in range(4):
-            noise = 0.05 * np.random.default_rng(seed).standard_normal(n)
+            values, _ = sine_sawtooth_series(n=4000, period=8, block_len=256, seed=seed)
             calls.clear()
-            select_snippets(TimeSeries(clean + noise), params, 4)
+            select_snippets(TimeSeries(values), params, 4)
             assert 500 < len(calls) <= 500 + 40
+
+    def test_many_rounds_profile_calls_bounded(self, monkeypatch):
+        # The discover-m8 bench input (seed 11) at K = 20: the pass
+        # profiles the 2,500 segments and late rounds recompute many
+        # more, 5,829 calls in all (2,511 at K = 2).  A call count is the
+        # same on any machine, so this gates the work of late rounds.
+        values, _ = sine_sawtooth_series(n=20000, period=8, block_len=1024, seed=11)
+        calls = _count_profiles(monkeypatch)
+        select_snippets(TimeSeries(values), MPdistParams(snippet_size=8), 20, workers=1)
+        assert len(calls) <= 5829
 
     @pytest.mark.parametrize("num_snippets", [2, 3])
     def test_rows_within_profile_width_profiled_once(self, monkeypatch, num_snippets):
