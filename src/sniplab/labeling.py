@@ -90,18 +90,13 @@ def label_series(result: SnippetResult) -> LabelSequence:
         Labels are snippet positions in ``result.snippets`` (0 is the
         highest-coverage snippet).
     """
-    points = np.arange(result.series_length)
-    num_windows = result.series_length - result.snippet_size + 1
-    first = np.maximum(points - result.snippet_size + 1, 0)
-    stop = np.minimum(points, num_windows - 1) + 1
-
-    def covering_sums():
-        # Prefix sums give each point's span sum in O(n) per snippet.
-        for profile in result.profiles:
-            prefix = np.concatenate(([0.0], np.cumsum(profile.values)))
-            yield prefix[stop] - prefix[first]
-
-    return LabelSequence(labels=_nearest_rows(covering_sums()))
+    m, n = result.snippet_size, result.series_length
+    points = np.arange(n)
+    first = np.maximum(points - m + 1, 0)
+    stop = np.minimum(points, n - m) + 1  # the last window is n - m
+    # Prefix sums give every point's span sum in O(n) per snippet.
+    prefixes = (np.concatenate(([0.0], np.cumsum(p.values))) for p in result.profiles)
+    return LabelSequence(labels=_nearest_rows(pre[stop] - pre[first] for pre in prefixes))
 
 
 def evaluate(pred: LabelSequence, truth: LabelSequence) -> EvalReport:

@@ -64,9 +64,9 @@ class TestLabelSeries:
         assert set(np.unique(labels.labels)) == {0}
 
     def test_trailing_points_inherit_last_window(self):
-        # m = 16: the first j points are covered by the first j windows
-        # or fewer, and the last j by the last j windows, so point 0
-        # takes window 0's label and the last point the last window's.
+        # m = 16: for j up to m, point j - 1 is covered by the first j
+        # windows and point n - j by the last j, so point 0 takes window
+        # 0's label and the last point the last window's.
         result, series, _ = self._result(block_len=128, num_snippets=2)
         labels = label_series(result).labels
         matrix = np.stack([p.values for p in result.profiles])

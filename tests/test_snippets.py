@@ -293,7 +293,8 @@ class TestExactSelection:
         assert result.unassigned_windows == num_windows - counts[chosen].sum()
 
         # Each point's label has the smallest covering sum, up to the
-        # rounding bound of tests/test_labeling.py.
+        # rounding of prefix sums against direct ones (see
+        # test_matches_covering_sums_oracle).
         labels = label_series(result).labels
         chosen_rows = np.vstack([p.values for p in result.profiles])
         sums = covering_sums(chosen_rows, params.snippet_size)
