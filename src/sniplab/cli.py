@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_fixed_m(p)
     add_k(p)
     add_output(p)
-    add_workers(p, "threads per segment profile")
+    add_workers(p, "profiling threads")
     p.add_argument("--export-curve", default=None, help="representativeness curve CSV")
     p.add_argument("--export-profiles", default=None, help="snippet profiles CSV")
 
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_fixed_m(p)
     add_k(p)
     add_output(p)
-    add_workers(p, "threads per segment profile")
+    add_workers(p, "profiling threads")
 
     p = sub.add_parser("eval", help="score predicted labels against ground truth")
     p.set_defaults(run=cmd_eval)

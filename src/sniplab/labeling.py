@@ -96,7 +96,8 @@ def label_series(result: SnippetResult) -> LabelSequence:
     stop = np.minimum(points, n - m) + 1  # the last window is n - m
     # Prefix sums give every point's span sum in O(n) per snippet.
     prefixes = (np.concatenate(([0.0], np.cumsum(p.values))) for p in result.profiles)
-    return LabelSequence(labels=_nearest_rows(pre[stop] - pre[first] for pre in prefixes))
+    _, labels = _nearest_rows(enumerate(pre[stop] - pre[first] for pre in prefixes))
+    return LabelSequence(labels=labels)
 
 
 def evaluate(pred: LabelSequence, truth: LabelSequence) -> EvalReport:

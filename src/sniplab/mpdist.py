@@ -46,6 +46,15 @@ The column minima release the GIL for their whole call; the kernel,
 the row filter and the selection are a few numpy calls per row, block
 of rows or tile, which release it while they run and take it back
 between them.
+
+A segment too small to split is profiled on one thread.  At ``k <= 2``
+a search with more than one thread profiles such segments several at
+a time instead (:func:`_min_profiles`): the kernel runs over B
+segments' rows as 2-D arrays, about ``_BLOCK_BYTES`` a row, and folds
+each row into the column minima as it comes.  One segment's numpy calls last 7 to 15 µs at
+n = 20,000, too short for threads to overlap between GIL hand-offs; B
+segments' calls last B times as long, so threads that each take a
+range of segments pay off (see :func:`~sniplab.snippets.select_snippets`).
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import TimeSeries, _freeze
 from .zdist import _check_stats, compute_sliding_stats
-from .zdist import neg_correlation_to_distance, neg_correlations
+from .zdist import neg_correlation_matrix, neg_correlation_to_distance, neg_correlations
 from .zdist import segment_distance_matrix  # noqa: F401  bench/layers.py wraps it by this name
 
 # Kernel entries (rows times columns) each thread's part of a segment
@@ -67,7 +76,9 @@ from .zdist import segment_distance_matrix  # noqa: F401  bench/layers.py wraps 
 # took 1.1 to 1.3 times as long as one at n = 5000 for m = 32 to 256
 # (up to 629k entries a segment) and 1.6 times at n = 20000, m = 8
 # (100k), but 0.65 to 0.9 times from 1.3M entries on (n = 10000,
-# m = 256; n = 20000, m = 128 to 1024).
+# m = 256; n = 20000, m = 128 to 1024).  A smaller segment stays whole;
+# at k <= 2 a search's threads take such segments by the range instead,
+# a batch of them per kernel call.
 MIN_PART_ENTRIES = 1 << 19
 
 # Bytes of rows the sliding minimum takes through all its passes at a
@@ -148,7 +159,7 @@ class MPdistProfile:
         return int(self.values.size)
 
 
-def _sliding_min_rows(matrix: np.ndarray, window: int) -> np.ndarray:
+def _sliding_min_rows(matrix: np.ndarray, window: int, scratch=None) -> np.ndarray:
     """Minimum of every length-``window`` span along the last axis, in place.
 
     Doubling: after a pass each entry is the minimum of the ``span``
@@ -162,11 +173,15 @@ def _sliding_min_rows(matrix: np.ndarray, window: int) -> np.ndarray:
 
     ``matrix`` is 1-D or 2-D and is overwritten.  Returns its leading
     ``matrix.shape[-1] - window + 1`` columns, which hold the minima.
+    ``scratch``, when given, is a 2-D array at least as large as the
+    scratch block.
     """
     length = matrix.shape[-1]
     rows = matrix.reshape(-1, length)
     block = max(1, _BLOCK_BYTES // (8 * length))
-    scratch = np.empty((min(block, rows.shape[0]), length))
+    if scratch is None:
+        scratch = np.empty((min(block, rows.shape[0]), length))
+    scratch = scratch[: min(block, rows.shape[0]), :length]
     for top in range(0, rows.shape[0], block):
         target = source = rows[top : top + block]
         dest = spare = scratch[: source.shape[0]]
@@ -189,6 +204,55 @@ def _column_parts(num_positions: int, entries: int, workers: int) -> list[tuple[
     count = max(1, min(workers, num_positions, entries // MIN_PART_ENTRIES))
     bounds = [num_positions * i // count for i in range(count + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _batch_size(num_columns: int) -> int:
+    """Segments one :func:`_min_profiles` call profiles in a threaded pass.
+
+    Their kernel rows over ``num_columns`` columns fill about
+    ``_BLOCK_BYTES`` (3 segments at n = 20,000), so each numpy call runs
+    long enough for other threads to use the GIL meanwhile.
+    """
+    return max(1, _BLOCK_BYTES // (8 * num_columns))
+
+
+def _splits(n: int, params: MPdistParams, workers: int) -> list[tuple[int, int]]:
+    """The position ranges a segment's profile is split into across ``workers`` threads."""
+    num_positions = n - params.snippet_size + 1
+    width = params.profile_width
+    return _column_parts(num_positions, width * (num_positions + width - 1), workers)
+
+
+def _min_profiles(stats, params: MPdistParams, segments, positions=None, work=None) -> np.ndarray:
+    """Negated-correlation profiles at ``k <= 2`` of several segments, one row each.
+
+    A position's profile is the sliding minimum of the column minima
+    (see the module docstring).  The segments' kernel rows come from
+    one :func:`~sniplab.zdist.neg_correlations` call, one row at a time,
+    and are folded into the column minima as they come, so no segment's
+    ``width`` rows are ever held.  ``positions`` is the range ``(lo,
+    hi)`` of profile positions, all of them by default; positions
+    ``[lo, hi)`` read the kernel columns ``[lo, hi + width - 1)``.
+
+    ``work``, of shape ``(3, B, hi - lo + 2 * width - 2)`` for B
+    segments or more, holds the kernel's diagonals and scratch (which
+    the sliding minima reuse) and the column minima.  A caller that
+    profiles batch after batch passes the same one each time: arrays of
+    a few hundred kB allocated afresh are mapped afresh, and their page
+    faults cost as much as the arithmetic.  Returns a view of it.
+    """
+    width = params.profile_width
+    lo, hi = (0, stats.sumsq.size - width + 1) if positions is None else positions
+    starts = np.asarray(segments, dtype=np.intp) * params.snippet_size
+    if work is None:
+        work = np.empty((3, starts.size, hi - lo + 2 * width - 2))
+    work = work[:, : starts.size]
+    minima = work[2, :, : hi - lo + width - 1]
+    rows = neg_correlations(stats, starts, width, columns=(lo, hi + width - 1), work=work[:2])
+    np.copyto(minima, next(rows))
+    for row in rows:
+        np.minimum(minima, row, out=minima)
+    return _sliding_min_rows(minima, width, scratch=work[1])
 
 
 def mpdist_profile(
@@ -241,8 +305,7 @@ def mpdist_profile(
     seg_start = segment_index * m
     width = params.profile_width
     k = params.k
-    num_positions = n - m + 1
-    parts = _column_parts(num_positions, width * (num_positions + width - 1), workers)
+    parts = _splits(n, params, workers)
     # Positions per selection tile: a tile's 2 * width float64 candidates
     # per position take 16 * width bytes, so a tile fills _BLOCK_BYTES
     # (63 positions at width 513, 3,640 at width 9).
@@ -254,11 +317,11 @@ def mpdist_profile(
         # The row filter runs in place on the -rho rows; then each row of
         # a tile's block holds one position's 2 * width candidates, and
         # kth = 2 * width - 1 (the largest) covers k >= 2 * width.
-        lo, hi = part
-        neg_rho = neg_correlations(stats, seg_start, width, columns=(lo, hi + width - 1))
-        series_side = neg_rho.min(axis=0)            # nearest segment window per column
         if k <= 2:
-            return _sliding_min_rows(series_side, width)
+            return _min_profiles(stats, params, [segment_index], part)[0]
+        lo, hi = part
+        neg_rho = neg_correlation_matrix(stats, seg_start, width, columns=(lo, hi + width - 1))
+        series_side = neg_rho.min(axis=0)            # nearest segment window per column
         segment_side = _sliding_min_rows(neg_rho, width)
         series_windows = sliding_window_view(series_side, width)
         best = np.empty(hi - lo)

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mpdist import MPdistParams, MPdistProfile, mpdist_profile
+from .mpdist import MPdistParams, MPdistProfile, _batch_size, _min_profiles, _splits, mpdist_profile
 from .series import TimeSeries
-from .zdist import compute_sliding_stats
+from .zdist import compute_sliding_stats, neg_correlation_to_distance
 
 WORKERS_ENV = "SNIPLAB_WORKERS"
 
@@ -139,20 +140,40 @@ def segment_profiles(series: TimeSeries, params: MPdistParams) -> list[MPdistPro
     return [mpdist_profile(series, i, params, stats=stats) for i in range(num_segments)]
 
 
-def _nearest_rows(rows) -> np.ndarray:
-    """Per column, the position of the smallest of equal-length ``rows``.
+def _nearest_rows(labelled_rows) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, the smallest entry of equal-length rows and the label of its row.
 
-    ``rows`` may be any iterable, a generator included: each row is read
-    once, in order, and need not be kept.  Ties go to the lower position,
-    as with ``argmin`` over the stacked rows, but no stacked copy is made.
+    ``labelled_rows`` yields ``(label, row)`` pairs, in order; a label is
+    an integer, or an integer array with one label per column.  It may
+    be any iterable, a generator included: each row is read once and
+    need not be kept.  Ties go to the earlier row, as with ``argmin``
+    over the stacked rows, but no stacked copy is made.
     """
-    rows = iter(rows)
-    best = np.array(next(rows), dtype=np.float64)
-    nearest = np.zeros(best.size, dtype=np.intp)
-    for position, row in enumerate(rows, start=1):
-        np.copyto(nearest, position, where=row < best)
+    pairs = iter(labelled_rows)
+    label, row = next(pairs)
+    best = np.array(row, dtype=np.float64)
+    nearest = np.empty(best.size, dtype=np.intp)
+    nearest[...] = label
+    for label, row in pairs:
+        np.copyto(nearest, label, where=row < best)
         np.minimum(best, row, out=best)
-    return nearest
+    return best, nearest
+
+
+def _batched_rows(stats, params: MPdistParams, first: int, stop: int):
+    """Profiles of segments ``[first, stop)`` at ``k <= 2``, a batch at a time.
+
+    Each batch's profiles are computed and converted to distances in
+    one reused array, so the next batch overwrites every yielded row;
+    read each before asking for the next.  The rows are bit for bit
+    :func:`~sniplab.mpdist.mpdist_profile`'s.
+    """
+    num_columns = stats.sumsq.size
+    batch = _batch_size(num_columns)
+    work = np.empty((3, min(batch, stop - first), num_columns + params.profile_width - 1))
+    for lo in range(first, stop, batch):
+        profiles = _min_profiles(stats, params, range(lo, min(lo + batch, stop)), work=work)
+        yield from neg_correlation_to_distance(profiles, params.window_size, out=profiles)
 
 
 class _ProfileStore:
@@ -179,10 +200,10 @@ class _ProfileStore:
         self.lo[0] = 0.0
         self.codes = np.empty((num_segments, num_windows), dtype=np.uint8)
 
-    def keep(self, profile: MPdistProfile) -> None:
-        levels = profile.values.view(np.int64) >> self.SHIFT
+    def keep(self, index: int, values: np.ndarray) -> None:
+        levels = values.view(np.int64) >> self.SHIFT
         levels -= self.offset
-        self.codes[profile.segment_index] = np.clip(levels, 0, 255, out=levels)
+        self.codes[index] = np.clip(levels, 0, 255, out=levels)
 
     def lower_bounds(self, curve: np.ndarray) -> np.ndarray:
         """A lower bound on every segment's float64 area under ``curve``.
@@ -251,10 +272,14 @@ def select_snippets(
         ``(1 + 2**-16) * 2 * sqrt(window_size)`` (no MPdist exceeds
         ``2 * sqrt(window_size)``) raises ``ValueError``.
     workers : int, optional
-        Threads each segment's profile is split across (see
-        :func:`~sniplab.mpdist.mpdist_profile`); defaults to the
-        ``SNIPLAB_WORKERS`` environment variable, else 1.  The result
-        does not depend on it; a count below 1 raises ``ValueError``.
+        Profiling threads; defaults to the ``SNIPLAB_WORKERS``
+        environment variable, else 1.  A segment large enough is split
+        across them (see :func:`~sniplab.mpdist.mpdist_profile`).  At
+        ``k <= 2`` and more than one thread, smaller segments are split
+        into one contiguous range per thread, each profiled a batch of
+        segments per kernel call.
+        The result does not depend on it; a count below 1 raises
+        ``ValueError``.
 
     Returns
     -------
@@ -299,15 +324,41 @@ def select_snippets(
     lower = np.empty(num_segments)  # round 1's bounds are its exact areas
     maxima = np.empty(num_segments)
 
-    def profile_pass():
-        for i in range(num_segments):
-            profile = fetch(i)
-            lower[i] = profile.values.sum()
-            maxima[i] = profile.values.max()
-            store.keep(profile)
-            yield profile.values
+    def take(index: int, values: np.ndarray) -> tuple[int, np.ndarray]:
+        # The pass reads each segment's profile once: its round-1 area,
+        # its largest entry and its codes, then its share of the nearest
+        # segments.
+        lower[index] = values.sum()
+        maxima[index] = values.max()
+        store.keep(index, values)
+        return index, values
 
-    nearest = _nearest_rows(profile_pass())
+    if (
+        profiles is None
+        and workers > 1
+        and params.k <= 2
+        and len(_splits(series.n, params, workers)) == 1
+    ):
+        # Segments too small to split go in contiguous ranges, one per
+        # thread, the first on this one; each range writes its own rows
+        # of lower, maxima and the codes, and the ranges' nearest
+        # segments merge in range order, ties to the lower range.  On
+        # one thread, batches made sweep-2w's jobs (n = 12,000) peak
+        # 1.5 MB higher in all, with no gain in the sweep's time, so a
+        # lone search profiles segment by segment.
+        count = min(workers, num_segments)
+        bounds = [num_segments * i // count for i in range(count + 1)]
+
+        def profile_range(first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+            rows = _batched_rows(stats, params, first, stop)
+            return _nearest_rows(take(i, row) for i, row in enumerate(rows, start=first))
+
+        with ThreadPoolExecutor(max_workers=count - 1) as pool:
+            rest = pool.map(profile_range, bounds[1:-1], bounds[2:])
+            parts = [profile_range(0, bounds[1]), *rest]
+        _, nearest = _nearest_rows((labels, best) for best, labels in parts)
+    else:
+        _, nearest = _nearest_rows(take(i, fetch(i).values) for i in range(num_segments))
 
     # Every round takes exact areas in (bound, index) order and stops at
     # the first bound past the smallest (area, index) so far.  An

@@ -172,54 +172,92 @@ def _check_stats(series: TimeSeries, stats: SlidingStats, window_len: int) -> No
         )
 
 
-def _sliding_dots(stats: SlidingStats, query_start: int, start: int, stop: int) -> np.ndarray:
-    """Centred cross products of one query window with series windows [start, stop).
+def _operands(values: np.ndarray) -> list:
+    """Each entry along the last axis as an operand against 1-D rows.
 
-    Entry ``j - start`` is ``sum_k (c[q + k] - mu[q]) * (c[j + k] - mu[j])``
-    on the centred series ``c``, in ``window_len`` elementwise passes,
-    one per query sample, so an entry is the same bits whatever the
-    range.  Both windows are centred on their own means before the
-    product, so the result is as precise as the windows' spread,
-    however far their means lie from 0.  It serves the kernel's row 0
-    and, with window 0 as the query, its column 0.
+    A float where ``values`` is 1-D (one query), which a numpy call
+    takes for less than a one-element array; a ``(B, 1)`` column where
+    it is 2-D (B queries).
+    """
+    return values.tolist() if values.ndim == 1 else list(values.T[..., None])
+
+
+def _sliding_dots(
+    stats: SlidingStats, queries, start: int, stop: int, out=None, scratch=None
+) -> np.ndarray:
+    """Centred cross products of query windows with series windows [start, stop).
+
+    ``queries`` is one window start or a sequence of them.  Entry ``j -
+    start`` of query ``q``'s row is ``sum_k (c[q + k] - mu[q]) *
+    (c[j + k] - mu[j])`` on the centred series ``c``, in ``window_len``
+    elementwise passes, one per query sample, so an entry is the same
+    bits whatever the range and whatever the other queries.  Both
+    windows are centred on their own means before the product, so the
+    result is as precise as the windows' spread, however far their means
+    lie from 0.  It serves the kernel's row 0 and, with window 0 as the
+    query, its column 0.
+
+    Returns an array of shape ``np.shape(queries) + (stop - start,)``,
+    ``out`` when given; ``scratch`` of that shape, when given, holds the
+    terms.
     """
     subseq_len = stats.window_len
     values = stats.centred
     means = stats.centred_means[start:stop]
-    query = values[query_start : query_start + subseq_len] - stats.centred_means[query_start]
-    dots = np.subtract(values[start:stop], means)
-    dots *= query[0]
-    term = np.empty(stop - start)
-    for k in range(1, subseq_len):
-        np.subtract(values[start + k : stop + k], means, out=term)
-        term *= query[k]
-        dots += term
+    queries = np.asarray(queries)
+    samples = values[queries[..., None] + np.arange(subseq_len)]
+    samples -= stats.centred_means[queries][..., None]
+    samples = _operands(samples)
+    shape = queries.shape + (stop - start,)
+    dots = np.empty(shape) if out is None else out
+    term = np.empty(shape) if scratch is None else scratch
+    # B queries share each pass's deviations; one query forms its
+    # products in place, which touches one array less per pass.
+    deviation = term if queries.ndim == 0 else np.empty(stop - start)
+    for k in range(subseq_len):
+        np.subtract(values[start + k : stop + k], means, out=deviation)
+        np.multiply(deviation, samples[k], out=term if k else dots)
+        if k:
+            dots += term
     return dots
 
 
 def neg_correlations(
     stats: SlidingStats,
-    first_query: int,
+    first_queries,
     num_rows: int,
     *,
     columns: tuple[int, int] | None = None,
-) -> np.ndarray:
-    """Negated correlations of consecutive query windows against series windows.
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+):
+    """Negated correlations of B segments' query windows against series windows, row by row.
 
-    Row ``i`` holds ``-rho`` between the window starting at
-    ``first_query + i`` and each series window in ``columns``, so
-    smaller is nearer.  Row 0 and column 0 come from
-    :func:`_sliding_dots`; every other entry follows from the one before
-    it on its diagonal by SCAMP's mean-centred update (Zimmerman et al.,
-    SoCC 2019)
+    Yields ``num_rows`` arrays of shape ``(B, stop - start)``, B being
+    ``len(first_queries)``.  Row ``b`` of the ``i``-th holds ``-rho``
+    between the window starting at ``first_queries[b] + i`` and each
+    series window in ``columns``, so smaller is nearer.  A single int
+    ``first_queries`` drops the segment axis: every array is 1-D, and a
+    numpy call on it costs less than on a ``(1, stop - start)`` one.
+    Without ``out`` every yielded array is one buffer, overwritten by
+    the next row, so a caller that folds the rows (into column minima,
+    say) never holds them all; with ``out`` of shape ``(B, num_rows,
+    stop - start)`` (no B for an int) row ``i`` is written to and
+    yielded as ``out[..., i, :]``.
+
+    Row 0 and column 0 come from :func:`_sliding_dots`; every other
+    entry follows from the one before it on its diagonal by SCAMP's
+    mean-centred update (Zimmerman et al., SoCC 2019)
 
         cov[q, j] = cov[q - 1, j - 1] + df[q] * dg[j] + df[j] * dg[q]
 
-    held negated in one buffer indexed by diagonal and updated in place.
-    Every term is centred, so a large offset costs no precision.  The
-    update accumulates round-off along a diagonal, so a later row can
-    differ in its last bits from the same query computed on its own
-    (``num_rows=1``).
+    held negated in one buffer indexed by segment and diagonal and
+    updated in place.  Every term is centred, so a large offset costs no
+    precision.  The B segments go through the same elementwise float
+    operations as 2-D arrays, so each segment's rows are the same bits
+    as when it is computed alone (B = 1).  The update accumulates
+    round-off along a diagonal, so a later row can differ in its last
+    bits from the same query computed on its own (``num_rows=1``).
 
     Every diagonal starts in row 0 or column 0, and both kinds of start
     are seeded before the first update.  A column range ``[start,
@@ -247,66 +285,113 @@ def neg_correlations(
 
     Parameters
     ----------
+    first_queries : int or sequence of int
+        First query window of each segment.
     columns : (start, stop), optional
         Series windows to correlate against; all of them by default.
+    out : ndarray, optional
+        Where to write every row instead of the reused buffer.
+    work : ndarray, optional
+        The diagonals and the scratch, shape ``(2, B, stop - start +
+        num_rows - 1)`` (no B for an int); a caller that profiles batch
+        after batch passes the same one each time, so no call maps fresh
+        pages.
+    """
+    sumsq, df, dg = stats.sumsq, stats.df, stats.dg
+    first_queries = np.asarray(first_queries, dtype=np.intp)
+    start, stop = (0, sumsq.size) if columns is None else columns
+    width = stop - start
+    col_sumsq = sumsq[start:stop]
+    constant = np.flatnonzero(col_sumsq == 0.0)
+    # Row i's query windows and their terms, taken before the loop, so a
+    # row costs no indexing call.
+    queries = first_queries[..., None] + np.arange(num_rows)
+    q_df, q_dg, q_sumsq = (_operands(v[queries]) for v in (df, dg, sumsq))
+    by_row = queries.reshape(-1, num_rows).T
+    flat = (sumsq[by_row] == 0.0).any(axis=1).tolist()
+    # Each row's own windows in the range, as (segment, column) pairs in
+    # row order; row i's are pairs cuts[i] to cuts[i + 1].
+    own_row, own_segment = np.nonzero((start <= by_row) & (by_row < stop))
+    own_column = by_row[own_row, own_segment] - start
+    cuts = np.searchsorted(own_row, np.arange(num_rows + 1)).tolist()
+    # Diagonal j - i of row i sits at buffer[..., j - i + lead].  Row 0
+    # seeds it from column ``halo`` on, and column 0 of rows 1 to
+    # ``lead`` seeds the diagonals that start there, reversed, in
+    # buffer[..., :lead].
+    lead = num_rows - 1 - start
+    halo = max(0, -lead)
+    if work is None:
+        work = np.empty((2, *first_queries.shape, width + num_rows - 1))
+    buffer, scratch = work
+    seeded = buffer[..., halo + lead :]
+    _sliding_dots(stats, first_queries, halo, stop, out=seeded, scratch=scratch[..., halo + lead :])
+    np.negative(seeded, out=seeded)
+    if lead > 0:
+        # Window 0's products with one range of windows that covers every
+        # segment's rows 1 to lead.
+        base = int(first_queries.min()) + 1
+        column0 = _sliding_dots(stats, 0, base, int(first_queries.max()) + lead + 1)
+        np.negative(column0[queries[..., lead:0:-1] - base], out=buffer[..., :lead])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(num_rows):
+            if i:
+                # Columns [lo, stop) of this row still reach the range;
+                # column 0 is seeded.
+                lo = max(1, start - (num_rows - 1 - i))
+                cov = buffer[..., lo - i + lead : stop - i + lead]
+                term = scratch[..., : cov.shape[-1]]
+                np.multiply(dg[lo:stop], q_df[i], out=term)
+                np.subtract(cov, term, out=cov)
+                np.multiply(df[lo:stop], q_dg[i], out=term)
+                np.subtract(cov, term, out=cov)
+            denominator = scratch[..., :width]
+            rows = denominator if out is None else out[..., i, :]
+            np.multiply(col_sumsq, q_sumsq[i], out=denominator)
+            np.sqrt(denominator, out=denominator)
+            first = num_rows - 1 - i
+            np.divide(buffer[..., first : first + width], denominator, out=rows)
+            if constant.size:
+                rows[..., constant] = -0.5
+            if flat[i]:
+                fixed = rows.reshape(-1, width)  # a view, one row per segment
+                flat_rows = np.flatnonzero(sumsq[by_row[i]] == 0.0)
+                fixed[flat_rows] = -0.5
+                fixed[np.ix_(flat_rows, constant)] = -1.0
+            if cuts[i] < cuts[i + 1]:
+                own = slice(cuts[i], cuts[i + 1])
+                # (segment, column) pairs; the columns alone index 1-D rows.
+                rows[(own_segment[own], own_column[own])[-rows.ndim :]] = -1.0
+            yield rows
+
+
+def neg_correlation_matrix(
+    stats: SlidingStats,
+    first_query: int,
+    num_rows: int,
+    *,
+    columns: tuple[int, int] | None = None,
+) -> np.ndarray:
+    """The :func:`neg_correlations` rows of one segment, stacked.
 
     Returns
     -------
     ndarray of shape (num_rows, stop - start)
     """
-    sumsq, df, dg = stats.sumsq, stats.df, stats.dg
-    start, stop = (0, sumsq.size) if columns is None else columns
-    width = stop - start
-    col_sumsq = sumsq[start:stop]
-    constant = np.flatnonzero(col_sumsq == 0.0)
-    out = np.empty((num_rows, width))
-    # Diagonal j - i of row i sits at buffer[j - i + lead].  Row 0 seeds
-    # it from column ``halo`` on, and column 0 of rows 1 to ``lead``
-    # seeds the diagonals that start there, reversed, in buffer[:lead].
-    lead = num_rows - 1 - start
-    halo = max(0, -lead)
-    buffer, scratch = np.empty((2, width + num_rows - 1))
-    np.negative(_sliding_dots(stats, first_query, halo, stop), out=buffer[halo + lead :])
-    if lead > 0:
-        column0 = _sliding_dots(stats, 0, first_query + 1, first_query + lead + 1)
-        np.negative(column0[::-1], out=buffer[:lead])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(num_rows):
-            query = first_query + i
-            if i:
-                # Columns [lo, stop) of this row still reach the range;
-                # column 0 is seeded.
-                lo = max(1, start - (num_rows - 1 - i))
-                cov = buffer[lo - i + lead : stop - i + lead]
-                term = scratch[: cov.size]
-                np.multiply(dg[lo:stop], df[query], out=term)
-                np.subtract(cov, term, out=cov)
-                np.multiply(df[lo:stop], dg[query], out=term)
-                np.subtract(cov, term, out=cov)
-            row = out[i]
-            q_sumsq = sumsq[query]
-            if q_sumsq == 0.0:
-                row.fill(-0.5)
-                row[constant] = -1.0
-            else:
-                denominator = scratch[:width]
-                np.multiply(col_sumsq, q_sumsq, out=denominator)
-                np.sqrt(denominator, out=denominator)
-                first = num_rows - 1 - i
-                np.divide(buffer[first : first + width], denominator, out=row)
-                row[constant] = -0.5
-            if start <= query < stop:
-                row[query - start] = -1.0
+    start, stop = (0, stats.sumsq.size) if columns is None else columns
+    out = np.empty((num_rows, stop - start))
+    for _ in neg_correlations(stats, first_query, num_rows, columns=columns, out=out):
+        pass
     return out
 
 
-def neg_correlation_to_distance(neg_rho, subseq_len: int) -> np.ndarray:
+def neg_correlation_to_distance(neg_rho, subseq_len: int, out=None) -> np.ndarray:
     """Distances ``sqrt(2 * subseq_len * (1 - rho))`` from negated correlations.
 
     ``-rho`` is clipped to [-1, 1] first.  The clip is monotone, so it
     commutes with the minima and order statistics taken before it.
+    ``out``, which may be ``neg_rho`` itself, receives the distances.
     """
-    distances = np.clip(np.asarray(neg_rho, dtype=np.float64), -1.0, 1.0)
+    distances = np.clip(np.asarray(neg_rho, dtype=np.float64), -1.0, 1.0, out=out)
     distances += 1.0
     distances *= 2.0 * subseq_len
     return np.sqrt(distances, out=distances)
@@ -348,7 +433,7 @@ def distance_row(
             f"query window [{query_start}, {query_start + subseq_len}) is outside "
             f"a series of length {n}"
         )
-    neg_rho = neg_correlations(stats, query_start, 1)[0]
+    neg_rho = neg_correlation_matrix(stats, query_start, 1)[0]
     entries = neg_correlation_to_distance(neg_rho, subseq_len)
     return DistanceRow(entries=entries)
 
@@ -358,7 +443,7 @@ def segment_distance_matrix(
 ) -> np.ndarray:
     """All distance rows of one segment, stacked.
 
-    The :func:`neg_correlations` rows of the segment's windows, each
+    The :func:`neg_correlation_matrix` of the segment's windows, each
     entry mapped to its distance.
 
     Returns
@@ -379,5 +464,5 @@ def segment_distance_matrix(
         )
     num_rows = snippet_size - subseq_len + 1
     return neg_correlation_to_distance(
-        neg_correlations(stats, seg_start, num_rows), subseq_len
+        neg_correlation_matrix(stats, seg_start, num_rows), subseq_len
     )

@@ -169,6 +169,23 @@ class TestWorkers:
             outputs.append(out)
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("command", ["discover", "label"])
+    def test_unsplit_outputs_identical_across_workers(self, series_csv, capsys, monkeypatch, command):
+        # Back at the default part threshold (undoing the class's fixture)
+        # no segment splits, and at m = 16 (k = 2) the 32 segments are
+        # profiled in one range per thread.
+        monkeypatch.undo()
+        path, _ = series_csv
+        outputs = []
+        for workers in ("1", "2", "3"):
+            code, out, _ = _run(
+                [command, "--input", str(path), "--m", "16", "--k", "3", "--workers", workers],
+                capsys,
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_env_sets_default(self, series_csv, capsys, monkeypatch):
         path, _ = series_csv
         argv = ["discover", "--input", str(path), "--m", "16"]

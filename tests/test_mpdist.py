@@ -15,8 +15,9 @@ from sniplab import (
     default_window_size,
     mpdist_profile,
 )
-from sniplab import mpdist
+from sniplab import mpdist, snippets
 from sniplab.mpdist import _sliding_min_rows
+from sniplab.zdist import neg_correlation_matrix, neg_correlations
 from oracles import brute_sliding_min, distance_space_profile, naive_mpdist_profile
 from seriesgen import random_series
 
@@ -328,6 +329,78 @@ class TestMPdistProfileSplit:
         series = TimeSeries(np.arange(40.0) % 7)
         with pytest.raises(ValueError, match="worker"):
             mpdist_profile(series, 0, MPdistParams(snippet_size=8), workers=0)
+
+
+@st.composite
+def _batch_case(draw):
+    """A series, k <= 2 parameters, and one to five of its segments.
+
+    Flavors: noise; noise with constant runs; a loud stretch then a
+    quiet one at 1e-9 of its scale, whose windows are nearly constant
+    next to it.  Offsets up to 1e6; window size 1, where every window is
+    constant, among the sizes.  The segments may repeat and may include
+    the last one.
+    """
+    m = draw(st.integers(min_value=2, max_value=24))
+    l = draw(st.sampled_from([1, m]) | st.integers(min_value=1, max_value=m))
+    num_segments = draw(st.integers(min_value=2, max_value=12))
+    n = m * num_segments + draw(st.integers(min_value=0, max_value=m - 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = rng.standard_normal(n)
+    flavor = draw(st.sampled_from(["noise", "flat", "quiet"]))
+    if flavor == "flat":
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            start = int(rng.integers(0, n - 1))
+            values[start : start + int(rng.integers(2, 2 * m + 2))] = values[start]
+    elif flavor == "quiet":
+        values[n // 2 :] *= 1e-9
+    values = values + draw(st.sampled_from([0.0, 1e3, 1e6]))
+    params = MPdistParams(snippet_size=m, window_size=l, k=draw(st.sampled_from([1, 2])))
+    count = draw(st.integers(min_value=1, max_value=5))
+    segments = draw(st.lists(st.integers(0, num_segments - 1), min_size=count, max_size=count))
+    if draw(st.booleans()):
+        segments[-1] = num_segments - 1
+    return TimeSeries(values), params, segments
+
+
+class TestBatchedProfiles:
+    @given(_batch_case(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_batched_rows_and_profiles_equal_per_segment(self, case, data):
+        # B segments in one kernel call must give each segment's rows bit
+        # for bit as a call for it alone, over any column range; and the
+        # pass's batches, of 1 to 5 segments with a short last batch, the
+        # profiles mpdist_profile computes segment by segment.  The greedy
+        # rounds rely on a recomputed profile matching its pass row
+        # exactly.
+        series, params, segments = case
+        stats = compute_sliding_stats(series, params.window_size)
+        width = params.profile_width
+        num_columns = stats.sumsq.size
+        start = data.draw(st.integers(min_value=0, max_value=num_columns - 1))
+        stop = data.draw(st.integers(min_value=start + 1, max_value=num_columns))
+        columns = data.draw(st.sampled_from([None, (start, stop)]))
+        starts = [s * params.snippet_size for s in segments]
+        rows = np.stack([r.copy() for r in neg_correlations(stats, starts, width, columns=columns)])
+        for b, seg_start in enumerate(starts):
+            alone = neg_correlation_matrix(stats, seg_start, width, columns=columns)
+            assert rows[:, b].tobytes() == alone.tobytes(), f"segment at {seg_start}"
+
+        num_segments = series.n // params.snippet_size
+        first = data.draw(st.integers(min_value=0, max_value=num_segments - 1))
+        last = data.draw(st.integers(min_value=first + 1, max_value=num_segments))
+        with mock.patch.object(snippets, "_batch_size", lambda *_: len(segments)):
+            batched = [row.copy() for row in snippets._batched_rows(stats, params, first, last)]
+        assert len(batched) == last - first
+        for index, row in zip(range(first, last), batched):
+            profile = mpdist_profile(series, index, params, stats=stats)
+            assert row.tobytes() == profile.values.tobytes(), f"segment {index}"
+
+    def test_batch_size(self):
+        # At n = 20000 three segments' kernel rows fill a block.
+        assert mpdist._batch_size(19997) == 3
+        assert mpdist._batch_size(3997) == 16
+        assert mpdist._batch_size(10**6) == 1
 
 
 class TestMPdistProfileType:

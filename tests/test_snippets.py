@@ -28,11 +28,19 @@ def _tiled(pattern, reps):
 
 
 def _count_profiles(monkeypatch):
-    """The segment index of every ``mpdist_profile`` call ``snippets`` makes from now on."""
+    """The segment index of every profile ``snippets`` computes from now on.
+
+    One per ``mpdist_profile`` call, and one per segment of each batch
+    the ``k <= 2`` pass profiles together.
+    """
     calls = []
     profile = snippets.mpdist_profile
+    batch = snippets._min_profiles
     monkeypatch.setattr(
         snippets, "mpdist_profile", lambda *a, **kw: calls.append(a[1]) or profile(*a, **kw)
+    )
+    monkeypatch.setattr(
+        snippets, "_min_profiles", lambda *a, **kw: calls.extend(a[2]) or batch(*a, **kw)
     )
     return calls
 
@@ -327,14 +335,18 @@ class TestExactSelection:
         # only 2 distinct values.  The scan stops at the second segment,
         # whose (bound, index) passes the first's (area, index), so round
         # 1 profiles one segment beyond the pass; a stop rule on the bound
-        # alone would measure every tied segment, 99 calls in all.
+        # alone would measure every tied segment, 99 calls in all.  One
+        # thread profiles segment by segment, two in batches over two
+        # ranges; the count is the same.
         t = np.arange(8)
         series = _tiled(np.sin(2 * np.pi * t / 8) + t / 8, 50)
         params = MPdistParams(snippet_size=8)
         calls = _count_profiles(monkeypatch)
-        result = select_snippets(series, params, 1)
-        assert len(calls) == 51
-        assert [s.index for s in result.snippets] == [0]
+        for workers in (1, 2):
+            calls.clear()
+            result = select_snippets(series, params, 1, workers=workers)
+            assert len(calls) == 51
+            assert [s.index for s in result.snippets] == [0]
 
     def test_bounded_rounds_recompute_few(self, monkeypatch):
         # The bench's recipe at n = 4,000: period-8 sine and sawtooth
@@ -348,19 +360,27 @@ class TestExactSelection:
         calls = _count_profiles(monkeypatch)
         for seed in range(4):
             values, _ = sine_sawtooth_series(n=4000, period=8, block_len=256, seed=seed)
-            calls.clear()
-            select_snippets(TimeSeries(values), params, 4)
-            assert 500 < len(calls) <= 500 + 40
+            counts = []
+            for workers in (1, 2):
+                calls.clear()
+                select_snippets(TimeSeries(values), params, 4, workers=workers)
+                counts.append(len(calls))
+            assert 500 < counts[0] == counts[1] <= 500 + 40
 
     def test_many_rounds_profile_calls_bounded(self, monkeypatch):
         # The discover-m8 bench input (seed 11) at K = 20: the pass
         # profiles the 2,500 segments and late rounds recompute many
         # more, 5,829 calls in all (2,511 at K = 2).  A call count is the
-        # same on any machine, so this gates the work of late rounds.
+        # same on any machine, so this gates the work of late rounds, with
+        # the pass segment by segment (one thread) and in batches (two).
         values, _ = sine_sawtooth_series(n=20000, period=8, block_len=1024, seed=11)
         calls = _count_profiles(monkeypatch)
-        select_snippets(TimeSeries(values), MPdistParams(snippet_size=8), 20, workers=1)
-        assert len(calls) <= 5829
+        counts = []
+        for workers in (1, 2):
+            calls.clear()
+            select_snippets(TimeSeries(values), MPdistParams(snippet_size=8), 20, workers=workers)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 5829
 
     @pytest.mark.parametrize("num_snippets", [2, 3])
     def test_rows_within_profile_width_profiled_once(self, monkeypatch, num_snippets):
@@ -427,7 +447,7 @@ class TestProfileCodes:
         values = np.concatenate(
             [points, np.nextafter(points, 0.0), np.nextafter(points, np.inf)]
         )
-        store.keep(MPdistProfile(segment_index=0, values=values))
+        store.keep(0, values)
         codes = store.codes[0].astype(np.intp)
         np.testing.assert_array_equal(codes[:256], np.arange(256))
         assert codes[256 + specials.index(top)] == 254
@@ -446,7 +466,7 @@ class TestProfileCodes:
         store = snippets._ProfileStore(num_segments, num_windows, top)
         rows = store.lo[rng.integers(0, 255, size=(num_segments, num_windows))]
         for segment, row in enumerate(rows):
-            store.keep(MPdistProfile(segment_index=segment, values=row))
+            store.keep(segment, row)
         curve = rng.uniform(0.0, top, num_windows)
         for bound, row in zip(store.lower_bounds(curve), rows):
             terms = np.minimum(row, curve)
@@ -469,6 +489,77 @@ class TestWorkers:
                 _assert_same_result(
                     select_snippets(series, params, num_snippets, workers=workers), solo
                 )
+
+    @given(_selection_case(), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_batched_pass_worker_count_changes_no_bit(self, case, batch):
+        # At the default part threshold no segment here splits, so at
+        # k <= 2 one thread profiles segment by segment and two or three
+        # profile contiguous ranges, one per thread, in the default
+        # batches and in batches of 1 to 3 segments.  Ranges and batches need not
+        # divide the segment count, and the tiled flavors tie nearest
+        # segments across range boundaries; the result must be the same
+        # at any worker count, and the same as from the profiles.
+        series, params, num_snippets = case
+        solo = select_snippets(series, params, num_snippets, workers=1)
+        for workers in (2, 3):
+            _assert_same_result(select_snippets(series, params, num_snippets, workers=workers), solo)
+        with mock.patch.object(snippets, "_batch_size", lambda *_: batch):
+            for workers in (1, 2, 3):
+                _assert_same_result(
+                    select_snippets(series, params, num_snippets, workers=workers), solo
+                )
+        profiles = segment_profiles(series, params)
+        _assert_same_result(select_snippets(series, params, num_snippets, profiles=profiles), solo)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_batched_ranges_tie_to_lower_segment(self, monkeypatch, workers):
+        # 700 noise-free periods of 8 samples: many segments' profiles
+        # are the same bits, so many windows find their smallest entry
+        # both in the first range and in a later one, and must take the
+        # lower segment, as the stacked argmin does.  The ranges (350 or
+        # 233/233/234 segments) take unpatched batches of 11 segments,
+        # which divide none of them.
+        t = np.arange(8)
+        series = _tiled(np.sin(2 * np.pi * t / 8) + t / 8, 700)
+        params = MPdistParams(snippet_size=8)
+        assert mpdist._batch_size(5597) == 11
+        profiles = segment_profiles(series, params)
+        matrix = np.vstack([p.values for p in profiles])
+        lowest = matrix.min(axis=0)
+        first_range = 700 // workers
+        tied = (matrix[:first_range] == lowest).any(axis=0) & (
+            matrix[first_range:] == lowest
+        ).any(axis=0)
+        assert tied.sum() > 1000
+        _, _, _, counts, _ = stacked_selection(matrix, 2)
+        calls = _count_profiles(monkeypatch)
+        result = select_snippets(series, params, 2, workers=workers)
+        assert sorted(calls[:700]) == list(range(700))
+        np.testing.assert_array_equal(result.segment_window_counts, counts)
+        _assert_same_result(result, select_snippets(series, params, 2, profiles=profiles))
+
+    def test_batched_pass_working_memory_bounded(self):
+        # n = 8,000, m = 8 at two workers: 1,000 segments of 7,993 codes,
+        # in two ranges profiled 8 segments a call.  Each thread holds its
+        # batch's diagonals, scratch and column minima (24 float64 rows
+        # of the 7,997 windows) and its nearest-segment partials (2 more);
+        # with the statistics and the rounds' rows, the peak was 59.8
+        # such rows beyond the codes when this bound was set.  Holding
+        # each segment's 5 kernel rows would add 80 rows, and keeping each
+        # thread's profiles 1,000.
+        rng = np.random.default_rng(16)
+        series = TimeSeries(random_series(rng, 8000))
+        params = MPdistParams(snippet_size=8)
+        codes = 1000 * (8000 - 8 + 1)
+        row_bytes = 8 * (8000 - 4 + 1)
+        tracemalloc.start()
+        try:
+            select_snippets(series, params, 2, workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - codes <= 64 * row_bytes, f"{(peak - codes) / row_bytes:.1f} rows"
 
     @pytest.mark.parametrize("workers", [0, -5])
     def test_bad_count_rejected_before_any_work(self, monkeypatch, workers):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sniplab import MPdistParams, TimeSeries, compute_sliding_stats, distance_row, mpdist_profile
 from sniplab import zdist
-from sniplab.zdist import _sliding_dots, neg_correlations, segment_distance_matrix
+from sniplab.zdist import _sliding_dots, neg_correlation_matrix, segment_distance_matrix
 from oracles import naive_distance_row, znorm_euclid
 
 
@@ -213,8 +213,8 @@ class TestNegCorrelationColumns:
             assume(num_rows < num_columns)
             start = data.draw(st.integers(min_value=num_rows, max_value=num_columns - 1))
         stop = data.draw(st.integers(min_value=start + 1, max_value=num_columns))
-        full = neg_correlations(stats, first_query, num_rows)
-        part = neg_correlations(stats, first_query, num_rows, columns=(start, stop))
+        full = neg_correlation_matrix(stats, first_query, num_rows)
+        part = neg_correlation_matrix(stats, first_query, num_rows, columns=(start, stop))
         assert part.shape == (num_rows, stop - start)
         assert np.array_equal(part.view(np.int64), full[:, start:stop].view(np.int64))
 
@@ -234,8 +234,8 @@ class TestNegCorrelationColumns:
         stop = data.draw(
             st.sampled_from([start + 1, num_columns]) | st.integers(start + 1, num_columns)
         )
-        full = _sliding_dots(stats, query, 0, num_columns)
-        part = _sliding_dots(stats, query, start, stop)
+        full = _sliding_dots(stats, [query], 0, num_columns)[0]
+        part = _sliding_dots(stats, [query], start, stop)[0]
         assert part.shape == (stop - start,)
         assert np.all(part == full[start:stop])
 
@@ -248,9 +248,9 @@ class TestNegCorrelationColumns:
         values = 1e3 + np.cumsum(np.random.default_rng(5).standard_normal(3000))
         stats = compute_sliding_stats(TimeSeries(values), l)
         first_query, num_rows = 700, 2 * l
-        rows = neg_correlations(stats, first_query, num_rows, columns=(0, 50))
+        rows = neg_correlation_matrix(stats, first_query, num_rows, columns=(0, 50))
         for i in range(num_rows):
-            alone = neg_correlations(stats, first_query + i, 1, columns=(0, 1))
+            alone = neg_correlation_matrix(stats, first_query + i, 1, columns=(0, 1))
             assert rows[i, 0] == alone[0, 0], f"row {i}"
 
     def test_column_zero_computed_only_where_a_diagonal_starts(self):
@@ -264,15 +264,15 @@ class TestNegCorrelationColumns:
         def calls(run):
             with mock.patch.object(zdist, "_sliding_dots", wraps=zdist._sliding_dots) as dots:
                 run()
-            return [tuple(call.args[1:]) for call in dots.call_args_list]
+            return [(np.ravel(call.args[1]).tolist(), *call.args[2:4]) for call in dots.call_args_list]
 
         for start in (4, 10):
-            ranged = calls(lambda: neg_correlations(stats, first_query, 5, columns=(start, 30)))
-            assert ranged == [(first_query, max(0, start - 4), 30)]
-        assert calls(lambda: distance_row(series, stats, first_query, 0, 8)) == [(first_query, 0, 53)]
-        assert calls(lambda: neg_correlations(stats, first_query, 5, columns=(0, 30))) == [
-            (first_query, 0, 30),
-            (0, first_query + 1, first_query + 5),
+            ranged = calls(lambda: neg_correlation_matrix(stats, first_query, 5, columns=(start, 30)))
+            assert ranged == [([first_query], max(0, start - 4), 30)]
+        assert calls(lambda: distance_row(series, stats, first_query, 0, 8)) == [([first_query], 0, 53)]
+        assert calls(lambda: neg_correlation_matrix(stats, first_query, 5, columns=(0, 30))) == [
+            ([first_query], 0, 30),
+            ([0], first_query + 1, first_query + 5),
         ]
 
 
