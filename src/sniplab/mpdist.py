@@ -48,13 +48,14 @@ of rows or tile, which release it while they run and take it back
 between them.
 
 A segment too small to split is profiled on one thread.  At ``k <= 2``
-a search with more than one thread profiles such segments several at
-a time instead (:func:`_min_profiles`): the kernel runs over B
-segments' rows as 2-D arrays, about ``_BLOCK_BYTES`` a row, and folds
-each row into the column minima as it comes.  One segment's numpy calls last 7 to 15 µs at
-n = 20,000, too short for threads to overlap between GIL hand-offs; B
-segments' calls last B times as long, so threads that each take a
-range of segments pay off (see :func:`~sniplab.snippets.select_snippets`).
+a search profiles such segments several at a time instead
+(:func:`_min_profiles`): the kernel runs over B segments' rows as 2-D
+arrays, about ``_BLOCK_BYTES`` a row, and folds each row into the
+column minima as it comes.  One segment's numpy calls last 7 to 15 µs
+at n = 20,000, too short for threads to overlap between GIL hand-offs;
+B segments' calls last B times as long, so threads that each take a
+range of segments pay off (see :func:`~sniplab.snippets.select_snippets`),
+and on one thread the batches cut the per-call overhead.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from .zdist import segment_distance_matrix  # noqa: F401  bench/layers.py wraps 
 # (100k), but 0.65 to 0.9 times from 1.3M entries on (n = 10000,
 # m = 256; n = 20000, m = 128 to 1024).  A smaller segment stays whole;
 # at k <= 2 a search's threads take such segments by the range instead,
-# a batch of them per kernel call.
+# a batch of them per kernel call, and one thread takes them all.
 MIN_PART_ENTRIES = 1 << 19
 
 # Bytes of rows the sliding minimum takes through all its passes at a
@@ -206,14 +207,19 @@ def _column_parts(num_positions: int, entries: int, workers: int) -> list[tuple[
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _batch_size(num_columns: int) -> int:
-    """Segments one :func:`_min_profiles` call profiles in a threaded pass.
+def _batch_size(num_columns: int, num_segments: int) -> int:
+    """Segments one :func:`_min_profiles` call profiles in a search's pass.
 
     Their kernel rows over ``num_columns`` columns fill about
     ``_BLOCK_BYTES`` (3 segments at n = 20,000), so each numpy call runs
-    long enough for other threads to use the GIL meanwhile.
+    long enough for other threads to use the GIL meanwhile, and its
+    call overhead is spread over more entries.  A batch takes at most a
+    64th of the ``num_segments``: a thread's workspace of three float64
+    rows a segment then stays within 3/8 of the one-byte codes the
+    search keeps (at n = 4,000, 16 segments a batch would hold 1.5 MB
+    beside 2 MB of codes).
     """
-    return max(1, _BLOCK_BYTES // (8 * num_columns))
+    return max(1, min(_BLOCK_BYTES // (8 * num_columns), num_segments // 64))
 
 
 def _splits(n: int, params: MPdistParams, workers: int) -> list[tuple[int, int]]:

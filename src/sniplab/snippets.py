@@ -160,8 +160,8 @@ def _nearest_rows(labelled_rows) -> tuple[np.ndarray, np.ndarray]:
     return best, nearest
 
 
-def _batched_rows(stats, params: MPdistParams, first: int, stop: int):
-    """Profiles of segments ``[first, stop)`` at ``k <= 2``, a batch at a time.
+def _batched_rows(stats, params: MPdistParams, first: int, stop: int, batch: int):
+    """Profiles of segments ``[first, stop)`` at ``k <= 2``, ``batch`` at a time.
 
     Each batch's profiles are computed and converted to distances in
     one reused array, so the next batch overwrites every yielded row;
@@ -169,7 +169,6 @@ def _batched_rows(stats, params: MPdistParams, first: int, stop: int):
     :func:`~sniplab.mpdist.mpdist_profile`'s.
     """
     num_columns = stats.sumsq.size
-    batch = _batch_size(num_columns)
     work = np.empty((3, min(batch, stop - first), num_columns + params.profile_width - 1))
     for lo in range(first, stop, batch):
         profiles = _min_profiles(stats, params, range(lo, min(lo + batch, stop)), work=work)
@@ -275,9 +274,8 @@ def select_snippets(
         Profiling threads; defaults to the ``SNIPLAB_WORKERS``
         environment variable, else 1.  A segment large enough is split
         across them (see :func:`~sniplab.mpdist.mpdist_profile`).  At
-        ``k <= 2`` and more than one thread, smaller segments are split
-        into one contiguous range per thread, each profiled a batch of
-        segments per kernel call.
+        ``k <= 2``, smaller segments are split into one contiguous range
+        per thread, each profiled a batch of segments per kernel call.
         The result does not depend on it; a count below 1 raises
         ``ValueError``.
 
@@ -333,30 +331,26 @@ def select_snippets(
         store.keep(index, values)
         return index, values
 
-    if (
-        profiles is None
-        and workers > 1
-        and params.k <= 2
-        and len(_splits(series.n, params, workers)) == 1
-    ):
+    if profiles is None and params.k <= 2 and len(_splits(series.n, params, workers)) == 1:
         # Segments too small to split go in contiguous ranges, one per
         # thread, the first on this one; each range writes its own rows
         # of lower, maxima and the codes, and the ranges' nearest
-        # segments merge in range order, ties to the lower range.  On
-        # one thread, batches made sweep-2w's jobs (n = 12,000) peak
-        # 1.5 MB higher in all, with no gain in the sweep's time, so a
-        # lone search profiles segment by segment.
+        # segments merge in range order, ties to the lower range.
         count = min(workers, num_segments)
         bounds = [num_segments * i // count for i in range(count + 1)]
+        batch = _batch_size(stats.sumsq.size, num_segments)
 
         def profile_range(first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-            rows = _batched_rows(stats, params, first, stop)
+            rows = _batched_rows(stats, params, first, stop, batch)
             return _nearest_rows(take(i, row) for i, row in enumerate(rows, start=first))
 
-        with ThreadPoolExecutor(max_workers=count - 1) as pool:
-            rest = pool.map(profile_range, bounds[1:-1], bounds[2:])
-            parts = [profile_range(0, bounds[1]), *rest]
-        _, nearest = _nearest_rows((labels, best) for best, labels in parts)
+        if count == 1:
+            _, nearest = profile_range(0, num_segments)
+        else:
+            with ThreadPoolExecutor(max_workers=count - 1) as pool:
+                rest = pool.map(profile_range, bounds[1:-1], bounds[2:])
+                parts = [profile_range(0, bounds[1]), *rest]
+            _, nearest = _nearest_rows((labels, best) for best, labels in parts)
     else:
         _, nearest = _nearest_rows(take(i, fetch(i).values) for i in range(num_segments))
 

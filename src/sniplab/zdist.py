@@ -332,36 +332,38 @@ def neg_correlations(
         base = int(first_queries.min()) + 1
         column0 = _sliding_dots(stats, 0, base, int(first_queries.max()) + lead + 1)
         np.negative(column0[queries[..., lead:0:-1] - base], out=buffer[..., :lead])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(num_rows):
-            if i:
-                # Columns [lo, stop) of this row still reach the range;
-                # column 0 is seeded.
-                lo = max(1, start - (num_rows - 1 - i))
-                cov = buffer[..., lo - i + lead : stop - i + lead]
-                term = scratch[..., : cov.shape[-1]]
-                np.multiply(dg[lo:stop], q_df[i], out=term)
-                np.subtract(cov, term, out=cov)
-                np.multiply(df[lo:stop], q_dg[i], out=term)
-                np.subtract(cov, term, out=cov)
-            denominator = scratch[..., :width]
-            rows = denominator if out is None else out[..., i, :]
-            np.multiply(col_sumsq, q_sumsq[i], out=denominator)
-            np.sqrt(denominator, out=denominator)
-            first = num_rows - 1 - i
+    for i in range(num_rows):
+        if i:
+            # Columns [lo, stop) of this row still reach the range;
+            # column 0 is seeded.
+            lo = max(1, start - (num_rows - 1 - i))
+            cov = buffer[..., lo - i + lead : stop - i + lead]
+            term = scratch[..., : cov.shape[-1]]
+            np.multiply(dg[lo:stop], q_df[i], out=term)
+            np.subtract(cov, term, out=cov)
+            np.multiply(df[lo:stop], q_dg[i], out=term)
+            np.subtract(cov, term, out=cov)
+        denominator = scratch[..., :width]
+        rows = denominator if out is None else out[..., i, :]
+        np.multiply(col_sumsq, q_sumsq[i], out=denominator)
+        np.sqrt(denominator, out=denominator)
+        first = num_rows - 1 - i
+        # Only the division runs under errstate, so no yield suspends
+        # the generator with the caller's numpy warnings silenced.
+        with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(buffer[..., first : first + width], denominator, out=rows)
-            if constant.size:
-                rows[..., constant] = -0.5
-            if flat[i]:
-                fixed = rows.reshape(-1, width)  # a view, one row per segment
-                flat_rows = np.flatnonzero(sumsq[by_row[i]] == 0.0)
-                fixed[flat_rows] = -0.5
-                fixed[np.ix_(flat_rows, constant)] = -1.0
-            if cuts[i] < cuts[i + 1]:
-                own = slice(cuts[i], cuts[i + 1])
-                # (segment, column) pairs; the columns alone index 1-D rows.
-                rows[(own_segment[own], own_column[own])[-rows.ndim :]] = -1.0
-            yield rows
+        if constant.size:
+            rows[..., constant] = -0.5
+        if flat[i]:
+            fixed = rows.reshape(-1, width)  # a view, one row per segment
+            flat_rows = np.flatnonzero(sumsq[by_row[i]] == 0.0)
+            fixed[flat_rows] = -0.5
+            fixed[np.ix_(flat_rows, constant)] = -1.0
+        if cuts[i] < cuts[i + 1]:
+            own = slice(cuts[i], cuts[i + 1])
+            # (segment, column) pairs; the columns alone index 1-D rows.
+            rows[(own_segment[own], own_column[own])[-rows.ndim :]] = -1.0
+        yield rows
 
 
 def neg_correlation_matrix(

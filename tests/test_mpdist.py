@@ -389,18 +389,22 @@ class TestBatchedProfiles:
         num_segments = series.n // params.snippet_size
         first = data.draw(st.integers(min_value=0, max_value=num_segments - 1))
         last = data.draw(st.integers(min_value=first + 1, max_value=num_segments))
-        with mock.patch.object(snippets, "_batch_size", lambda *_: len(segments)):
-            batched = [row.copy() for row in snippets._batched_rows(stats, params, first, last)]
+        rows = snippets._batched_rows(stats, params, first, last, len(segments))
+        batched = [row.copy() for row in rows]
         assert len(batched) == last - first
         for index, row in zip(range(first, last), batched):
             profile = mpdist_profile(series, index, params, stats=stats)
             assert row.tobytes() == profile.values.tobytes(), f"segment {index}"
 
     def test_batch_size(self):
-        # At n = 20000 three segments' kernel rows fill a block.
-        assert mpdist._batch_size(19997) == 3
-        assert mpdist._batch_size(3997) == 16
-        assert mpdist._batch_size(10**6) == 1
+        # At n = 20000 three segments' kernel rows fill a block; at
+        # n = 4000 sixteen would, but a batch takes at most a 64th of
+        # the segments.
+        assert mpdist._batch_size(19997, 2500) == 3
+        assert mpdist._batch_size(3997, 500) == 7
+        assert mpdist._batch_size(3997, 5000) == 16
+        assert mpdist._batch_size(10**6, 10**5) == 1
+        assert mpdist._batch_size(3997, 10) == 1
 
 
 class TestMPdistProfileType:

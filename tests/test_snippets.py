@@ -336,8 +336,8 @@ class TestExactSelection:
         # whose (bound, index) passes the first's (area, index), so round
         # 1 profiles one segment beyond the pass; a stop rule on the bound
         # alone would measure every tied segment, 99 calls in all.  One
-        # thread profiles segment by segment, two in batches over two
-        # ranges; the count is the same.
+        # thread profiles in batches over one range, two over two ranges;
+        # the count is the same.
         t = np.arange(8)
         series = _tiled(np.sin(2 * np.pi * t / 8) + t / 8, 50)
         params = MPdistParams(snippet_size=8)
@@ -372,7 +372,7 @@ class TestExactSelection:
         # profiles the 2,500 segments and late rounds recompute many
         # more, 5,829 calls in all (2,511 at K = 2).  A call count is the
         # same on any machine, so this gates the work of late rounds, with
-        # the pass segment by segment (one thread) and in batches (two).
+        # the pass over one range of segments (one thread) and two (two).
         values, _ = sine_sawtooth_series(n=20000, period=8, block_len=1024, seed=11)
         calls = _count_profiles(monkeypatch)
         counts = []
@@ -494,9 +494,9 @@ class TestWorkers:
     @settings(max_examples=40, deadline=None)
     def test_batched_pass_worker_count_changes_no_bit(self, case, batch):
         # At the default part threshold no segment here splits, so at
-        # k <= 2 one thread profiles segment by segment and two or three
-        # profile contiguous ranges, one per thread, in the default
-        # batches and in batches of 1 to 3 segments.  Ranges and batches need not
+        # k <= 2 one, two or three threads profile contiguous ranges, one
+        # per thread, in the default batches and in batches of 1 to 3
+        # segments.  Ranges and batches need not
         # divide the segment count, and the tiled flavors tie nearest
         # segments across range boundaries; the result must be the same
         # at any worker count, and the same as from the profiles.
@@ -514,20 +514,20 @@ class TestWorkers:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_batched_ranges_tie_to_lower_segment(self, monkeypatch, workers):
-        # 700 noise-free periods of 8 samples: many segments' profiles
+        # 710 noise-free periods of 8 samples: many segments' profiles
         # are the same bits, so many windows find their smallest entry
         # both in the first range and in a later one, and must take the
-        # lower segment, as the stacked argmin does.  The ranges (350 or
-        # 233/233/234 segments) take unpatched batches of 11 segments,
+        # lower segment, as the stacked argmin does.  The ranges (355 or
+        # 236/237/237 segments) take unpatched batches of 11 segments,
         # which divide none of them.
         t = np.arange(8)
-        series = _tiled(np.sin(2 * np.pi * t / 8) + t / 8, 700)
+        series = _tiled(np.sin(2 * np.pi * t / 8) + t / 8, 710)
         params = MPdistParams(snippet_size=8)
-        assert mpdist._batch_size(5597) == 11
+        assert mpdist._batch_size(5677, 710) == 11
         profiles = segment_profiles(series, params)
         matrix = np.vstack([p.values for p in profiles])
         lowest = matrix.min(axis=0)
-        first_range = 700 // workers
+        first_range = 710 // workers
         tied = (matrix[:first_range] == lowest).any(axis=0) & (
             matrix[first_range:] == lowest
         ).any(axis=0)
@@ -535,7 +535,7 @@ class TestWorkers:
         _, _, _, counts, _ = stacked_selection(matrix, 2)
         calls = _count_profiles(monkeypatch)
         result = select_snippets(series, params, 2, workers=workers)
-        assert sorted(calls[:700]) == list(range(700))
+        assert sorted(calls[:710]) == list(range(710))
         np.testing.assert_array_equal(result.segment_window_counts, counts)
         _assert_same_result(result, select_snippets(series, params, 2, profiles=profiles))
 
