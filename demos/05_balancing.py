@@ -51,8 +51,9 @@ def main():
     print()
 
     print("a sweep does not split its lengths ahead of time: run_schedule")
-    print("hands them to worker processes from a work queue, so each idle")
-    print("worker takes the next length whatever the lengths really cost")
+    print("hands them, largest first, to its own process and the workers")
+    print("from a work queue, so each idle process takes the next length")
+    print("whatever the lengths really cost")
 
 
 if __name__ == "__main__":

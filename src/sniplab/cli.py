@@ -173,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=_at_least(1), default=None, help="spacing for --grid arith")
     p.add_argument("--l-frac", type=fraction, default=0.5,
                    help="inner window length as a fraction of each candidate length")
-    add_workers(p, "worker processes, one length each")
+    add_workers(p, "processes running lengths, largest first: this one "
+                   "and WORKERS-1 forked workers")
     p.add_argument("--training-log", default=None,
                    help="JSON-lines timing log (default: SNIPLAB_TRAINING_LOG)")
     p.add_argument("--no-log", action="store_true", help="do not touch the training log")

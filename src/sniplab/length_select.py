@@ -132,8 +132,9 @@ def select_length(
         Inner window length as a fraction of each snippet length, in
         (0, 1]: length ``m`` gets ``default_window_size(m, l_frac)``.
     workers : int, optional
-        Worker processes for the searches, which take the lengths from
-        a work queue in grid order; forwarded to the scheduler.
+        Processes for the searches, the calling one included, which take
+        the lengths from a work queue largest first; forwarded to the
+        scheduler.
     training_log : path, optional
         Where the scheduler appends measured timings.
 

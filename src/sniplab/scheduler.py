@@ -1,12 +1,13 @@
 """Running batches of snippet searches, and job partitioners.
 
-A length sweep runs one search per candidate length.  Several workers
-take the searches from a work queue in the order given, each the next
-job when it is idle, so the split follows how long the searches really
-take (list scheduling, Graham 1969).  Measured timings can be appended
-to a training log.  The Karmarkar-Karp and longest-processing-time
-partitioners, which split priced jobs ahead of time, are utilities
-off the sweep path.
+A length sweep runs one search per candidate length.  The calling
+process and its worker processes take the searches from one work queue,
+largest length first, each the next job when it is idle, so the split
+follows how long the searches really take and the cheap small lengths
+fill the gaps at the end (longest-first list scheduling, Graham 1969).
+Measured timings can be appended to a training log.  The Karmarkar-Karp
+and longest-processing-time partitioners, which split priced jobs ahead
+of time, are utilities off the sweep path.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import heapq
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -249,20 +251,23 @@ def run_schedule(
     workers: int | None = None,
     training_log=None,
 ) -> dict[int, SnippetResult]:
-    """Run a batch of snippet searches from a work queue of worker processes.
+    """Run a batch of snippet searches from a work queue, largest length first.
 
     Parameters
     ----------
     series : TimeSeries
     jobs : sequence of MPdistParams
-        One search per entry; snippet lengths must be unique.  Workers
-        take the jobs in this order, each the next one when it is idle.
+        One search per entry; snippet lengths must be unique.  The
+        processes take the jobs largest length first, each the next one
+        when it is idle; the training log keeps the order given here.
     num_snippets : int
         Snippets per search.
     workers : int, optional
-        Worker process count; defaults to the ``SNIPLAB_WORKERS``
-        environment variable, else 1.  At most one process per job is
-        started, and a single worker runs the jobs inline.
+        Processes running searches, the calling one included; defaults
+        to the ``SNIPLAB_WORKERS`` environment variable, else 1.  With
+        ``W`` workers, ``W - 1`` worker processes (at most one per job
+        beside the calling process) are forked before any search starts;
+        a single worker starts no process.
     training_log : path-like, optional
         JSON-lines file receiving one ``{m, n, l, seconds, timestamp}``
         entry per search once all have finished; it is opened for append
@@ -281,8 +286,9 @@ def run_schedule(
         If there are no jobs, a repeated length, or a length leaving fewer than
         ``num_snippets`` segments; no search runs and no log is opened.
     RuntimeError
-        If a search fails; the message names its snippet length.  No job
-        starts after the failure, and the ones already running finish.
+        If a search fails in any process, the calling one included; the
+        message names its snippet length.  No job starts after the
+        failure, and the ones already running finish.
     OSError
         If the training log cannot be opened for append; no search runs.
     """
@@ -301,28 +307,65 @@ def run_schedule(
         _append_training_log(training_log, series.n, [])  # fail before any search
 
     workers = min(workers, len(jobs))
-    if workers == 1:
-        timings = [_run_job(series, params, num_snippets) for params in jobs]
-    else:
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    # Largest lengths first, so the searches that end the batch are short
+    # ones and no process idles long at the end.
+    queue = sorted(jobs, key=lambda params: params.snippet_size, reverse=True)
+    done, errors = {}, []
+    lock = threading.Lock()
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # Hand each idle worker the next job and queue none, so that a
-            # failure is raised once the jobs running beside it end.
-            queue, futures, running = list(jobs), [], set()
-            while queue or running:
-                while queue and len(running) < workers:
-                    futures.append(pool.submit(_run_job, series, queue.pop(0), num_snippets))
-                    running.add(futures[-1])
-                done, running = wait(running, return_when=FIRST_COMPLETED)
-                for future in done:
-                    future.result()
-        timings = [future.result() for future in futures]
+    def take():
+        with lock:
+            return queue.pop(0) if queue else None
+
+    def work(start, wait):
+        # One process's job loop: ``wait()`` returns the timing of the job
+        # in hand and ``start(params)`` starts the next.  A failure empties
+        # the queue, so no process starts a job after it.
+        try:
+            while wait is not None:
+                timing = wait()
+                with lock:
+                    done[timing[0].snippet_size] = timing
+                params = take()
+                wait = None if params is None else start(params)
+        except BaseException as exc:
+            with lock:
+                errors.append(exc)
+                queue.clear()
+
+    def here(params):
+        return lambda: _run_job(series, params, num_snippets)
+
+    def there(params):
+        return pool.submit(_run_job, series, params, num_snippets).result
+
+    pool, helpers = None, []
+    try:
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(max_workers=workers - 1)
+        # The first submit forks every worker, so each gets its first job
+        # from this thread while it is the only one and no search has run.
+        waits = [there(take()) for _ in range(workers - 1)]
+        mine = here(take())
+        for wait in waits:
+            helper = threading.Thread(target=work, args=(there, wait))
+            helper.start()
+            helpers.append(helper)
+        work(here, mine)
+    finally:
+        with lock:
+            queue.clear()
+        for helper in helpers:
+            helper.join()
+        if pool is not None:
+            pool.shutdown()
+    if errors:
+        raise errors[0]
+    timings = [done[params.snippet_size] for params in jobs]
 
     if training_log:
         _append_training_log(training_log, series.n, timings)
 
-    return {
-        params.snippet_size: result
-        for params, result, _ in sorted(timings, key=lambda t: t[0].snippet_size)
-    }
+    return {size: done[size][1] for size in sorted(done)}
