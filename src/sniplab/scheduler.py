@@ -307,8 +307,8 @@ def run_schedule(
         _append_training_log(training_log, series.n, [])  # fail before any search
 
     workers = min(workers, len(jobs))
-    # Largest lengths first, so the searches that end the batch are short
-    # ones and no process idles long at the end.
+    # Largest lengths first: the small lengths' cheap searches come last
+    # and fill the gaps, so no process idles long at the end.
     queue = sorted(jobs, key=lambda params: params.snippet_size, reverse=True)
     done, errors = {}, []
     lock = threading.Lock()
@@ -320,7 +320,8 @@ def run_schedule(
     def work(start, wait):
         # One process's job loop: ``wait()`` returns the timing of the job
         # in hand and ``start(params)`` starts the next.  A failure empties
-        # the queue, so no process starts a job after it.
+        # the queue, so no process starts a job after it; the first one is
+        # raised once every running job has ended.
         try:
             while wait is not None:
                 timing = wait()
@@ -347,6 +348,8 @@ def run_schedule(
             pool = ProcessPoolExecutor(max_workers=workers - 1)
         # The first submit forks every worker, so each gets its first job
         # from this thread while it is the only one and no search has run.
+        # This process takes its own before any helper thread can fail and
+        # empty the queue, so the largest ``workers`` jobs always start.
         waits = [there(take()) for _ in range(workers - 1)]
         mine = here(take())
         for wait in waits:

@@ -142,109 +142,6 @@ class TestLPTBaseline:
         assert assigned == list(range(6))
 
 
-class TestDispatch:
-    """How run_schedule hands the jobs to the calling process and its workers."""
-
-    def _series(self):
-        values, _ = two_regime_series(n=512, period=16, block_len=64, noise=0.05, seed=1)
-        return TimeSeries(values)
-
-    @fork_only
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_calling_process_runs_searches(self, tmp_path, monkeypatch, workers):
-        search = scheduler.select_snippets
-
-        def recorded(series, params, *args, **kwargs):
-            (tmp_path / f"{os.getpid()}-{params.snippet_size}").touch()
-            time.sleep(0.05)
-            return search(series, params, *args, **kwargs)
-
-        monkeypatch.setattr(scheduler, "select_snippets", recorded)
-        sizes = [8, 16, 24, 32, 40, 48]
-        jobs = [MPdistParams(snippet_size=m) for m in sizes]
-        results = run_schedule(self._series(), jobs, 2, workers=workers, training_log=False)
-        assert list(results) == sizes
-        runs = [name.split("-") for name in os.listdir(tmp_path)]
-        assert sorted(int(size) for _, size in runs) == sizes
-        pids = {int(pid) for pid, _ in runs}
-        assert os.getpid() in pids
-        assert len(pids - {os.getpid()}) <= workers - 1
-
-    @fork_only
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_workers_forked_before_any_thread_or_search(self, monkeypatch, workers):
-        # Each fork records the Python thread count and the searches this
-        # process has started; a hook cannot be unregistered, so it records
-        # only during the call.
-        search = scheduler.select_snippets
-        started, forks, active = [], [], [True]
-
-        def recorded(series, params, *args, **kwargs):
-            started.append(params.snippet_size)
-            return search(series, params, *args, **kwargs)
-
-        def before_fork():
-            if active[0]:
-                forks.append((threading.active_count(), len(started)))
-
-        monkeypatch.setattr(scheduler, "select_snippets", recorded)
-        os.register_at_fork(before=before_fork)
-        jobs = [MPdistParams(snippet_size=m) for m in (8, 16, 32, 64)]
-        try:
-            run_schedule(self._series(), jobs, 2, workers=workers, training_log=False)
-        finally:
-            active[0] = False
-        assert forks == [(1, 0)] * (workers - 1)
-        assert started
-
-    @fork_only
-    def test_each_job_runs_once_under_thread_switching(self, tmp_path, monkeypatch):
-        # More processes than cores, and the helper threads of the calling
-        # process switch every microsecond: every length still starts
-        # exactly once and lands in the results and the log.
-        search = scheduler.select_snippets
-        starts = tmp_path / "starts"
-
-        def recorded(series, params, *args, **kwargs):
-            with open(starts, "a") as handle:
-                handle.write(f"{params.snippet_size}\n")
-            return search(series, params, *args, **kwargs)
-
-        monkeypatch.setattr(scheduler, "select_snippets", recorded)
-        sizes = list(range(8, 104, 8))
-        jobs = [MPdistParams(snippet_size=m) for m in sizes]
-        log = tmp_path / "timings.jsonl"
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            results = run_schedule(self._series(), jobs, 2, workers=4, training_log=log)
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(int(line) for line in starts.read_text().split()) == sizes
-        assert list(results) == sizes
-        assert [json.loads(line)["m"] for line in log.read_text().splitlines()] == sizes
-
-    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=fork_only)])
-    def test_searches_start_largest_first(self, tmp_path, monkeypatch, workers):
-        # m=128 takes 0.15 s and every other length 0.3 s, so at two
-        # processes the starts after the first two are 0.15 s apart.
-        search = scheduler.select_snippets
-
-        def recorded(series, params, *args, **kwargs):
-            (tmp_path / str(params.snippet_size)).write_text(repr(time.time()))
-            time.sleep(0.15 if params.snippet_size == 128 else 0.3)
-            return search(series, params, *args, **kwargs)
-
-        monkeypatch.setattr(scheduler, "select_snippets", recorded)
-        jobs = [MPdistParams(snippet_size=m) for m in (8, 16, 32, 64, 128)]
-        run_schedule(self._series(), jobs, 2, workers=workers, training_log=False)
-        starts = sorted(tmp_path.iterdir(), key=lambda path: float(path.read_text()))
-        order = [int(path.name) for path in starts]
-        # The first `workers` jobs start together, one per process.
-        assert sorted(order[:workers], reverse=True) == [128, 64][:workers]
-        assert order[workers:] == [64, 32, 16, 8][workers - 1:]
-
-
 class TestRunSchedule:
     def _series(self):
         values, _ = two_regime_series(n=512, period=16, block_len=64, noise=0.05, seed=1)
@@ -441,6 +338,101 @@ class TestRunSchedule:
         jobs = [MPdistParams(snippet_size=m) for m in sizes]
         run_schedule(self._series(), jobs, 2, workers=2, training_log=log)
         assert [json.loads(line)["m"] for line in log.read_text().splitlines()] == sizes
+
+    @fork_only
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_calling_process_runs_searches(self, tmp_path, monkeypatch, workers):
+        search = scheduler.select_snippets
+
+        def recorded(series, params, *args, **kwargs):
+            (tmp_path / f"{os.getpid()}-{params.snippet_size}").touch()
+            time.sleep(0.05)
+            return search(series, params, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "select_snippets", recorded)
+        sizes = [8, 16, 24, 32, 40, 48]
+        jobs = [MPdistParams(snippet_size=m) for m in sizes]
+        results = run_schedule(self._series(), jobs, 2, workers=workers, training_log=False)
+        assert list(results) == sizes
+        runs = [name.split("-") for name in os.listdir(tmp_path)]
+        assert sorted(int(size) for _, size in runs) == sizes
+        pids = {int(pid) for pid, _ in runs}
+        assert os.getpid() in pids
+        assert len(pids - {os.getpid()}) <= workers - 1
+
+    @fork_only
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_workers_forked_before_any_thread_or_search(self, monkeypatch, workers):
+        # Each fork records the Python thread count and the searches this
+        # process has started; a hook cannot be unregistered, so it records
+        # only during the call.
+        search = scheduler.select_snippets
+        started, forks, active = [], [], [True]
+
+        def recorded(series, params, *args, **kwargs):
+            started.append(params.snippet_size)
+            return search(series, params, *args, **kwargs)
+
+        def before_fork():
+            if active[0]:
+                forks.append((threading.active_count(), len(started)))
+
+        monkeypatch.setattr(scheduler, "select_snippets", recorded)
+        os.register_at_fork(before=before_fork)
+        jobs = [MPdistParams(snippet_size=m) for m in (8, 16, 32, 64)]
+        try:
+            run_schedule(self._series(), jobs, 2, workers=workers, training_log=False)
+        finally:
+            active[0] = False
+        assert forks == [(1, 0)] * (workers - 1)
+        assert started
+
+    @fork_only
+    def test_each_job_runs_once_under_thread_switching(self, tmp_path, monkeypatch):
+        # More processes than cores, and the helper threads of the calling
+        # process switch every microsecond: every length still starts
+        # exactly once and lands in the results and the log.
+        search = scheduler.select_snippets
+        starts = tmp_path / "starts"
+
+        def recorded(series, params, *args, **kwargs):
+            with open(starts, "a") as handle:
+                handle.write(f"{params.snippet_size}\n")
+            return search(series, params, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "select_snippets", recorded)
+        sizes = list(range(8, 104, 8))
+        jobs = [MPdistParams(snippet_size=m) for m in sizes]
+        log = tmp_path / "timings.jsonl"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_schedule(self._series(), jobs, 2, workers=4, training_log=log)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(int(line) for line in starts.read_text().split()) == sizes
+        assert list(results) == sizes
+        assert [json.loads(line)["m"] for line in log.read_text().splitlines()] == sizes
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=fork_only)])
+    def test_searches_start_largest_first(self, tmp_path, monkeypatch, workers):
+        # m=128 takes 0.15 s and every other length 0.3 s, so at two
+        # processes the starts after the first two are 0.15 s apart.
+        search = scheduler.select_snippets
+
+        def recorded(series, params, *args, **kwargs):
+            (tmp_path / str(params.snippet_size)).write_text(repr(time.time()))
+            time.sleep(0.15 if params.snippet_size == 128 else 0.3)
+            return search(series, params, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "select_snippets", recorded)
+        jobs = [MPdistParams(snippet_size=m) for m in (8, 16, 32, 64, 128)]
+        run_schedule(self._series(), jobs, 2, workers=workers, training_log=False)
+        starts = sorted(tmp_path.iterdir(), key=lambda path: float(path.read_text()))
+        order = [int(path.name) for path in starts]
+        # The first `workers` jobs start together, one per process.
+        assert sorted(order[:workers], reverse=True) == [128, 64][:workers]
+        assert order[workers:] == [64, 32, 16, 8][workers - 1:]
 
     @pytest.mark.parametrize("value", ["two", "0"])
     def test_bad_workers_env_names_variable(self, monkeypatch, value):
