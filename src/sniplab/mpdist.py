@@ -23,45 +23,64 @@ candidates are equal.  It is the sliding minimum of the column minima,
 so the profile is that one sliding window and the per-row filter, merge
 and partition are skipped.
 
-A large segment can be split across threads by profile position, as
-STUMPY's ``stumped`` splits a matrix profile (Law, JOSS 2019).  Each
-part of the positions reads its columns plus the ``width - 1`` to their
-right that its windows reach, and runs the diagonal update from
-``width - 1`` columns to their left (clipped at column 0), from its
-own row-0 cross products over just the columns it reads; the parts
-share nothing but the window statistics.  Its ``-rho`` rows go
-straight into its own ``width``-row buffer, its column minima are taken
-there, and the row filter then runs in place.  Every entry goes through
-the same float operations whatever the split, so the profile does not
-change by a bit.
+At ``k > 2`` a search profiles its segments in one pass
+(:func:`_kth_profiles`), and each segment's positions go in parts, as
+STUMPY's ``stumped`` splits a matrix profile (Law, JOSS 2019): one part
+per worker, once each holds ``MIN_PART_ENTRIES`` kernel entries.  Each
+part reads its columns plus the ``width - 1`` to their right that its
+windows reach, and runs the diagonal update from ``width - 1`` columns
+to their left (clipped at column 0), from its own row-0 cross products
+over just the columns it reads.  A part takes three kinds of step in
+one part buffer: its kernel writes the ``-rho`` rows there and takes
+their column minima; filter steps then run the sliding minima in place,
+a few blocks of rows each; selection steps then fill its positions, a
+few tiles each.  A selection step copies each tile's columns of the
+filtered rows (transposed) and its sliding windows of the column minima
+into the rows of one reused C-ordered block, and partitions the block
+along its rows, so each tile's candidates are contiguous and stay in
+cache.  Every entry goes through the same float operations whatever
+the split, the step or the thread, and an order statistic is one of the
+candidates, so the profile does not change by a bit.
 
-For ``k > 1`` each part selects in tiles of positions: it copies a
-tile's columns of the filtered rows (transposed) and its sliding
-windows of the column minima into the rows of one reused C-ordered
-block, and partitions the block along its rows.  Each tile's
-candidates are contiguous and the tile stays in cache.  An order
-statistic is one of the candidates, so the tiling changes no value.
+The parts are pipelined rather than run side by side.  A pass allocates
+at most two part buffers, once.  One thread at a time runs a kernel,
+into a free buffer; every thread, the kernel's included whenever no
+kernel may start, takes the filter and then the selection steps of the
+parts already built, oldest first, and a part's buffer is free again
+once its last selection step has run.  With one worker, or one part in
+all, the calling thread runs the same steps in one buffer and starts no
+thread.  Idle threads wait on a condition: a thread spinning in Python
+keeps the GIL for whole switch intervals.
 
-The column minima release the GIL for their whole call; the kernel,
-the row filter and the selection are a few numpy calls per row, block
-of rows or tile, which release it while they run and take it back
-between them.
+One kernel at a time is a measured rule, not a setting.  The kernel is
+about seven numpy calls per row, a few µs each over the 10,000 columns
+of an m = 1024 part at n = 20,000; each releases the GIL only while it
+runs and waits for it after, so the kernel slows beside any thread that
+takes the GIL often.  On two cores (numpy 2.4) a half-segment kernel
+took 0.036-0.048 s alone, 0.038 s beside a thread partitioning tiles
+(about 110 µs a call) and 0.09-0.11 s beside one taking sliding minima
+(about 26 µs a call), and two such kernels took 0.12-0.13 s on two
+threads against 0.11 s one after the other.  Batching B segments per
+kernel call would make the calls long enough to overlap, but at
+m = 1024 it would hold B times 82 MB of rows.
 
-A segment too small to split is profiled on one thread.  At ``k <= 2``
-a search profiles such segments several at a time instead
-(:func:`_min_profiles`): the kernel runs over B segments' rows as 2-D
-arrays, about ``_BLOCK_BYTES`` a row, and folds each row into the
-column minima as it comes.  One segment's numpy calls last 7 to 15 µs
-at n = 20,000, too short for threads to overlap between GIL hand-offs;
-B segments' calls last B times as long, so threads that each take a
-range of segments pay off (see :func:`~sniplab.snippets.select_snippets`),
-and on one thread the batches cut the per-call overhead.
+At ``k <= 2`` a profile needs no rows held: :func:`mpdist_profile`
+runs one kernel call on the calling thread, and a search profiles its
+segments several at a time (:func:`_min_profiles`): the kernel runs
+over B segments' rows as 2-D arrays, about ``_BLOCK_BYTES`` a row, and
+folds each row into the column minima as it comes.  One segment's numpy
+calls last 7 to 15 µs at n = 20,000, too short for threads to overlap
+between GIL hand-offs; B segments' calls last B times as long, so
+threads that each take a range of segments pay off (see
+:func:`~sniplab.snippets.select_snippets`), and on one thread the
+batches cut the per-call overhead.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,17 +88,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import TimeSeries, _freeze
 from .zdist import _check_stats, compute_sliding_stats
-from .zdist import neg_correlation_matrix, neg_correlation_to_distance, neg_correlations
+from .zdist import neg_correlation_to_distance, neg_correlations
 from .zdist import segment_distance_matrix  # noqa: F401  bench/layers.py wraps it by this name
 
-# Kernel entries (rows times columns) each thread's part of a segment
-# must hold before the segment is split.  On two cores, two threads
-# took 1.1 to 1.3 times as long as one at n = 5000 for m = 32 to 256
-# (up to 629k entries a segment) and 1.6 times at n = 20000, m = 8
-# (100k), but 0.65 to 0.9 times from 1.3M entries on (n = 10000,
-# m = 256; n = 20000, m = 128 to 1024).  A smaller segment stays whole;
-# at k <= 2 a search's threads take such segments by the range instead,
-# a batch of them per kernel call, and one thread takes them all.
+# Kernel entries (rows times columns) each part of a k > 2 segment must
+# hold before the segment is split.  When parts ran side by side, two
+# threads took 1.1 to 1.3 times as long as one at n = 5000 for m = 32
+# to 256 (up to 629k entries a segment), but 0.65 to 0.9 times from
+# 1.3M entries on (n = 10000, m = 256; n = 20000, m = 128 to 1024).  A
+# smaller segment stays whole, and a pass pipelines whole segments; the
+# split also halves the part buffers at two workers (41 MB each at
+# m = 1024, n = 20000).  At k <= 2 no segment is split.
 MIN_PART_ENTRIES = 1 << 19
 
 # Bytes of rows the sliding minimum takes through all its passes at a
@@ -87,6 +106,11 @@ MIN_PART_ENTRIES = 1 << 19
 # columns, 4-row blocks took 40 ms against 80 ms for 16-row blocks and
 # 158 ms for scipy's minimum_filter1d.
 _BLOCK_BYTES = 1 << 19
+
+# Blocks a step of a k > 2 pass takes: a filter step runs the sliding
+# minima over this many blocks of rows, a selection step over this many
+# tiles.
+_TASK_BLOCKS = 4
 
 
 def default_window_size(snippet_size: int, l_frac: float = 0.5) -> int:
@@ -261,6 +285,240 @@ def _min_profiles(stats, params: MPdistParams, segments, positions=None, work=No
     return _sliding_min_rows(minima, width, scratch=work[1])
 
 
+@dataclass(eq=False)
+class _Flight:
+    """A part whose kernel has run: its buffer slot and the steps it has left."""
+
+    part: tuple[int, int, int]
+    slot: int
+    steps: deque
+    selects: list | None  # queued once every filter step has run
+    running: int = 0
+
+
+class _KthPass:
+    """One pass of ``k > 2`` profiles over a list of segments; see :func:`_kth_profiles`."""
+
+    def __init__(self, stats, params: MPdistParams, segments, workers: int):
+        width = params.profile_width
+        splits = _splits(stats.centred.size, params, workers)
+        self.stats, self.width = stats, width
+        self.starts = [s * params.snippet_size for s in segments]
+        self.parts = [(s, lo, hi) for s in range(len(self.starts)) for lo, hi in splits]
+        self.threads = min(workers, len(self.parts))
+        self.num_positions = splits[-1][1]
+        self.columns = max(hi - lo for lo, hi in splits) + width - 1
+        # The sliding minima take the most rows a block at a part's fewest columns.
+        self.block_rows = min(
+            width, max(1, _BLOCK_BYTES // (8 * (min(hi - lo for lo, hi in splits) + width - 1)))
+        )
+        # Positions per selection tile: a tile's 2 * width float64
+        # candidates per position take 16 * width bytes, so a tile fills
+        # _BLOCK_BYTES (63 positions at width 513, 3,640 at width 9).
+        self.tile = max(1, _BLOCK_BYTES // (16 * width))
+        # kth = 2 * width - 1 (the largest candidate) covers k >= 2 * width.
+        self.kth = min(params.k, 2 * width) - 1
+        # Each part buffer holds a part's column minima, then its width
+        # kernel rows; only one kernel runs at a time, so one workspace
+        # serves all.  A buffer's sliding windows of the minima are taken
+        # once, over its longest part's columns.
+        self.buffers = [np.empty((width + 1) * self.columns) for _ in range(min(2, self.threads))]
+        self.windows = [sliding_window_view(b[: self.columns], width) for b in self.buffers]
+        self.work = np.empty((2, self.columns + width - 1))
+        self.best = {}  # segment position -> its profile, from its first part's kernel on
+        self.left = [len(splits)] * len(self.starts)  # parts not yet selected, per segment
+
+    def _views(self, slot: int, lo: int, hi: int):
+        """Positions [lo, hi)'s kernel rows and column minima in part buffer ``slot``."""
+        columns = hi - lo + self.width - 1
+        rows = self.buffers[slot][: (self.width + 1) * columns].reshape(self.width + 1, columns)
+        return rows[1:], rows[0]
+
+    def _scratch(self):
+        """One thread's sliding-minimum scratch rows and its selection block, in one array."""
+        rows = (self.block_rows, self.columns)
+        block = (min(self.tile, self.num_positions), 2 * self.width)
+        flat = np.empty(max(math.prod(rows), math.prod(block)))
+        return flat[: math.prod(rows)].reshape(rows), flat[: math.prod(block)].reshape(block)
+
+    def _build(self, part, slot: int) -> None:
+        # Positions [lo, hi) read the kernel columns [lo, hi + width - 1).
+        s, lo, hi = part
+        rows, minima = self._views(slot, lo, hi)
+        if lo == 0:
+            self.best[s] = np.empty(self.num_positions)
+        work = self.work[:, : rows.shape[1] + self.width - 1]
+        columns = (lo, hi + self.width - 1)
+        for _ in neg_correlations(self.stats, self.starts[s], self.width, columns=columns, out=rows, work=work):
+            pass
+        np.min(rows, axis=0, out=minima)  # nearest segment window per column
+
+    def _steps(self, part):
+        """A part's row-filter chunks of rows and its selection chunks of positions."""
+        _, lo, hi = part
+        rows = _TASK_BLOCKS * max(1, _BLOCK_BYTES // (8 * (hi - lo + self.width - 1)))
+        positions = _TASK_BLOCKS * self.tile
+        filters = [(self._filter, r, min(r + rows, self.width)) for r in range(0, self.width, rows)]
+        selects = [(self._select, p, min(p + positions, hi - lo)) for p in range(0, hi - lo, positions)]
+        return filters, selects
+
+    def _filter(self, part, slot: int, r0: int, r1: int, scratch) -> None:
+        rows, _ = self._views(slot, *part[1:])
+        _sliding_min_rows(rows[r0:r1], self.width, scratch=scratch[0])
+
+    def _select(self, part, slot: int, p0: int, p1: int, scratch) -> None:
+        # Each row of a tile's block holds one position's 2 * width
+        # candidates: its row-filtered column of the kernel rows, then its
+        # window of the column minima.
+        s, lo, hi = part
+        rows, _ = self._views(slot, lo, hi)
+        windows = self.windows[slot]
+        best = self.best[s][lo:hi]
+        for a in range(p0, p1, self.tile):
+            b = min(a + self.tile, p1)
+            candidates = scratch[1][: b - a]
+            candidates[:, : self.width] = rows[:, a:b].T
+            candidates[:, self.width :] = windows[a:b]
+            candidates.partition(self.kth, axis=1)
+            best[a:b] = candidates[:, self.kth]
+
+    def solo(self):
+        """The pass on the calling thread, in one part buffer."""
+        scratch = self._scratch()
+        for part in self.parts:
+            self._build(part, 0)
+            filters, selects = self._steps(part)
+            for step, a, b in filters + selects:
+                step(part, 0, a, b, scratch)
+            s, _, hi = part
+            if hi == self.num_positions:
+                yield self.best.pop(s)
+
+    def threaded(self):
+        """The pass on the calling thread and ``threads - 1`` helpers.
+
+        Every thread takes, in this order: (the calling thread only) the
+        next segment's profile once all its parts are selected; the next
+        part's kernel, when no kernel runs, a part buffer is free and the
+        part's segment is fewer than three ahead of the last one taken;
+        a step of the oldest part in flight with steps left.  A part's
+        selection steps are queued once all its filter steps have run,
+        and its buffer is freed once all its selection steps have.
+        """
+        self.lock = threading.Condition()
+        self.started = 0  # parts whose kernel has started
+        self.free = list(range(len(self.buffers)))
+        self.kernel_busy = False
+        self.active = []  # in-flight parts, oldest first
+        self.yielded = 0
+        self.error = None
+        self.stopped = False
+        helpers = [threading.Thread(target=self._help, daemon=True) for _ in range(self.threads - 1)]
+        for thread in helpers:
+            thread.start()
+        scratch = self._scratch()
+        try:
+            while (task := self._take(caller=True)) is not None:
+                if isinstance(task, np.ndarray):
+                    yield task
+                    continue
+                try:
+                    self._run(task, scratch)
+                except Exception as exc:
+                    self._fail(exc)
+            if self.error is not None:
+                raise self.error
+        finally:
+            with self.lock:
+                self.stopped = True
+                self.lock.notify_all()
+            for thread in helpers:
+                thread.join()
+
+    def _help(self) -> None:
+        scratch = self._scratch()
+        try:
+            while (task := self._take(caller=False)) is not None:
+                self._run(task, scratch)
+        except BaseException as exc:  # raised again on the calling thread
+            self._fail(exc)
+
+    def _fail(self, exc: BaseException) -> None:
+        with self.lock:
+            if self.error is None:
+                self.error = exc
+            self.lock.notify_all()
+
+    def _take(self, caller: bool):
+        """This thread's next task, a finished profile, or None once there is none left."""
+        with self.lock:
+            while not self.stopped and self.error is None:
+                if caller and self.yielded < len(self.left) and self.left[self.yielded] == 0:
+                    self.yielded += 1
+                    self.lock.notify_all()
+                    return self.best.pop(self.yielded - 1)
+                # Profiles the consumer has not read yet cannot pile up.
+                if (
+                    not self.kernel_busy
+                    and self.free
+                    and self.started < len(self.parts)
+                    and self.parts[self.started][0] < self.yielded + 3
+                ):
+                    self.kernel_busy = True
+                    self.started += 1
+                    return None, (self.parts[self.started - 1], self.free.pop())
+                for flight in self.active:
+                    if flight.steps:
+                        flight.running += 1
+                        return flight, flight.steps.popleft()
+                if caller and self.yielded == len(self.left):
+                    return None
+                if not caller and self.started == len(self.parts) and not self.active:
+                    return None
+                self.lock.wait()
+            return None
+
+    def _run(self, task, scratch) -> None:
+        flight, step = task
+        if flight is None:  # a kernel
+            part, slot = step
+            self._build(part, slot)
+            filters, selects = self._steps(part)
+            with self.lock:
+                self.kernel_busy = False
+                self.active.append(_Flight(part, slot, deque(filters), selects))
+                self.lock.notify_all()
+            return
+        method, a, b = step
+        method(flight.part, flight.slot, a, b, scratch)
+        with self.lock:
+            flight.running -= 1
+            if flight.steps or flight.running:
+                return
+            if flight.selects:
+                flight.steps.extend(flight.selects)
+                flight.selects = None
+            else:
+                self.active.remove(flight)
+                self.free.append(flight.slot)
+                self.left[flight.part[0]] -= 1
+            self.lock.notify_all()
+
+
+def _kth_profiles(stats, params: MPdistParams, segments, workers: int):
+    """Negated-correlation profiles at ``k > 2`` of ``segments``, in order.
+
+    Yields one array of the ``n - snippet_size + 1`` positions per
+    segment, which the caller then owns.  See the module docstring for
+    how the pass runs; with one worker, or one part in all, it runs on
+    the calling thread in one part buffer.  The threads start once per
+    pass and are joined when it ends, fails or is closed early, and the
+    first exception in any of them is raised here.
+    """
+    engine = _KthPass(stats, params, segments, workers)
+    yield from engine.solo() if engine.threads == 1 else engine.threaded()
+
+
 def mpdist_profile(
     series: TimeSeries,
     segment_index: int,
@@ -282,9 +540,12 @@ def mpdist_profile(
         computed on demand when omitted, passed in when profiling many
         segments.
     workers : int, optional
-        Threads the profile positions are split across; a segment too
-        small to split runs on the calling thread.  The values do not
-        depend on it.
+        Threads of the one-segment ``k > 2`` pass: a segment large
+        enough is split into a part per worker, and one thread runs a
+        part's kernel while the others filter and select the part before
+        (see the module docstring).  A segment too small to split, and
+        any profile at ``k <= 2``, runs on the calling thread.  The
+        values do not depend on it.
 
     Returns
     -------
@@ -308,43 +569,9 @@ def mpdist_profile(
     else:
         _check_stats(series, stats, params.window_size)
 
-    seg_start = segment_index * m
-    width = params.profile_width
-    k = params.k
-    parts = _splits(n, params, workers)
-    # Positions per selection tile: a tile's 2 * width float64 candidates
-    # per position take 16 * width bytes, so a tile fills _BLOCK_BYTES
-    # (63 positions at width 513, 3,640 at width 9).
-    tile = max(1, _BLOCK_BYTES // (16 * width))
-    kth = min(k, 2 * width) - 1
-
-    def profile_part(part: tuple[int, int]) -> np.ndarray:
-        # Positions [lo, hi) read the kernel columns [lo, hi + width - 1).
-        # The row filter runs in place on the -rho rows; then each row of
-        # a tile's block holds one position's 2 * width candidates, and
-        # kth = 2 * width - 1 (the largest) covers k >= 2 * width.
-        if k <= 2:
-            return _min_profiles(stats, params, [segment_index], part)[0]
-        lo, hi = part
-        neg_rho = neg_correlation_matrix(stats, seg_start, width, columns=(lo, hi + width - 1))
-        series_side = neg_rho.min(axis=0)            # nearest segment window per column
-        segment_side = _sliding_min_rows(neg_rho, width)
-        series_windows = sliding_window_view(series_side, width)
-        best = np.empty(hi - lo)
-        block = np.empty((min(tile, hi - lo), 2 * width))
-        for p0 in range(0, hi - lo, tile):
-            p1 = min(p0 + tile, hi - lo)
-            candidates = block[: p1 - p0]
-            candidates[:, :width] = segment_side[:, p0:p1].T
-            candidates[:, width:] = series_windows[p0:p1]
-            candidates.partition(kth, axis=1)
-            best[p0:p1] = candidates[:, kth]
-        return best
-
-    if len(parts) == 1:
-        best = profile_part(parts[0])
+    if params.k <= 2:
+        best = _min_profiles(stats, params, [segment_index])[0]
     else:
-        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            best = np.concatenate(list(pool.map(profile_part, parts)))
-    values = neg_correlation_to_distance(best, params.window_size)
+        (best,) = _kth_profiles(stats, params, [segment_index], workers)
+    values = neg_correlation_to_distance(best, params.window_size, out=best)
     return MPdistProfile(segment_index=segment_index, values=values)

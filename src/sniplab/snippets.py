@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mpdist import MPdistParams, MPdistProfile, _batch_size, _min_profiles, _splits, mpdist_profile
+from .mpdist import MPdistParams, MPdistProfile, _batch_size, _kth_profiles, _min_profiles, mpdist_profile
 from .series import TimeSeries
 from .zdist import compute_sliding_stats, neg_correlation_to_distance
 
@@ -175,6 +176,17 @@ def _batched_rows(stats, params: MPdistParams, first: int, stop: int, batch: int
         yield from neg_correlation_to_distance(profiles, params.window_size, out=profiles)
 
 
+def _kth_rows(stats, params: MPdistParams, num_segments: int, workers: int):
+    """Every segment's profile at ``k > 2``, as ``(index, distances)``, from one pass.
+
+    The rows are bit for bit :func:`~sniplab.mpdist.mpdist_profile`'s.
+    Closing the generator stops the pass and joins its threads.
+    """
+    with closing(_kth_profiles(stats, params, range(num_segments), workers)) as pass_rows:
+        for index, best in enumerate(pass_rows):
+            yield index, neg_correlation_to_distance(best, params.window_size, out=best)
+
+
 class _ProfileStore:
     """Every profile held as 8-bit codes, one byte per entry.
 
@@ -272,12 +284,15 @@ def select_snippets(
         ``2 * sqrt(window_size)``) raises ``ValueError``.
     workers : int, optional
         Profiling threads; defaults to the ``SNIPLAB_WORKERS``
-        environment variable, else 1.  A segment large enough is split
-        across them (see :func:`~sniplab.mpdist.mpdist_profile`).  At
-        ``k <= 2``, smaller segments are split into one contiguous range
-        per thread, each profiled a batch of segments per kernel call.
-        The result does not depend on it; a count below 1 raises
-        ``ValueError``.
+        environment variable, else 1.  At ``k > 2`` the pass runs on
+        them as one pipeline (see :mod:`sniplab.mpdist`): a segment
+        large enough is split into a part per worker, one thread runs a
+        part's kernel while the others filter and select the parts
+        already built, and a greedy round's recomputed profile runs the
+        same way.  At ``k <= 2`` the segments are split into one
+        contiguous range per thread, each profiled a batch of segments
+        per kernel call.  The result does not depend on it; a count
+        below 1 raises ``ValueError``.
 
     Returns
     -------
@@ -287,14 +302,21 @@ def select_snippets(
     workers = resolve_workers(workers)
     num_windows = series.n - params.snippet_size + 1
     top = 2.0 * math.sqrt(params.window_size)  # the largest MPdist entry
+    rows = None  # (index, profile values) in index order, unless the k <= 2 pass runs
     if profiles is None:
         stats = compute_sliding_stats(series, params.window_size)
 
         def fetch(index: int) -> MPdistProfile:
             return mpdist_profile(series, index, params, stats=stats, workers=workers)
 
+        if params.k > 2:
+            rows = _kth_rows(stats, params, num_segments, workers)
         if num_segments <= params.profile_width:
-            profiles = list(map(fetch, range(num_segments)))
+            if rows is None:
+                profiles = list(map(fetch, range(num_segments)))
+            else:
+                with closing(rows):
+                    profiles = [MPdistProfile(segment_index=i, values=values) for i, values in rows]
     else:
         if len(profiles) != num_segments:
             raise ValueError(
@@ -331,11 +353,13 @@ def select_snippets(
         store.keep(index, values)
         return index, values
 
-    if profiles is None and params.k <= 2 and len(_splits(series.n, params, workers)) == 1:
-        # Segments too small to split go in contiguous ranges, one per
-        # thread, the first on this one; each range writes its own rows
-        # of lower, maxima and the codes, and the ranges' nearest
-        # segments merge in range order, ties to the lower range.
+    if profiles is not None:
+        rows = ((i, profile.values) for i, profile in enumerate(profiles))
+    if rows is None:
+        # At k <= 2 the segments go in contiguous ranges, one per thread,
+        # the first on this one; each range writes its own rows of lower,
+        # maxima and the codes, and the ranges' nearest segments merge in
+        # range order, ties to the lower range.
         count = min(workers, num_segments)
         bounds = [num_segments * i // count for i in range(count + 1)]
         batch = _batch_size(stats.sumsq.size, num_segments)
@@ -352,7 +376,8 @@ def select_snippets(
                 parts = [profile_range(0, bounds[1]), *rest]
             _, nearest = _nearest_rows((labels, best) for best, labels in parts)
     else:
-        _, nearest = _nearest_rows(take(i, fetch(i).values) for i in range(num_segments))
+        with closing(rows):
+            _, nearest = _nearest_rows(take(i, values) for i, values in rows)
 
     # Every round takes exact areas in (bound, index) order and stops at
     # the first bound past the smallest (area, index) so far.  An

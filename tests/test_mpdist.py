@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -14,10 +17,11 @@ from sniplab import (
     compute_sliding_stats,
     default_window_size,
     mpdist_profile,
+    select_snippets,
 )
 from sniplab import mpdist, snippets
 from sniplab.mpdist import _sliding_min_rows
-from sniplab.zdist import neg_correlation_matrix, neg_correlations
+from sniplab.zdist import neg_correlation_matrix, neg_correlation_to_distance, neg_correlations
 from oracles import brute_sliding_min, distance_space_profile, naive_mpdist_profile
 from seriesgen import random_series
 
@@ -329,6 +333,191 @@ class TestMPdistProfileSplit:
         series = TimeSeries(np.arange(40.0) % 7)
         with pytest.raises(ValueError, match="worker"):
             mpdist_profile(series, 0, MPdistParams(snippet_size=8), workers=0)
+
+
+def _kth_pass_case(n=3000, m=64, seed=5):
+    """A random walk, its k > 2 parameters (width 33, k = 7) and statistics."""
+    series = TimeSeries(np.cumsum(np.random.default_rng(seed).standard_normal(n)))
+    params = MPdistParams(snippet_size=m)
+    assert params.k > 2
+    return series, params, compute_sliding_stats(series, params.window_size)
+
+
+class TestKthPass:
+    """The k > 2 pass: one kernel at a time, two part buffers, threads joined."""
+
+    @given(_series_with_flat_runs(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_pass_equals_distance_space_selection(self, values, data):
+        # Every segment of one pass, each split into a part per worker at a
+        # one-entry threshold, with a flat run across the first part
+        # boundary, and filter and selection steps of a row or a few
+        # positions each.  select_snippets runs the same pass and, with no
+        # more segments than the profile width, holds its rows; its result
+        # must be the one it gives on the oracle's profiles.
+        n = values.size
+        m = data.draw(st.integers(min_value=2, max_value=n // 2))
+        l = data.draw(st.integers(min_value=1, max_value=m))
+        width = m - l + 1
+        k = data.draw(st.sampled_from([3, max(3, 2 * width - 1), max(3, 2 * width), 2 * width + 1]))
+        boundary = (n - m + 1) // data.draw(st.sampled_from([2, 3]))
+        start = data.draw(st.integers(min_value=max(0, boundary - l), max_value=boundary))
+        length = data.draw(st.integers(min_value=1, max_value=l + width))
+        values = values.copy()
+        values[start : start + length] = values[start]
+        series = TimeSeries(values)
+        params = MPdistParams(snippet_size=m, window_size=l, k=k)
+        stats = compute_sliding_stats(series, l)
+        count = n // m
+        expected = [distance_space_profile(series, i, params, stats) for i in range(count)]
+        oracle = [MPdistProfile(segment_index=i, values=row) for i, row in enumerate(expected)]
+        num_snippets = data.draw(st.integers(min_value=1, max_value=min(3, count)))
+        reference = select_snippets(series, params, num_snippets, profiles=oracle)
+        tile = data.draw(st.sampled_from([1, 2, 3]))
+        with mock.patch.object(mpdist, "MIN_PART_ENTRIES", 1), \
+                mock.patch.object(mpdist, "_BLOCK_BYTES", 16 * width * tile), \
+                mock.patch.object(mpdist, "_TASK_BLOCKS", 1):
+            for workers in (1, 2, 3):
+                rows = mpdist._kth_profiles(stats, params, range(count), workers)
+                for i, row in enumerate(rows):
+                    distances = neg_correlation_to_distance(row, l)
+                    np.testing.assert_array_equal(distances, expected[i], err_msg=f"segment {i}")
+                result = select_snippets(series, params, num_snippets, workers=workers)
+                assert result.to_dict() == reference.to_dict()
+                assert result.curve.tobytes() == reference.curve.tobytes()
+                assert result.profile_max == reference.profile_max
+                for got, want in zip(result.profiles, reference.profiles):
+                    assert got.values.tobytes() == want.values.tobytes()
+
+    def test_one_kernel_at_a_time(self, monkeypatch):
+        # Three threads over 46 segments of three parts each, with the
+        # interpreter switching threads every microsecond: no two kernels
+        # ever run at once, each part's kernel runs once, and selection
+        # steps do run beside a kernel.
+        series, params, stats = _kth_pass_case()
+        monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
+        kernel = mpdist.neg_correlations
+        select = mpdist._KthPass._select
+        lock = threading.Lock()
+        running = []
+        calls = overlaps = peak = 0
+
+        def counted(*args, **kwargs):
+            nonlocal calls, peak
+            with lock:
+                running.append(None)
+                calls += 1
+                peak = max(peak, len(running))
+            try:
+                yield from kernel(*args, **kwargs)
+            finally:
+                with lock:
+                    running.pop()
+
+        def selecting(*args, **kwargs):
+            nonlocal overlaps
+            overlaps += bool(running)
+            return select(*args, **kwargs)
+
+        monkeypatch.setattr(mpdist, "neg_correlations", counted)
+        monkeypatch.setattr(mpdist._KthPass, "_select", selecting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = list(mpdist._kth_profiles(stats, params, range(46), 3))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(rows) == 46
+        assert (calls, peak) == (46 * 3, 1)
+        assert overlaps > 0
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pass_holds_at_most_two_part_buffers(self, monkeypatch, workers):
+        # A whole pass over 15 segments, each split into a part per worker:
+        # besides one part buffer per thread up to two, the margin covers
+        # each thread's scratch (a few small blocks here), the kernel's
+        # diagonals and the profiles in flight.  A buffer per part, or a
+        # third buffer, would pass it by a third of a buffer or more.
+        series, params, stats = _kth_pass_case(n=4000, m=256)
+        monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
+        monkeypatch.setattr(mpdist, "_BLOCK_BYTES", 1 << 15)
+        width = params.profile_width
+        num_positions = series.n - params.snippet_size + 1
+        buffer_bytes = (width + 1) * (-(-num_positions // workers) + width - 1) * 8
+        tracemalloc.start()
+        try:
+            for _ in mpdist._kth_profiles(stats, params, range(15), workers):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        buffers = min(2, workers)
+        assert peak <= (buffers + 0.3) * buffer_bytes, f"peak {peak / buffer_bytes:.2f} buffers"
+
+    def test_pass_waits_for_its_consumer(self, monkeypatch):
+        # A consumer that has read one profile and pauses holds up the
+        # pass, not memory: kernels start at most three segments ahead of
+        # it (two parts each here), however long it waits.
+        series, params, stats = _kth_pass_case()
+        monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
+        build = mpdist._KthPass._build
+        built = []
+        monkeypatch.setattr(
+            mpdist._KthPass, "_build", lambda *a: built.append(a[1]) or build(*a)
+        )
+        rows = mpdist._kth_profiles(stats, params, range(20), 2)
+        next(rows)
+        time.sleep(0.3)
+        assert 0 < len(built) <= 2 * 4
+        assert len(list(rows)) == 19
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_threads_joined(self, monkeypatch, workers):
+        # After a pass ends, after a consumer stops early, and after a
+        # selection step fails on a helper or the calling thread, no thread
+        # of the pass is left; the failure reaches the caller.
+        series, params, stats = _kth_pass_case()
+        monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
+        start = threading.active_count()
+        assert len(list(mpdist._kth_profiles(stats, params, range(10), workers))) == 10
+        assert threading.active_count() == start
+        rows = mpdist._kth_profiles(stats, params, range(10), workers)
+        next(rows)
+        rows.close()
+        assert threading.active_count() == start
+
+        select = mpdist._KthPass._select
+        for failing in range(1, 8):
+            steps = 0
+
+            def broken(*args, **kwargs):
+                nonlocal steps
+                steps += 1
+                if steps == failing:
+                    raise RuntimeError("selection step failed")
+                return select(*args, **kwargs)
+
+            monkeypatch.setattr(mpdist._KthPass, "_select", broken)
+            with pytest.raises(RuntimeError, match="selection step failed"):
+                list(mpdist._kth_profiles(stats, params, range(10), workers))
+            assert threading.active_count() == start
+        monkeypatch.setattr(mpdist._KthPass, "_select", select)
+
+        # select_snippets' pass (46 segments, past the width of 33, so
+        # streamed) stops the pipeline when reading a row fails, even
+        # while the caller still holds the exception and its frames.
+        keep = snippets._ProfileStore.keep
+
+        def failing_keep(store, index, values):
+            if index == 3:
+                raise RuntimeError("keeping a row failed")
+            keep(store, index, values)
+
+        monkeypatch.setattr(snippets._ProfileStore, "keep", failing_keep)
+        with pytest.raises(RuntimeError, match="keeping a row failed") as failure:
+            select_snippets(series, params, 2, workers=workers)
+        assert failure.tb is not None
+        assert threading.active_count() == start
 
 
 @st.composite

@@ -167,7 +167,9 @@ class TestRunSchedule:
     def test_job_profiles_segments_whole(self, monkeypatch):
         # A sweep spends its workers on lengths: with SNIPLAB_WORKERS=3
         # and every segment large enough to split, a job still profiles
-        # each segment in one part, on one thread.
+        # each segment in one part, on one thread.  Only k > 2 profiles
+        # (m = 32 has k = 4) are split into parts; at k <= 2 a segment's
+        # profile is one kernel call.
         from sniplab import mpdist
         from sniplab.snippets import WORKERS_ENV
 
@@ -182,7 +184,7 @@ class TestRunSchedule:
             return parts
 
         monkeypatch.setattr(mpdist, "_column_parts", counted)
-        run_schedule(self._series(), [MPdistParams(snippet_size=16)], 2, training_log=False)
+        run_schedule(self._series(), [MPdistParams(snippet_size=32)], 2, training_log=False)
         assert part_counts and set(part_counts) == {1}
 
     def test_duplicate_lengths_rejected(self):

@@ -30,18 +30,20 @@ def _tiled(pattern, reps):
 def _count_profiles(monkeypatch):
     """The segment index of every profile ``snippets`` computes from now on.
 
-    One per ``mpdist_profile`` call, and one per segment of each batch
-    the ``k <= 2`` pass profiles together.
+    One per ``mpdist_profile`` call, one per segment of each batch the
+    ``k <= 2`` pass profiles together, and one per segment of the
+    ``k > 2`` pass.
     """
     calls = []
     profile = snippets.mpdist_profile
-    batch = snippets._min_profiles
     monkeypatch.setattr(
         snippets, "mpdist_profile", lambda *a, **kw: calls.append(a[1]) or profile(*a, **kw)
     )
-    monkeypatch.setattr(
-        snippets, "_min_profiles", lambda *a, **kw: calls.extend(a[2]) or batch(*a, **kw)
-    )
+    for name in ("_min_profiles", "_kth_profiles"):
+        batch = getattr(snippets, name)
+        monkeypatch.setattr(
+            snippets, name, lambda *a, batch=batch, **kw: calls.extend(a[2]) or batch(*a, **kw)
+        )
     return calls
 
 
