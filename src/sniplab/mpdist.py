@@ -42,15 +42,18 @@ cache.  Every entry goes through the same float operations whatever
 the split, the step or the thread, and an order statistic is one of the
 candidates, so the profile does not change by a bit.
 
-The parts are pipelined rather than run side by side.  A pass allocates
-at most two part buffers, once.  One thread at a time runs a kernel,
-into a free buffer; every thread, the kernel's included whenever no
-kernel may start, takes the filter and then the selection steps of the
-parts already built, oldest first, and a part's buffer is free again
-once its last selection step has run.  With one worker, or one part in
-all, the calling thread runs the same steps in one buffer and starts no
-thread.  Idle threads wait on a condition: a thread spinning in Python
-keeps the GIL for whole switch intervals.
+The parts are pipelined rather than run side by side, by an engine
+(:class:`_KthEngine`) whose at most two part buffers and helper threads
+serve every pass it runs: a search that streams its profiles runs its
+first pass and every profile its greedy rounds compute again on one
+engine.  One thread at a time runs a kernel, into a free buffer; every
+thread, the kernel's included whenever no kernel may start, takes the
+filter and then the selection steps of the parts already built, oldest
+first, and a part's buffer is free again once its last selection step
+has run.  With one worker, or one part in all, the
+calling thread takes every step in one buffer and no thread starts.
+Idle threads wait on a condition: a thread spinning in Python keeps the
+GIL for whole switch intervals.
 
 One kernel at a time is a measured rule, not a setting.  The kernel is
 about seven numpy calls per row, a few µs each over the 10,000 columns
@@ -81,6 +84,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,22 +300,26 @@ class _Flight:
     running: int = 0
 
 
-class _KthPass:
-    """One pass of ``k > 2`` profiles over a list of segments; see :func:`_kth_profiles`."""
+class _KthEngine:
+    """``k > 2`` profiles on one set of part buffers and threads, a pass per :meth:`profiles` call.
 
-    def __init__(self, stats, params: MPdistParams, segments, workers: int):
+    Its at most two part buffers, its kernel workspace and its
+    ``threads`` threads (at most ``workers``, and no more than the parts
+    of ``num_segments`` segments), each with its scratch, serve every
+    pass.  The helper threads start with a pass and wait on a condition
+    between passes; :meth:`close` joins them.
+    """
+
+    def __init__(self, stats, params: MPdistParams, workers: int, num_segments: int):
         width = params.profile_width
-        splits = _splits(stats.centred.size, params, workers)
-        self.stats, self.width = stats, width
-        self.starts = [s * params.snippet_size for s in segments]
-        self.parts = [(s, lo, hi) for s in range(len(self.starts)) for lo, hi in splits]
-        self.threads = min(workers, len(self.parts))
-        self.num_positions = splits[-1][1]
-        self.columns = max(hi - lo for lo, hi in splits) + width - 1
+        self.splits = _splits(stats.centred.size, params, workers)
+        self.stats, self.width, self.snippet_size = stats, width, params.snippet_size
+        self.threads = min(workers, num_segments * len(self.splits))
+        self.num_positions = self.splits[-1][1]
+        sizes = [hi - lo for lo, hi in self.splits]
+        self.columns = max(sizes) + width - 1
         # The sliding minima take the most rows a block at a part's fewest columns.
-        self.block_rows = min(
-            width, max(1, _BLOCK_BYTES // (8 * (min(hi - lo for lo, hi in splits) + width - 1)))
-        )
+        self.block_rows = min(width, max(1, _BLOCK_BYTES // (8 * (min(sizes) + width - 1))))
         # Positions per selection tile: a tile's 2 * width float64
         # candidates per position take 16 * width bytes, so a tile fills
         # _BLOCK_BYTES (63 positions at width 513, 3,640 at width 9).
@@ -325,8 +333,11 @@ class _KthPass:
         self.buffers = [np.empty((width + 1) * self.columns) for _ in range(min(2, self.threads))]
         self.windows = [sliding_window_view(b[: self.columns], width) for b in self.buffers]
         self.work = np.empty((2, self.columns + width - 1))
-        self.best = {}  # segment position -> its profile, from its first part's kernel on
-        self.left = [len(splits)] * len(self.starts)  # parts not yet selected, per segment
+        self.scratch = self._scratch()  # the calling thread's
+        self.lock = threading.Condition()
+        self.helpers = []
+        self._begin([])
+        self._reset()
 
     def _views(self, slot: int, lo: int, hi: int):
         """Positions [lo, hi)'s kernel rows and column minima in part buffer ``slot``."""
@@ -382,20 +393,25 @@ class _KthPass:
             candidates.partition(self.kth, axis=1)
             best[a:b] = candidates[:, self.kth]
 
-    def solo(self):
-        """The pass on the calling thread, in one part buffer."""
-        scratch = self._scratch()
-        for part in self.parts:
-            self._build(part, 0)
-            filters, selects = self._steps(part)
-            for step, a, b in filters + selects:
-                step(part, 0, a, b, scratch)
-            s, _, hi = part
-            if hi == self.num_positions:
-                yield self.best.pop(s)
+    def _begin(self, segments) -> None:
+        # A pass's parts, in order, and its progress.
+        self.starts = [s * self.snippet_size for s in segments]
+        self.parts = [(s, lo, hi) for s in range(len(self.starts)) for lo, hi in self.splits]
+        self.started = 0  # parts whose kernel has started
+        self.left = [len(self.splits)] * len(self.starts)  # parts not yet selected, per segment
+        self.yielded = 0
+        self.best = {}  # segment position -> its profile, from its first part's kernel on
 
-    def threaded(self):
-        """The pass on the calling thread and ``threads - 1`` helpers.
+    def _reset(self) -> None:
+        # No thread runs a step: every buffer is free and nothing is in flight.
+        self.free = list(range(len(self.buffers)))
+        self.kernel_busy = False
+        self.active = []  # in-flight parts, oldest first
+        self.error = None
+        self.stopped = False
+
+    def profiles(self, segments):
+        """One pass: the negated-correlation profile of each of ``segments``, in order.
 
         Every thread takes, in this order: (the calling thread only) the
         next segment's profile once all its parts are selected; the next
@@ -403,37 +419,41 @@ class _KthPass:
         part's segment is fewer than three ahead of the last one taken;
         a step of the oldest part in flight with steps left.  A part's
         selection steps are queued once all its filter steps have run,
-        and its buffer is freed once all its selection steps have.
+        and its buffer is freed once all its selection steps have.  A
+        pass that fails, or is closed before its last profile, closes
+        the engine, and the first exception in any thread is raised here.
         """
-        self.lock = threading.Condition()
-        self.started = 0  # parts whose kernel has started
-        self.free = list(range(len(self.buffers)))
-        self.kernel_busy = False
-        self.active = []  # in-flight parts, oldest first
-        self.yielded = 0
-        self.error = None
-        self.stopped = False
-        helpers = [threading.Thread(target=self._help, daemon=True) for _ in range(self.threads - 1)]
-        for thread in helpers:
-            thread.start()
-        scratch = self._scratch()
+        with self.lock:
+            self._begin(segments)
+            self.lock.notify_all()
+        while len(self.helpers) < self.threads - 1:
+            self.helpers.append(threading.Thread(target=self._help, daemon=True))
+            self.helpers[-1].start()
         try:
             while (task := self._take(caller=True)) is not None:
                 if isinstance(task, np.ndarray):
                     yield task
                     continue
                 try:
-                    self._run(task, scratch)
+                    self._run(task, self.scratch)
                 except Exception as exc:
                     self._fail(exc)
             if self.error is not None:
                 raise self.error
         finally:
-            with self.lock:
-                self.stopped = True
-                self.lock.notify_all()
-            for thread in helpers:
-                thread.join()
+            # Once the last profile is out, every step has run.
+            if self.yielded < len(self.left) or self.error is not None:
+                self.close()
+
+    def close(self) -> None:
+        """Stop and join the helper threads; a later pass starts them again."""
+        with self.lock:
+            self.stopped = True
+            self.lock.notify_all()
+        for thread in self.helpers:
+            thread.join()
+        self.helpers = []
+        self._reset()
 
     def _help(self) -> None:
         scratch = self._scratch()
@@ -473,8 +493,6 @@ class _KthPass:
                         return flight, flight.steps.popleft()
                 if caller and self.yielded == len(self.left):
                     return None
-                if not caller and self.started == len(self.parts) and not self.active:
-                    return None
                 self.lock.wait()
             return None
 
@@ -509,14 +527,12 @@ def _kth_profiles(stats, params: MPdistParams, segments, workers: int):
     """Negated-correlation profiles at ``k > 2`` of ``segments``, in order.
 
     Yields one array of the ``n - snippet_size + 1`` positions per
-    segment, which the caller then owns.  See the module docstring for
-    how the pass runs; with one worker, or one part in all, it runs on
-    the calling thread in one part buffer.  The threads start once per
-    pass and are joined when it ends, fails or is closed early, and the
-    first exception in any of them is raised here.
+    segment, which the caller then owns, from one pass of a
+    :class:`_KthEngine` of its own (see the module docstring).  Its
+    threads are joined when the pass ends, fails or is closed early.
     """
-    engine = _KthPass(stats, params, segments, workers)
-    yield from engine.solo() if engine.threads == 1 else engine.threaded()
+    with closing(_KthEngine(stats, params, workers, len(segments))) as engine:
+        yield from engine.profiles(segments)
 
 
 def mpdist_profile(

@@ -22,12 +22,13 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mpdist import MPdistParams, MPdistProfile, _batch_size, _kth_profiles, _min_profiles, mpdist_profile
+from .mpdist import MPdistParams, MPdistProfile, _batch_size, _KthEngine, _kth_profiles
+from .mpdist import _min_profiles, mpdist_profile
 from .series import TimeSeries
 from .zdist import compute_sliding_stats, neg_correlation_to_distance
 
@@ -176,15 +177,15 @@ def _batched_rows(stats, params: MPdistParams, first: int, stop: int, batch: int
         yield from neg_correlation_to_distance(profiles, params.window_size, out=profiles)
 
 
-def _kth_rows(stats, params: MPdistParams, num_segments: int, workers: int):
-    """Every segment's profile at ``k > 2``, as ``(index, distances)``, from one pass.
+def _kth_rows(engine: _KthEngine, params: MPdistParams, segments):
+    """The profiles of ``segments`` at ``k > 2``, as ``(index, distances)``, from one pass.
 
     The rows are bit for bit :func:`~sniplab.mpdist.mpdist_profile`'s.
-    Closing the generator stops the pass and joins its threads.
+    Closing the generator early stops the pass and joins its threads.
     """
-    with closing(_kth_profiles(stats, params, range(num_segments), workers)) as pass_rows:
-        for index, best in enumerate(pass_rows):
-            yield index, neg_correlation_to_distance(best, params.window_size, out=best)
+    with closing(engine.profiles(segments)) as best:
+        for index, row in zip(segments, best):
+            yield index, neg_correlation_to_distance(row, params.window_size, out=row)
 
 
 class _ProfileStore:
@@ -289,10 +290,10 @@ def select_snippets(
         large enough is split into a part per worker, one thread runs a
         part's kernel while the others filter and select the parts
         already built, and a greedy round's recomputed profile runs the
-        same way.  At ``k <= 2`` the segments are split into one
-        contiguous range per thread, each profiled a batch of segments
-        per kernel call.  The result does not depend on it; a count
-        below 1 raises ``ValueError``.
+        same way, on the pass's threads and part buffers.  At ``k <= 2``
+        the segments are split into one contiguous range per thread,
+        each profiled a batch of segments per kernel call.  The result
+        does not depend on it; a count below 1 raises ``ValueError``.
 
     Returns
     -------
@@ -302,104 +303,123 @@ def select_snippets(
     workers = resolve_workers(workers)
     num_windows = series.n - params.snippet_size + 1
     top = 2.0 * math.sqrt(params.window_size)  # the largest MPdist entry
-    rows = None  # (index, profile values) in index order, unless the k <= 2 pass runs
-    if profiles is None:
-        stats = compute_sliding_stats(series, params.window_size)
+    with ExitStack() as stack:
+        rows = None  # (index, profile values) in index order, unless the k <= 2 pass runs
+        if profiles is None:
+            stats = compute_sliding_stats(series, params.window_size)
+            held = num_segments <= params.profile_width
+            if params.k <= 2:
 
-        def fetch(index: int) -> MPdistProfile:
-            return mpdist_profile(series, index, params, stats=stats, workers=workers)
+                def fetch(index: int) -> MPdistProfile:
+                    return mpdist_profile(series, index, params, stats=stats)
 
-        if params.k > 2:
-            rows = _kth_rows(stats, params, num_segments, workers)
-        if num_segments <= params.profile_width:
-            if rows is None:
-                profiles = list(map(fetch, range(num_segments)))
+                if held:
+                    profiles = list(map(fetch, range(num_segments)))
+            elif held:
+                # The pass's engine, part buffers included, ends with it.
+                with closing(_kth_profiles(stats, params, range(num_segments), workers)) as best:
+                    profiles = [
+                        MPdistProfile(
+                            segment_index=i,
+                            values=neg_correlation_to_distance(row, params.window_size, out=row),
+                        )
+                        for i, row in enumerate(best)
+                    ]
             else:
-                with closing(rows):
-                    profiles = [MPdistProfile(segment_index=i, values=values) for i, values in rows]
-    else:
-        if len(profiles) != num_segments:
-            raise ValueError(
-                f"got {len(profiles)} profiles for {num_segments} segments"
-            )
-        cap = (1 + 2**-16) * top  # spares a caller's last-bit rounding
-        for i, profile in enumerate(profiles):
-            if profile.segment_index != i:
-                raise ValueError(
-                    f"profile at position {i} is for segment {profile.segment_index}"
-                )
-            if len(profile) != num_windows:
-                raise ValueError(
-                    f"profile {i} has length {len(profile)}, expected {num_windows}"
-                )
-            if profile.values.max() >= cap:
-                raise ValueError(
-                    f"profile {i} has an entry of {profile.values.max()!r}, at or "
-                    f"above {cap!r}, beyond any MPdist of window size {params.window_size}"
-                )
-    if profiles is not None:
-        fetch = profiles.__getitem__
+                # One engine profiles the pass and every row the greedy
+                # recomputes, and its threads are joined however the
+                # search ends.
+                engine = _KthEngine(stats, params, workers, num_segments)
+                stack.enter_context(closing(engine))
+                rows = _kth_rows(engine, params, range(num_segments))
 
-    store = _ProfileStore(num_segments, num_windows, top)
-    lower = np.empty(num_segments)  # round 1's bounds are its exact areas
-    maxima = np.empty(num_segments)
+                def fetch(index: int) -> MPdistProfile:
+                    ((_, values),) = _kth_rows(engine, params, [index])
+                    return MPdistProfile(segment_index=index, values=values)
 
-    def take(index: int, values: np.ndarray) -> tuple[int, np.ndarray]:
-        # The pass reads each segment's profile once: its round-1 area,
-        # its largest entry and its codes, then its share of the nearest
-        # segments.
-        lower[index] = values.sum()
-        maxima[index] = values.max()
-        store.keep(index, values)
-        return index, values
-
-    if profiles is not None:
-        rows = ((i, profile.values) for i, profile in enumerate(profiles))
-    if rows is None:
-        # At k <= 2 the segments go in contiguous ranges, one per thread,
-        # the first on this one; each range writes its own rows of lower,
-        # maxima and the codes, and the ranges' nearest segments merge in
-        # range order, ties to the lower range.
-        count = min(workers, num_segments)
-        bounds = [num_segments * i // count for i in range(count + 1)]
-        batch = _batch_size(stats.sumsq.size, num_segments)
-
-        def profile_range(first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-            rows = _batched_rows(stats, params, first, stop, batch)
-            return _nearest_rows(take(i, row) for i, row in enumerate(rows, start=first))
-
-        if count == 1:
-            _, nearest = profile_range(0, num_segments)
         else:
-            with ThreadPoolExecutor(max_workers=count - 1) as pool:
-                rest = pool.map(profile_range, bounds[1:-1], bounds[2:])
-                parts = [profile_range(0, bounds[1]), *rest]
-            _, nearest = _nearest_rows((labels, best) for best, labels in parts)
-    else:
-        with closing(rows):
-            _, nearest = _nearest_rows(take(i, values) for i, values in rows)
+            if len(profiles) != num_segments:
+                raise ValueError(
+                    f"got {len(profiles)} profiles for {num_segments} segments"
+                )
+            cap = (1 + 2**-16) * top  # spares a caller's last-bit rounding
+            for i, profile in enumerate(profiles):
+                if profile.segment_index != i:
+                    raise ValueError(
+                        f"profile at position {i} is for segment {profile.segment_index}"
+                    )
+                if len(profile) != num_windows:
+                    raise ValueError(
+                        f"profile {i} has length {len(profile)}, expected {num_windows}"
+                    )
+                if profile.values.max() >= cap:
+                    raise ValueError(
+                        f"profile {i} has an entry of {profile.values.max()!r}, at or "
+                        f"above {cap!r}, beyond any MPdist of window size {params.window_size}"
+                    )
+        if profiles is not None:
+            fetch = profiles.__getitem__
 
-    # Every round takes exact areas in (bound, index) order and stops at
-    # the first bound past the smallest (area, index) so far.  An
-    # unscanned segment has (area, index) >= (bound, index) > that, so
-    # the smallest measured is the float64 argmin.
-    chosen: dict[int, MPdistProfile] = {}  # segment index -> profile, in pick order
-    curve = np.full(num_windows, np.inf)
-    scratch = np.empty(num_windows)
-    for _ in range(num_snippets):
-        if chosen:
-            lower = store.lower_bounds(curve)
-            lower[list(chosen)] = np.inf
-        best_area, best_index = np.inf, num_segments
-        for index in np.argsort(lower, kind="stable"):
-            if (lower[index], index) > (best_area, best_index):
-                break
-            profile = fetch(int(index))
-            area = np.minimum(profile.values, curve, out=scratch).sum()
-            if (area, index) < (best_area, best_index):
-                best, best_area, best_index = profile, area, index
-        chosen[best.segment_index] = best
-        np.minimum(curve, best.values, out=curve)
+        store = _ProfileStore(num_segments, num_windows, top)
+        lower = np.empty(num_segments)  # round 1's bounds are its exact areas
+        maxima = np.empty(num_segments)
+
+        def take(index: int, values: np.ndarray) -> tuple[int, np.ndarray]:
+            # The pass reads each segment's profile once: its round-1 area,
+            # its largest entry and its codes, then its share of the nearest
+            # segments.
+            lower[index] = values.sum()
+            maxima[index] = values.max()
+            store.keep(index, values)
+            return index, values
+
+        if profiles is not None:
+            rows = ((i, profile.values) for i, profile in enumerate(profiles))
+        if rows is None:
+            # At k <= 2 the segments go in contiguous ranges, one per thread,
+            # the first on this one; each range writes its own rows of lower,
+            # maxima and the codes, and the ranges' nearest segments merge in
+            # range order, ties to the lower range.
+            count = min(workers, num_segments)
+            bounds = [num_segments * i // count for i in range(count + 1)]
+            batch = _batch_size(stats.sumsq.size, num_segments)
+
+            def profile_range(first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+                rows = _batched_rows(stats, params, first, stop, batch)
+                return _nearest_rows(take(i, row) for i, row in enumerate(rows, start=first))
+
+            if count == 1:
+                _, nearest = profile_range(0, num_segments)
+            else:
+                with ThreadPoolExecutor(max_workers=count - 1) as pool:
+                    rest = pool.map(profile_range, bounds[1:-1], bounds[2:])
+                    parts = [profile_range(0, bounds[1]), *rest]
+                _, nearest = _nearest_rows((labels, best) for best, labels in parts)
+        else:
+            with closing(rows):
+                _, nearest = _nearest_rows(take(i, values) for i, values in rows)
+
+        # Every round takes exact areas in (bound, index) order and stops at
+        # the first bound past the smallest (area, index) so far.  An
+        # unscanned segment has (area, index) >= (bound, index) > that, so
+        # the smallest measured is the float64 argmin.
+        chosen: dict[int, MPdistProfile] = {}  # segment index -> profile, in pick order
+        curve = np.full(num_windows, np.inf)
+        scratch = np.empty(num_windows)
+        for _ in range(num_snippets):
+            if chosen:
+                lower = store.lower_bounds(curve)
+                lower[list(chosen)] = np.inf
+            best_area, best_index = np.inf, num_segments
+            for index in np.argsort(lower, kind="stable"):
+                if (lower[index], index) > (best_area, best_index):
+                    break
+                profile = fetch(int(index))
+                area = np.minimum(profile.values, curve, out=scratch).sum()
+                if (area, index) < (best_area, best_index):
+                    best, best_area, best_index = profile, area, index
+            chosen[best.segment_index] = best
+            np.minimum(curve, best.values, out=curve)
 
     counts = np.bincount(nearest, minlength=num_segments)
     snippets = [

@@ -397,7 +397,7 @@ class TestKthPass:
         series, params, stats = _kth_pass_case()
         monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
         kernel = mpdist.neg_correlations
-        select = mpdist._KthPass._select
+        select = mpdist._KthEngine._select
         lock = threading.Lock()
         running = []
         calls = overlaps = peak = 0
@@ -420,7 +420,7 @@ class TestKthPass:
             return select(*args, **kwargs)
 
         monkeypatch.setattr(mpdist, "neg_correlations", counted)
-        monkeypatch.setattr(mpdist._KthPass, "_select", selecting)
+        monkeypatch.setattr(mpdist._KthEngine, "_select", selecting)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -460,10 +460,10 @@ class TestKthPass:
         # it (two parts each here), however long it waits.
         series, params, stats = _kth_pass_case()
         monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
-        build = mpdist._KthPass._build
+        build = mpdist._KthEngine._build
         built = []
         monkeypatch.setattr(
-            mpdist._KthPass, "_build", lambda *a: built.append(a[1]) or build(*a)
+            mpdist._KthEngine, "_build", lambda *a: built.append(a[1]) or build(*a)
         )
         rows = mpdist._kth_profiles(stats, params, range(20), 2)
         next(rows)
@@ -486,7 +486,7 @@ class TestKthPass:
         rows.close()
         assert threading.active_count() == start
 
-        select = mpdist._KthPass._select
+        select = mpdist._KthEngine._select
         for failing in range(1, 8):
             steps = 0
 
@@ -497,11 +497,11 @@ class TestKthPass:
                     raise RuntimeError("selection step failed")
                 return select(*args, **kwargs)
 
-            monkeypatch.setattr(mpdist._KthPass, "_select", broken)
+            monkeypatch.setattr(mpdist._KthEngine, "_select", broken)
             with pytest.raises(RuntimeError, match="selection step failed"):
                 list(mpdist._kth_profiles(stats, params, range(10), workers))
             assert threading.active_count() == start
-        monkeypatch.setattr(mpdist._KthPass, "_select", select)
+        monkeypatch.setattr(mpdist._KthEngine, "_select", select)
 
         # select_snippets' pass (46 segments, past the width of 33, so
         # streamed) stops the pipeline when reading a row fails, even
@@ -518,6 +518,85 @@ class TestKthPass:
             select_snippets(series, params, 2, workers=workers)
         assert failure.tb is not None
         assert threading.active_count() == start
+
+        # A greedy round that fails after the pass, while the engine's
+        # helpers wait for its recomputes, joins them too.
+        monkeypatch.setattr(snippets._ProfileStore, "keep", keep)
+
+        def failing_bounds(store, curve):
+            raise RuntimeError("bounding failed")
+
+        monkeypatch.setattr(snippets._ProfileStore, "lower_bounds", failing_bounds)
+        with pytest.raises(RuntimeError, match="bounding failed"):
+            select_snippets(series, params, 2, workers=workers)
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_engine_passes_share_buffers_and_threads(self, monkeypatch, workers):
+        # One engine's passes, a whole one and then one segment at a time
+        # as a search's greedy rounds recompute them, give the same rows
+        # in the same part buffers, from helpers started once; a pass
+        # closed early joins them, and the next one starts them again.
+        series, params, stats = _kth_pass_case()
+        monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        count = threading.active_count()
+        engine = mpdist._KthEngine(stats, params, workers, 10)
+        buffers = [b.ctypes.data for b in engine.buffers]
+        try:
+            rows = [row.copy() for row in engine.profiles(range(10))]
+            for i in (3, 0, 9, 3):
+                (row,) = engine.profiles([i])
+                assert row.tobytes() == rows[i].tobytes(), f"segment {i}"
+            assert len(started) == workers - 1
+            assert len(buffers) == min(2, workers)
+            assert [b.ctypes.data for b in engine.buffers] == buffers
+            early = engine.profiles(range(10))
+            next(early)
+            early.close()
+            assert threading.active_count() == count
+            assert [row.tobytes() for row in engine.profiles(range(4, 7))] == [
+                row.tobytes() for row in rows[4:7]
+            ]
+            assert len(started) == 2 * (workers - 1)
+        finally:
+            engine.close()
+        assert threading.active_count() == count
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_search_recomputes_on_its_pass_engine(self, monkeypatch, workers):
+        # A streamed k > 2 search (46 segments, past the width of 33)
+        # makes one engine, whose first pass profiles every segment and
+        # whose later passes are the greedy rounds' recomputes; its
+        # helpers start once.
+        series, params, _ = _kth_pass_case()
+        monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
+        engines, passes, started = [], [], []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+
+        class Recording(mpdist._KthEngine):
+            def __init__(self, *args):
+                super().__init__(*args)
+                engines.append(self)
+
+            def profiles(self, segments):
+                passes.append(list(segments))
+                return super().profiles(segments)
+
+        monkeypatch.setattr(snippets, "_KthEngine", Recording)
+        result = select_snippets(series, params, 3, workers=workers)
+        assert len(engines) == 1
+        assert passes[0] == list(range(46))
+        assert len(passes) > 1 and all(len(segments) == 1 for segments in passes[1:])
+        assert len(started) == workers - 1
+        monkeypatch.setattr(snippets, "_KthEngine", mpdist._KthEngine)
+        profiles = [mpdist_profile(series, i, params) for i in range(46)]
+        reference = select_snippets(series, params, 3, profiles=profiles)
+        assert result.to_dict() == reference.to_dict()
+        assert result.curve.tobytes() == reference.curve.tobytes()
 
 
 @st.composite

@@ -31,8 +31,9 @@ def _count_profiles(monkeypatch):
     """The segment index of every profile ``snippets`` computes from now on.
 
     One per ``mpdist_profile`` call, one per segment of each batch the
-    ``k <= 2`` pass profiles together, and one per segment of the
-    ``k > 2`` pass.
+    ``k <= 2`` pass profiles together, one per segment of the ``k > 2``
+    pass whose rows are held, and one per segment of each pass of a
+    streaming search's ``k > 2`` engine, its first and its recomputes.
     """
     calls = []
     profile = snippets.mpdist_profile
@@ -44,6 +45,13 @@ def _count_profiles(monkeypatch):
         monkeypatch.setattr(
             snippets, name, lambda *a, batch=batch, **kw: calls.extend(a[2]) or batch(*a, **kw)
         )
+
+    class CountingEngine(snippets._KthEngine):
+        def profiles(self, segments):
+            calls.extend(segments)
+            return super().profiles(segments)
+
+    monkeypatch.setattr(snippets, "_KthEngine", CountingEngine)
     return calls
 
 
