@@ -23,11 +23,10 @@ candidates are equal.  It is the sliding minimum of the column minima,
 so the profile is that one sliding window and the per-row filter, merge
 and partition are skipped.
 
-At ``k > 2`` a search profiles its segments in one pass
-(:func:`_kth_profiles`), and each segment's positions go in parts, as
-STUMPY's ``stumped`` splits a matrix profile (Law, JOSS 2019): one part
-per worker, once each holds ``MIN_PART_ENTRIES`` kernel entries.  Each
-part reads its columns plus the ``width - 1`` to their right that its
+At ``k > 2`` each segment's positions go in parts, as STUMPY's
+``stumped`` splits a matrix profile (Law, JOSS 2019): one part per
+worker, once each holds ``MIN_PART_ENTRIES`` kernel entries.  Each part
+reads its columns plus the ``width - 1`` to their right that its
 windows reach, and runs the diagonal update from ``width - 1`` columns
 to their left (clipped at column 0), from its own row-0 cross products
 over just the columns it reads.  A part takes three kinds of step in
@@ -44,14 +43,15 @@ candidates, so the profile does not change by a bit.
 
 The parts are pipelined rather than run side by side, by an engine
 (:class:`_KthEngine`) whose at most two part buffers and helper threads
-serve every pass it runs: a search that streams its profiles runs its
-first pass and every profile its greedy rounds compute again on one
-engine.  One thread at a time runs a kernel, into a free buffer; every
-thread, the kernel's included whenever no kernel may start, takes the
-filter and then the selection steps of the parts already built, oldest
-first, and a part's buffer is free again once its last selection step
-has run.  With one worker, or one part in all, the
-calling thread takes every step in one buffer and no thread starts.
+serve every pass it runs until it is closed: a search runs its pass,
+and every profile its greedy rounds compute again, on one engine, and
+:func:`mpdist_profile` runs a one-worker pass of its own.  One thread
+at a time runs a kernel, into a free buffer; every thread, the
+kernel's included whenever no kernel may start, takes the filter and
+then the selection steps of the parts already built, oldest first, and
+a part's buffer is free again once its last selection step has run.
+With one worker, or one part in all, the calling thread takes every
+step in one buffer and no thread starts.
 Idle threads wait on a condition: a thread spinning in Python keeps the
 GIL for whole switch intervals.
 
@@ -84,7 +84,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,14 +226,6 @@ def _sliding_min_rows(matrix: np.ndarray, window: int, scratch=None) -> np.ndarr
     return matrix[..., : length - window + 1]
 
 
-def _column_parts(num_positions: int, entries: int, workers: int) -> list[tuple[int, int]]:
-    # Contiguous ranges of profile positions, at most one per worker, each
-    # with at least MIN_PART_ENTRIES of the segment's kernel entries.
-    count = max(1, min(workers, num_positions, entries // MIN_PART_ENTRIES))
-    bounds = [num_positions * i // count for i in range(count + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
 def _batch_size(num_columns: int, num_segments: int) -> int:
     """Segments one :func:`_min_profiles` call profiles in a search's pass.
 
@@ -251,38 +242,44 @@ def _batch_size(num_columns: int, num_segments: int) -> int:
 
 
 def _splits(n: int, params: MPdistParams, workers: int) -> list[tuple[int, int]]:
-    """The position ranges a segment's profile is split into across ``workers`` threads."""
+    """The position ranges a segment's profile is split into across ``workers`` threads.
+
+    Contiguous, at most one per worker, each with at least
+    ``MIN_PART_ENTRIES`` of the segment's kernel entries.
+    """
     num_positions = n - params.snippet_size + 1
     width = params.profile_width
-    return _column_parts(num_positions, width * (num_positions + width - 1), workers)
+    entries = width * (num_positions + width - 1)
+    count = max(1, min(workers, num_positions, entries // MIN_PART_ENTRIES))
+    bounds = [num_positions * i // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _min_profiles(stats, params: MPdistParams, segments, positions=None, work=None) -> np.ndarray:
+def _min_profiles(stats, params: MPdistParams, segments, work=None) -> np.ndarray:
     """Negated-correlation profiles at ``k <= 2`` of several segments, one row each.
 
     A position's profile is the sliding minimum of the column minima
     (see the module docstring).  The segments' kernel rows come from
     one :func:`~sniplab.zdist.neg_correlations` call, one row at a time,
     and are folded into the column minima as they come, so no segment's
-    ``width`` rows are ever held.  ``positions`` is the range ``(lo,
-    hi)`` of profile positions, all of them by default; positions
-    ``[lo, hi)`` read the kernel columns ``[lo, hi + width - 1)``.
+    ``width`` rows are ever held.
 
-    ``work``, of shape ``(3, B, hi - lo + 2 * width - 2)`` for B
-    segments or more, holds the kernel's diagonals and scratch (which
-    the sliding minima reuse) and the column minima.  A caller that
-    profiles batch after batch passes the same one each time: arrays of
-    a few hundred kB allocated afresh are mapped afresh, and their page
-    faults cost as much as the arithmetic.  Returns a view of it.
+    ``work``, of shape ``(3, B, num_columns + width - 1)`` for B
+    segments or more and the series' ``num_columns`` windows, holds the
+    kernel's diagonals and scratch (which the sliding minima reuse) and
+    the column minima.  A caller that profiles batch after batch passes
+    the same one each time: arrays of a few hundred kB allocated afresh
+    are mapped afresh, and their page faults cost as much as the
+    arithmetic.  Returns a view of it.
     """
     width = params.profile_width
-    lo, hi = (0, stats.sumsq.size - width + 1) if positions is None else positions
+    num_columns = stats.sumsq.size
     starts = np.asarray(segments, dtype=np.intp) * params.snippet_size
     if work is None:
-        work = np.empty((3, starts.size, hi - lo + 2 * width - 2))
+        work = np.empty((3, starts.size, num_columns + width - 1))
     work = work[:, : starts.size]
-    minima = work[2, :, : hi - lo + width - 1]
-    rows = neg_correlations(stats, starts, width, columns=(lo, hi + width - 1), work=work[:2])
+    minima = work[2, :, :num_columns]
+    rows = neg_correlations(stats, starts, width, work=work[:2])
     np.copyto(minima, next(rows))
     for row in rows:
         np.minimum(minima, row, out=minima)
@@ -306,8 +303,9 @@ class _KthEngine:
     Its at most two part buffers, its kernel workspace and its
     ``threads`` threads (at most ``workers``, and no more than the parts
     of ``num_segments`` segments), each with its scratch, serve every
-    pass.  The helper threads start with a pass and wait on a condition
-    between passes; :meth:`close` joins them.
+    pass.  The part buffers and the helper threads come with a pass,
+    the threads wait on a condition between passes, and :meth:`close`
+    joins them and drops the buffers.
     """
 
     def __init__(self, stats, params: MPdistParams, workers: int, num_segments: int):
@@ -326,12 +324,9 @@ class _KthEngine:
         self.tile = max(1, _BLOCK_BYTES // (16 * width))
         # kth = 2 * width - 1 (the largest candidate) covers k >= 2 * width.
         self.kth = min(params.k, 2 * width) - 1
-        # Each part buffer holds a part's column minima, then its width
-        # kernel rows; only one kernel runs at a time, so one workspace
-        # serves all.  A buffer's sliding windows of the minima are taken
-        # once, over its longest part's columns.
-        self.buffers = [np.empty((width + 1) * self.columns) for _ in range(min(2, self.threads))]
-        self.windows = [sliding_window_view(b[: self.columns], width) for b in self.buffers]
+        self.slots = min(2, self.threads)  # part buffers, made by a pass
+        self.buffers = self.windows = []
+        # Only one kernel runs at a time, so one workspace serves all.
         self.work = np.empty((2, self.columns + width - 1))
         self.scratch = self._scratch()  # the calling thread's
         self.lock = threading.Condition()
@@ -404,7 +399,7 @@ class _KthEngine:
 
     def _reset(self) -> None:
         # No thread runs a step: every buffer is free and nothing is in flight.
-        self.free = list(range(len(self.buffers)))
+        self.free = list(range(self.slots))
         self.kernel_busy = False
         self.active = []  # in-flight parts, oldest first
         self.error = None
@@ -423,6 +418,14 @@ class _KthEngine:
         pass that fails, or is closed before its last profile, closes
         the engine, and the first exception in any thread is raised here.
         """
+        if not self.buffers:
+            # Each part buffer holds a part's column minima, then its width
+            # kernel rows.  A buffer's sliding windows of the minima are
+            # taken once, over its longest part's columns.
+            self.buffers = [np.empty((self.width + 1) * self.columns) for _ in range(self.slots)]
+            self.windows = [
+                sliding_window_view(b[: self.columns], self.width) for b in self.buffers
+            ]
         with self.lock:
             self._begin(segments)
             self.lock.notify_all()
@@ -446,13 +449,14 @@ class _KthEngine:
                 self.close()
 
     def close(self) -> None:
-        """Stop and join the helper threads; a later pass starts them again."""
+        """Join the helper threads and drop the part buffers; a later pass makes both again."""
         with self.lock:
             self.stopped = True
             self.lock.notify_all()
         for thread in self.helpers:
             thread.join()
         self.helpers = []
+        self.buffers = self.windows = []
         self._reset()
 
     def _help(self) -> None:
@@ -523,24 +527,11 @@ class _KthEngine:
             self.lock.notify_all()
 
 
-def _kth_profiles(stats, params: MPdistParams, segments, workers: int):
-    """Negated-correlation profiles at ``k > 2`` of ``segments``, in order.
-
-    Yields one array of the ``n - snippet_size + 1`` positions per
-    segment, which the caller then owns, from one pass of a
-    :class:`_KthEngine` of its own (see the module docstring).  Its
-    threads are joined when the pass ends, fails or is closed early.
-    """
-    with closing(_KthEngine(stats, params, workers, len(segments))) as engine:
-        yield from engine.profiles(segments)
-
-
 def mpdist_profile(
     series: TimeSeries,
     segment_index: int,
     params: MPdistParams,
     stats=None,
-    workers: int = 1,
 ) -> MPdistProfile:
     """MPdist profile of one segment against every window of the series.
 
@@ -555,13 +546,6 @@ def mpdist_profile(
         Sliding statistics of ``series`` for ``params.window_size``;
         computed on demand when omitted, passed in when profiling many
         segments.
-    workers : int, optional
-        Threads of the one-segment ``k > 2`` pass: a segment large
-        enough is split into a part per worker, and one thread runs a
-        part's kernel while the others filter and select the part before
-        (see the module docstring).  A segment too small to split, and
-        any profile at ``k <= 2``, runs on the calling thread.  The
-        values do not depend on it.
 
     Returns
     -------
@@ -578,8 +562,6 @@ def mpdist_profile(
         raise ValueError(
             f"segment index {segment_index} out of range [0, {num_segments})"
         )
-    if workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
     if stats is None:
         stats = compute_sliding_stats(series, params.window_size)
     else:
@@ -588,6 +570,6 @@ def mpdist_profile(
     if params.k <= 2:
         best = _min_profiles(stats, params, [segment_index])[0]
     else:
-        (best,) = _kth_profiles(stats, params, [segment_index], workers)
+        (best,) = _KthEngine(stats, params, 1, 1).profiles([segment_index])
     values = neg_correlation_to_distance(best, params.window_size, out=best)
     return MPdistProfile(segment_index=segment_index, values=values)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mpdist import MPdistParams, MPdistProfile, _batch_size, _KthEngine, _kth_profiles
-from .mpdist import _min_profiles, mpdist_profile
+from .mpdist import MPdistParams, MPdistProfile, _batch_size, _KthEngine, _min_profiles
+from .mpdist import mpdist_profile
 from .series import TimeSeries
 from .zdist import compute_sliding_stats, neg_correlation_to_distance
 
@@ -163,28 +163,30 @@ def _nearest_rows(labelled_rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _batched_rows(stats, params: MPdistParams, first: int, stop: int, batch: int):
-    """Profiles of segments ``[first, stop)`` at ``k <= 2``, ``batch`` at a time.
+    """Profiles of segments ``[first, stop)`` at ``k <= 2``, as ``(index, distances)``.
 
-    Each batch's profiles are computed and converted to distances in
-    one reused array, so the next batch overwrites every yielded row;
-    read each before asking for the next.  The rows are bit for bit
+    Each ``batch`` of profiles is computed and converted to distances
+    in one reused array, so the next batch overwrites every yielded
+    row; read each before asking for the next.  The rows are bit for bit
     :func:`~sniplab.mpdist.mpdist_profile`'s.
     """
     num_columns = stats.sumsq.size
     work = np.empty((3, min(batch, stop - first), num_columns + params.profile_width - 1))
     for lo in range(first, stop, batch):
         profiles = _min_profiles(stats, params, range(lo, min(lo + batch, stop)), work=work)
-        yield from neg_correlation_to_distance(profiles, params.window_size, out=profiles)
+        distances = neg_correlation_to_distance(profiles, params.window_size, out=profiles)
+        yield from enumerate(distances, lo)
 
 
-def _kth_rows(engine: _KthEngine, params: MPdistParams, segments):
-    """The profiles of ``segments`` at ``k > 2``, as ``(index, distances)``, from one pass.
+def _kth_rows(engine: _KthEngine, params: MPdistParams, first: int, stop: int):
+    """Profiles of segments ``[first, stop)`` at ``k > 2``, as ``(index, distances)``.
 
-    The rows are bit for bit :func:`~sniplab.mpdist.mpdist_profile`'s.
-    Closing the generator early stops the pass and joins its threads.
+    They come from one pass of ``engine``.  Each row is the caller's to
+    keep, bit for bit :func:`~sniplab.mpdist.mpdist_profile`'s.  Closing
+    the generator early stops the pass and joins its threads.
     """
-    with closing(engine.profiles(segments)) as best:
-        for index, row in zip(segments, best):
+    with closing(engine.profiles(range(first, stop))) as best:
+        for index, row in enumerate(best, first):
             yield index, neg_correlation_to_distance(row, params.window_size, out=row)
 
 
@@ -258,17 +260,18 @@ def select_snippets(
     index, and the chosen snippets are ordered by descending coverage
     fraction.
 
-    Each segment is profiled in one streaming pass that takes its exact
-    round-1 area, its largest entry and its share of the attribution,
-    and keeps the profile as 8-bit codes (1 byte per entry instead of
-    8).  Every round takes exact areas in increasing (lower bound,
-    index) order until a bound passes the smallest (area, index) so
-    far; later rounds bound the areas from the codes.  The float64 rows
-    it reads come from ``profiles`` when given, and all of them are held
-    when there are no more segments than ``params.profile_width`` (they
-    then cost no more than profiling a single segment); otherwise each
-    is recomputed.  The picks, curve and attribution are bit for bit
-    the float64 greedy's.
+    One streaming pass reads each segment's profile, from ``profiles``
+    when given and else computed, once: it takes its exact round-1
+    area, its largest entry and its share of the attribution, and keeps
+    it as 8-bit codes (1 byte per entry instead of 8).  Every round
+    takes exact areas in increasing (lower bound, index) order until a
+    bound passes the smallest (area, index) so far; later rounds bound
+    the areas from the codes.  The float64 rows those areas read are
+    ``profiles`` when given; else the pass keeps them all when there
+    are no more segments than ``params.profile_width`` (they then cost
+    no more than profiling a single segment), and otherwise each is
+    recomputed.  The picks, curve and attribution are bit for bit the
+    float64 greedy's.
 
     Parameters
     ----------
@@ -290,10 +293,12 @@ def select_snippets(
         large enough is split into a part per worker, one thread runs a
         part's kernel while the others filter and select the parts
         already built, and a greedy round's recomputed profile runs the
-        same way, on the pass's threads and part buffers.  At ``k <= 2``
-        the segments are split into one contiguous range per thread,
-        each profiled a batch of segments per kernel call.  The result
-        does not depend on it; a count below 1 raises ``ValueError``.
+        same way, on the pass's threads and part buffers; a search that
+        keeps its rows joins the threads and drops the buffers once the
+        pass ends.  At ``k <= 2`` the segments are split into one
+        contiguous range per thread, each profiled a batch of segments
+        per kernel call.  The result does not depend on it; a count
+        below 1 raises ``ValueError``.
 
     Returns
     -------
@@ -303,41 +308,10 @@ def select_snippets(
     workers = resolve_workers(workers)
     num_windows = series.n - params.snippet_size + 1
     top = 2.0 * math.sqrt(params.window_size)  # the largest MPdist entry
+    count = 1  # contiguous ranges of segments the pass takes, one per thread (k <= 2)
+    held = None  # the pass's float64 rows, when it keeps them for the greedy
     with ExitStack() as stack:
-        rows = None  # (index, profile values) in index order, unless the k <= 2 pass runs
-        if profiles is None:
-            stats = compute_sliding_stats(series, params.window_size)
-            held = num_segments <= params.profile_width
-            if params.k <= 2:
-
-                def fetch(index: int) -> MPdistProfile:
-                    return mpdist_profile(series, index, params, stats=stats)
-
-                if held:
-                    profiles = list(map(fetch, range(num_segments)))
-            elif held:
-                # The pass's engine, part buffers included, ends with it.
-                with closing(_kth_profiles(stats, params, range(num_segments), workers)) as best:
-                    profiles = [
-                        MPdistProfile(
-                            segment_index=i,
-                            values=neg_correlation_to_distance(row, params.window_size, out=row),
-                        )
-                        for i, row in enumerate(best)
-                    ]
-            else:
-                # One engine profiles the pass and every row the greedy
-                # recomputes, and its threads are joined however the
-                # search ends.
-                engine = _KthEngine(stats, params, workers, num_segments)
-                stack.enter_context(closing(engine))
-                rows = _kth_rows(engine, params, range(num_segments))
-
-                def fetch(index: int) -> MPdistProfile:
-                    ((_, values),) = _kth_rows(engine, params, [index])
-                    return MPdistProfile(segment_index=index, values=values)
-
-        else:
+        if profiles is not None:
             if len(profiles) != num_segments:
                 raise ValueError(
                     f"got {len(profiles)} profiles for {num_segments} segments"
@@ -357,8 +331,40 @@ def select_snippets(
                         f"profile {i} has an entry of {profile.values.max()!r}, at or "
                         f"above {cap!r}, beyond any MPdist of window size {params.window_size}"
                     )
-        if profiles is not None:
+
+            def rows(first: int, stop: int):
+                return ((i, profiles[i].values) for i in range(first, stop))
+
             fetch = profiles.__getitem__
+        else:
+            stats = compute_sliding_stats(series, params.window_size)
+            if params.k <= 2:
+                count = min(workers, num_segments)
+                batch = _batch_size(stats.sumsq.size, num_segments)
+
+                def rows(first: int, stop: int):
+                    return _batched_rows(stats, params, first, stop, batch)
+
+                def fetch(index: int) -> MPdistProfile:
+                    return mpdist_profile(series, index, params, stats=stats)
+
+            else:
+                # One engine profiles the pass and every row the greedy
+                # recomputes, and its threads are joined however the
+                # search ends.
+                engine = _KthEngine(stats, params, workers, num_segments)
+                stack.enter_context(closing(engine))
+
+                def rows(first: int, stop: int):
+                    return _kth_rows(engine, params, first, stop)
+
+                def fetch(index: int) -> MPdistProfile:
+                    ((_, values),) = rows(index, index + 1)
+                    return MPdistProfile(segment_index=index, values=values)
+
+            if num_segments <= params.profile_width:
+                held = [None] * num_segments
+                fetch = held.__getitem__
 
         store = _ProfileStore(num_segments, num_windows, top)
         lower = np.empty(num_segments)  # round 1's bounds are its exact areas
@@ -366,38 +372,34 @@ def select_snippets(
 
         def take(index: int, values: np.ndarray) -> tuple[int, np.ndarray]:
             # The pass reads each segment's profile once: its round-1 area,
-            # its largest entry and its codes, then its share of the nearest
-            # segments.
+            # its largest entry and its codes, a copy when the rows are
+            # held, then its share of the nearest segments.
             lower[index] = values.sum()
             maxima[index] = values.max()
             store.keep(index, values)
+            if held is not None:
+                held[index] = MPdistProfile(segment_index=index, values=values)
             return index, values
 
-        if profiles is not None:
-            rows = ((i, profile.values) for i, profile in enumerate(profiles))
-        if rows is None:
-            # At k <= 2 the segments go in contiguous ranges, one per thread,
-            # the first on this one; each range writes its own rows of lower,
-            # maxima and the codes, and the ranges' nearest segments merge in
-            # range order, ties to the lower range.
-            count = min(workers, num_segments)
-            bounds = [num_segments * i // count for i in range(count + 1)]
-            batch = _batch_size(stats.sumsq.size, num_segments)
+        def profile_range(first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+            with closing(rows(first, stop)) as pairs:
+                return _nearest_rows(take(i, values) for i, values in pairs)
 
-            def profile_range(first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-                rows = _batched_rows(stats, params, first, stop, batch)
-                return _nearest_rows(take(i, row) for i, row in enumerate(rows, start=first))
-
-            if count == 1:
-                _, nearest = profile_range(0, num_segments)
-            else:
-                with ThreadPoolExecutor(max_workers=count - 1) as pool:
-                    rest = pool.map(profile_range, bounds[1:-1], bounds[2:])
-                    parts = [profile_range(0, bounds[1]), *rest]
-                _, nearest = _nearest_rows((labels, best) for best, labels in parts)
+        # Each range, the first on this thread, writes its own entries of
+        # lower, maxima, the codes and the held rows, and the ranges'
+        # nearest segments merge in range order, ties to the lower range.
+        if count == 1:
+            _, nearest = profile_range(0, num_segments)
         else:
-            with closing(rows):
-                _, nearest = _nearest_rows(take(i, values) for i, values in rows)
+            bounds = [num_segments * i // count for i in range(count + 1)]
+            with ThreadPoolExecutor(max_workers=count - 1) as pool:
+                rest = pool.map(profile_range, bounds[1:-1], bounds[2:])
+                parts = [profile_range(0, bounds[1]), *rest]
+            _, nearest = _nearest_rows((labels, best) for best, labels in parts)
+        if held is not None:
+            # With its rows held a search needs no engine after the pass:
+            # its threads are joined and its part buffers dropped here.
+            stack.close()
 
         # Every round takes exact areas in (bound, index) order and stops at
         # the first bound past the smallest (area, index) so far.  An

@@ -325,13 +325,16 @@ def neg_correlations(
     buffer, scratch = work
     seeded = buffer[..., halo + lead :]
     _sliding_dots(stats, first_queries, halo, stop, out=seeded, scratch=scratch[..., halo + lead :])
-    np.negative(seeded, out=seeded)
+    # A product with -1 is the same bits as a negation; numpy 2.4.6's
+    # np.negative (x86-64) misreads arrays strided 8 float64 apart, as a
+    # one-column range of B segments' diagonals can be.
+    np.multiply(seeded, -1.0, out=seeded)
     if lead > 0:
         # Window 0's products with one range of windows that covers every
         # segment's rows 1 to lead.
         base = int(first_queries.min()) + 1
         column0 = _sliding_dots(stats, 0, base, int(first_queries.max()) + lead + 1)
-        np.negative(column0[queries[..., lead:0:-1] - base], out=buffer[..., :lead])
+        np.multiply(column0[queries[..., lead:0:-1] - base], -1.0, out=buffer[..., :lead])
     for i in range(num_rows):
         if i:
             # Columns [lo, stop) of this row still reach the range;

@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from contextlib import closing
 from unittest import mock
 
 import numpy as np
@@ -253,6 +254,27 @@ class TestMPdistProfileExact:
         )
 
 
+def _kth_pass(stats, params, segments, workers):
+    """Negated-correlation ``k > 2`` profiles of ``segments`` from one pass.
+
+    The pass runs on a ``workers``-thread engine of its own, closed when
+    the pass ends, fails or is closed early.
+    """
+    with closing(mpdist._KthEngine(stats, params, workers, len(segments))) as engine:
+        yield from engine.profiles(segments)
+
+
+def _assert_split_profile(series, seg, params, stats, expected):
+    # mpdist_profile (one worker), and at k > 2 one-segment passes at two
+    # and three workers.
+    np.testing.assert_array_equal(mpdist_profile(series, seg, params, stats=stats).values, expected)
+    if params.k > 2:
+        for workers in (2, 3):
+            (row,) = _kth_pass(stats, params, [seg], workers)
+            distances = neg_correlation_to_distance(row, params.window_size)
+            np.testing.assert_array_equal(distances, expected, err_msg=f"{workers} workers")
+
+
 class TestMPdistProfileSplit:
     @given(_series_with_flat_runs(), st.data())
     @settings(max_examples=120, deadline=None)
@@ -278,9 +300,7 @@ class TestMPdistProfileSplit:
         seg = data.draw(st.integers(min_value=0, max_value=n // m - 1))
         expected = distance_space_profile(series, seg, params, stats)
         with mock.patch.object(mpdist, "MIN_PART_ENTRIES", 1):
-            for workers in (1, 2, 3):
-                profile = mpdist_profile(series, seg, params, stats=stats, workers=workers)
-                np.testing.assert_array_equal(profile.values, expected)
+            _assert_split_profile(series, seg, params, stats, expected)
 
     @given(_series_with_flat_runs(), st.data())
     @settings(max_examples=120, deadline=None)
@@ -299,9 +319,7 @@ class TestMPdistProfileSplit:
         expected = distance_space_profile(series, seg, params, stats)
         with mock.patch.object(mpdist, "MIN_PART_ENTRIES", 1), \
                 mock.patch.object(mpdist, "_BLOCK_BYTES", 16 * width * tile):
-            for workers in (1, 2, 3):
-                profile = mpdist_profile(series, seg, params, stats=stats, workers=workers)
-                np.testing.assert_array_equal(profile.values, expected)
+            _assert_split_profile(series, seg, params, stats, expected)
 
     def test_one_profile_holds_one_width_row_buffer(self):
         # The kernel's width rows over the part's columns are the only
@@ -316,7 +334,7 @@ class TestMPdistProfileSplit:
         kernel_bytes = width * (num_positions + width - 1) * 8
         tracemalloc.start()
         try:
-            mpdist_profile(series, 3, params, stats=stats, workers=1)
+            mpdist_profile(series, 3, params, stats=stats)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -324,15 +342,14 @@ class TestMPdistProfileSplit:
 
     def test_column_parts(self):
         # n = 20000: an m = 8 segment is too small to split at any worker
-        # count; an m = 1024 one splits evenly; no part is ever empty.
-        assert mpdist._column_parts(19993, 5 * 19997, 4) == [(0, 19993)]
-        assert mpdist._column_parts(18977, 513 * 19489, 2) == [(0, 9488), (9488, 18977)]
-        assert len(mpdist._column_parts(5, 10**9, 8)) == 5
-
-    def test_bad_worker_count(self):
-        series = TimeSeries(np.arange(40.0) % 7)
-        with pytest.raises(ValueError, match="worker"):
-            mpdist_profile(series, 0, MPdistParams(snippet_size=8), workers=0)
+        # count; an m = 1024 one splits evenly; no part is ever empty
+        # (5 positions at m = 4000, l = 1 hold 16M entries).
+        assert mpdist._splits(20000, MPdistParams(snippet_size=8), 4) == [(0, 19993)]
+        assert mpdist._splits(20000, MPdistParams(snippet_size=1024), 2) == [
+            (0, 9488),
+            (9488, 18977),
+        ]
+        assert len(mpdist._splits(4004, MPdistParams(snippet_size=4000, window_size=1), 8)) == 5
 
 
 def _kth_pass_case(n=3000, m=64, seed=5):
@@ -378,7 +395,7 @@ class TestKthPass:
                 mock.patch.object(mpdist, "_BLOCK_BYTES", 16 * width * tile), \
                 mock.patch.object(mpdist, "_TASK_BLOCKS", 1):
             for workers in (1, 2, 3):
-                rows = mpdist._kth_profiles(stats, params, range(count), workers)
+                rows = _kth_pass(stats, params, range(count), workers)
                 for i, row in enumerate(rows):
                     distances = neg_correlation_to_distance(row, l)
                     np.testing.assert_array_equal(distances, expected[i], err_msg=f"segment {i}")
@@ -424,7 +441,7 @@ class TestKthPass:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            rows = list(mpdist._kth_profiles(stats, params, range(46), 3))
+            rows = list(_kth_pass(stats, params, range(46), 3))
         finally:
             sys.setswitchinterval(interval)
         assert len(rows) == 46
@@ -446,7 +463,7 @@ class TestKthPass:
         buffer_bytes = (width + 1) * (-(-num_positions // workers) + width - 1) * 8
         tracemalloc.start()
         try:
-            for _ in mpdist._kth_profiles(stats, params, range(15), workers):
+            for _ in _kth_pass(stats, params, range(15), workers):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -465,7 +482,7 @@ class TestKthPass:
         monkeypatch.setattr(
             mpdist._KthEngine, "_build", lambda *a: built.append(a[1]) or build(*a)
         )
-        rows = mpdist._kth_profiles(stats, params, range(20), 2)
+        rows = _kth_pass(stats, params, range(20), 2)
         next(rows)
         time.sleep(0.3)
         assert 0 < len(built) <= 2 * 4
@@ -479,9 +496,9 @@ class TestKthPass:
         series, params, stats = _kth_pass_case()
         monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
         start = threading.active_count()
-        assert len(list(mpdist._kth_profiles(stats, params, range(10), workers))) == 10
+        assert len(list(_kth_pass(stats, params, range(10), workers))) == 10
         assert threading.active_count() == start
-        rows = mpdist._kth_profiles(stats, params, range(10), workers)
+        rows = _kth_pass(stats, params, range(10), workers)
         next(rows)
         rows.close()
         assert threading.active_count() == start
@@ -499,7 +516,7 @@ class TestKthPass:
 
             monkeypatch.setattr(mpdist._KthEngine, "_select", broken)
             with pytest.raises(RuntimeError, match="selection step failed"):
-                list(mpdist._kth_profiles(stats, params, range(10), workers))
+                list(_kth_pass(stats, params, range(10), workers))
             assert threading.active_count() == start
         monkeypatch.setattr(mpdist._KthEngine, "_select", select)
 
@@ -544,9 +561,10 @@ class TestKthPass:
         monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
         count = threading.active_count()
         engine = mpdist._KthEngine(stats, params, workers, 10)
-        buffers = [b.ctypes.data for b in engine.buffers]
+        assert engine.buffers == []
         try:
             rows = [row.copy() for row in engine.profiles(range(10))]
+            buffers = [b.ctypes.data for b in engine.buffers]
             for i in (3, 0, 9, 3):
                 (row,) = engine.profiles([i])
                 assert row.tobytes() == rows[i].tobytes(), f"segment {i}"
@@ -557,6 +575,7 @@ class TestKthPass:
             next(early)
             early.close()
             assert threading.active_count() == count
+            assert engine.buffers == []
             assert [row.tobytes() for row in engine.profiles(range(4, 7))] == [
                 row.tobytes() for row in rows[4:7]
             ]
@@ -564,6 +583,42 @@ class TestKthPass:
         finally:
             engine.close()
         assert threading.active_count() == count
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_held_search_closes_its_engine_before_the_greedy(self, monkeypatch, workers):
+        # 8 segments, no more than the width of 33, so the search holds
+        # its rows: its one engine runs one pass, and by the greedy's
+        # first bounded round its helpers are joined and its part
+        # buffers dropped.
+        series, params, _ = _kth_pass_case(n=8 * 64 + 5)
+        monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
+        engines, passes, seen = [], [], []
+
+        class Recording(mpdist._KthEngine):
+            def __init__(self, *args):
+                super().__init__(*args)
+                engines.append(self)
+
+            def profiles(self, segments):
+                passes.append(list(segments))
+                return super().profiles(segments)
+
+        bounds = snippets._ProfileStore.lower_bounds
+
+        def checked(store, curve):
+            seen.append((threading.active_count(), [engine.buffers for engine in engines]))
+            return bounds(store, curve)
+
+        monkeypatch.setattr(snippets, "_KthEngine", Recording)
+        monkeypatch.setattr(snippets._ProfileStore, "lower_bounds", checked)
+        count = threading.active_count()
+        result = select_snippets(series, params, 3, workers=workers)
+        assert passes == [list(range(8))]
+        assert seen == [(count, [[]])] * 2
+        profiles = [mpdist_profile(series, i, params) for i in range(8)]
+        reference = select_snippets(series, params, 3, profiles=profiles)
+        assert result.to_dict() == reference.to_dict()
+        assert result.curve.tobytes() == reference.curve.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_search_recomputes_on_its_pass_engine(self, monkeypatch, workers):
@@ -658,9 +713,9 @@ class TestBatchedProfiles:
         first = data.draw(st.integers(min_value=0, max_value=num_segments - 1))
         last = data.draw(st.integers(min_value=first + 1, max_value=num_segments))
         rows = snippets._batched_rows(stats, params, first, last, len(segments))
-        batched = [row.copy() for row in rows]
-        assert len(batched) == last - first
-        for index, row in zip(range(first, last), batched):
+        batched = [(index, row.copy()) for index, row in rows]
+        assert [index for index, _ in batched] == list(range(first, last))
+        for index, row in batched:
             profile = mpdist_profile(series, index, params, stats=stats)
             assert row.tobytes() == profile.values.tobytes(), f"segment {index}"
 

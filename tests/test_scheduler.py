@@ -175,7 +175,7 @@ class TestRunSchedule:
 
         monkeypatch.setenv(WORKERS_ENV, "3")
         monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
-        split = mpdist._column_parts
+        split = mpdist._splits
         part_counts = []
 
         def counted(*args):
@@ -183,7 +183,7 @@ class TestRunSchedule:
             part_counts.append(len(parts))
             return parts
 
-        monkeypatch.setattr(mpdist, "_column_parts", counted)
+        monkeypatch.setattr(mpdist, "_splits", counted)
         run_schedule(self._series(), [MPdistParams(snippet_size=32)], 2, training_log=False)
         assert part_counts and set(part_counts) == {1}
 

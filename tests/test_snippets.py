@@ -31,20 +31,18 @@ def _count_profiles(monkeypatch):
     """The segment index of every profile ``snippets`` computes from now on.
 
     One per ``mpdist_profile`` call, one per segment of each batch the
-    ``k <= 2`` pass profiles together, one per segment of the ``k > 2``
-    pass whose rows are held, and one per segment of each pass of a
-    streaming search's ``k > 2`` engine, its first and its recomputes.
+    ``k <= 2`` pass profiles together, and one per segment of each pass
+    of a search's ``k > 2`` engine, its first and its recomputes.
     """
     calls = []
     profile = snippets.mpdist_profile
     monkeypatch.setattr(
         snippets, "mpdist_profile", lambda *a, **kw: calls.append(a[1]) or profile(*a, **kw)
     )
-    for name in ("_min_profiles", "_kth_profiles"):
-        batch = getattr(snippets, name)
-        monkeypatch.setattr(
-            snippets, name, lambda *a, batch=batch, **kw: calls.extend(a[2]) or batch(*a, **kw)
-        )
+    batch = snippets._min_profiles
+    monkeypatch.setattr(
+        snippets, "_min_profiles", lambda *a, **kw: calls.extend(a[2]) or batch(*a, **kw)
+    )
 
     class CountingEngine(snippets._KthEngine):
         def profiles(self, segments):
@@ -394,20 +392,25 @@ class TestExactSelection:
 
     @pytest.mark.parametrize("num_snippets", [2, 3])
     def test_rows_within_profile_width_profiled_once(self, monkeypatch, num_snippets):
-        # 8 segments, no more than the profile width: every float64 row
-        # is held from the first pass, so no later round profiles one
-        # again, and with profiles= given no segment is profiled at all.
+        # 8 segments, no more than the profile width: the pass keeps every
+        # float64 row, so no round profiles one again, and with profiles=
+        # given no segment is profiled at all.  At k > 2 (m = 40) one
+        # engine pass takes the segments in order; at k <= 2 (m = 16,
+        # width 9) one to three threads take a range of them each.
         rng = np.random.default_rng(15)
-        series = TimeSeries(random_series(rng, 8 * 40 + 5))
-        params = MPdistParams(snippet_size=40)
-        assert 8 <= params.profile_width
-        profiles = segment_profiles(series, params)
         calls = _count_profiles(monkeypatch)
-        select_snippets(series, params, num_snippets)
-        assert calls == list(range(8))
-        calls.clear()
-        select_snippets(series, params, num_snippets, profiles=profiles)
-        assert calls == []
+        for m, workers in [(40, 1), (40, 2), (16, 1), (16, 2), (16, 3)]:
+            series = TimeSeries(random_series(rng, 8 * m + 5))
+            params = MPdistParams(snippet_size=m)
+            assert 8 <= params.profile_width
+            profiles = segment_profiles(series, params)
+            calls.clear()
+            result = select_snippets(series, params, num_snippets, workers=workers)
+            assert sorted(calls) == list(range(8)), (m, workers)
+            calls.clear()
+            reference = select_snippets(series, params, num_snippets, profiles=profiles)
+            assert calls == []
+            _assert_same_result(result, reference)
 
     def test_bound_margin_keeps_float64_ties(self):
         # Entry codes[s][j] * step moved by ulps[s][j] ulps, on a grid of

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from sniplab import MPdistParams, TimeSeries, compute_sliding_stats, distance_row, mpdist_profile
 from sniplab import zdist
-from sniplab.zdist import _sliding_dots, neg_correlation_matrix, segment_distance_matrix
+from sniplab.zdist import _sliding_dots, neg_correlation_matrix, neg_correlations
+from sniplab.zdist import segment_distance_matrix
 from oracles import naive_distance_row, znorm_euclid
 
 
@@ -252,6 +253,23 @@ class TestNegCorrelationColumns:
         for i in range(num_rows):
             alone = neg_correlation_matrix(stats, first_query + i, 1, columns=(0, 1))
             assert rows[i, 0] == alone[0, 0], f"row {i}"
+
+    @pytest.mark.parametrize("num_rows", [7, 8, 9])
+    def test_one_column_of_two_segments_equals_each_alone(self, num_rows):
+        # One column of two segments' rows leaves each diagonal buffer
+        # row num_rows float64 long, so at 8 the seeds of both segments
+        # sit 64 bytes apart, the stride numpy 2.4.6's np.negative
+        # misreads (x86-64).  A work array filled with 7.0 shows any seed
+        # that is not written.
+        series = TimeSeries(np.random.default_rng(8).standard_normal(40))
+        stats = compute_sliding_stats(series, 2)
+        work = np.full((2, 2, num_rows), 7.0)
+        rows = np.stack(
+            [r.copy() for r in neg_correlations(stats, [0, 20], num_rows, columns=(0, 1), work=work)]
+        )
+        for b, first_query in enumerate([0, 20]):
+            alone = neg_correlation_matrix(stats, first_query, num_rows, columns=(0, 1))
+            assert rows[:, b].tobytes() == alone.tobytes(), f"segment at {first_query}"
 
     def test_column_zero_computed_only_where_a_diagonal_starts(self):
         # Column 0 seeds the diagonals that start there, so a range that no
