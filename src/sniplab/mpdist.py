@@ -23,49 +23,49 @@ candidates are equal.  It is the sliding minimum of the column minima,
 so the profile is that one sliding window and the per-row filter, merge
 and partition are skipped.
 
-At ``k > 2`` each segment's positions go in parts, as STUMPY's
-``stumped`` splits a matrix profile (Law, JOSS 2019): one part per
-worker, once each holds ``MIN_PART_ENTRIES`` kernel entries.  Each part
-reads its columns plus the ``width - 1`` to their right that its
-windows reach, and runs the diagonal update from ``width - 1`` columns
-to their left (clipped at column 0), from its own row-0 cross products
-over just the columns it reads.  A part takes three kinds of step in
-one part buffer: its kernel writes the ``-rho`` rows there and takes
-their column minima; filter steps then run the sliding minima in place,
-a few blocks of rows each; selection steps then fill its positions, a
-few tiles each.  A selection step copies each tile's columns of the
-filtered rows (transposed) and its sliding windows of the column minima
-into the rows of one reused C-ordered block, and partitions the block
-along its rows, so each tile's candidates are contiguous and stay in
-cache.  Every entry goes through the same float operations whatever
-the split, the step or the thread, and an order statistic is one of the
-candidates, so the profile does not change by a bit.
+At ``k > 2`` each segment's positions stream in order through parts of
+at most ``PART_BYTES`` of kernel rows whatever n or the worker count.
+Part ``[lo, hi)`` reads kernel columns ``[lo, hi + width - 1)``; past
+the first part, the first ``width - 1`` are the last part's, copied with
+their column minima into a tail before any step changed them, and the
+kernel resumes the diagonals where the last part left them, so it
+computes each entry once.  A part takes three kinds of step in one part
+buffer: its kernel writes the ``-rho`` rows there and takes their column
+minima; filter steps then run the sliding minima in place, a few blocks
+of rows each; selection steps then fill its positions, a few tiles each.  A selection step copies each tile's
+columns of the filtered rows (transposed) and its sliding windows of
+the column minima into the rows of one reused C-ordered block, and
+partitions the block along its rows, so each tile's candidates are
+contiguous and stay in cache.  Every entry goes through the same float
+operations whatever the parts, the step or the thread, and an order
+statistic is one of the candidates, so the profile does not change by
+a bit.
 
 The parts are pipelined rather than run side by side, by an engine
 (:class:`_KthEngine`) whose at most two part buffers and helper threads
 serve every pass it runs until it is closed: a search runs its pass,
 and every profile its greedy rounds compute again, on one engine, and
 :func:`mpdist_profile` runs a one-worker pass of its own.  One thread
-at a time runs a kernel, into a free buffer; every thread, the
-kernel's included whenever no kernel may start, takes the filter and
-then the selection steps of the parts already built, oldest first, and
-a part's buffer is free again once its last selection step has run.
-With one worker, or one part in all, the calling thread takes every
-step in one buffer and no thread starts.
+at a time runs a kernel, parts in order, into a free buffer; every
+thread, the kernel's included whenever no kernel may start, takes the
+filter and then the selection steps of the parts already built, oldest
+first, and a part's buffer is free again once its last selection step
+has run.  With one worker the calling thread takes every step in one
+buffer and no thread starts.
 Idle threads wait on a condition: a thread spinning in Python keeps the
 GIL for whole switch intervals.
 
 One kernel at a time is a measured rule, not a setting.  The kernel is
 about seven numpy calls per row, a few µs each over the 10,000 columns
-of an m = 1024 part at n = 20,000; each releases the GIL only while it
+of half an m = 1024 segment at n = 20,000; each releases the GIL only while it
 runs and waits for it after, so the kernel slows beside any thread that
 takes the GIL often.  On two cores (numpy 2.4) a half-segment kernel
 took 0.036-0.048 s alone, 0.038 s beside a thread partitioning tiles
 (about 110 µs a call) and 0.09-0.11 s beside one taking sliding minima
 (about 26 µs a call), and two such kernels took 0.12-0.13 s on two
 threads against 0.11 s one after the other.  Batching B segments per
-kernel call would make the calls long enough to overlap, but at
-m = 1024 it would hold B times 82 MB of rows.
+kernel call would not make the calls longer: a part buffer's bytes fix
+the entries a call covers.
 
 At ``k <= 2`` a profile needs no rows held: :func:`mpdist_profile`
 runs one kernel call on the calling thread, and a search profiles its
@@ -94,15 +94,11 @@ from .zdist import _check_stats, compute_sliding_stats
 from .zdist import neg_correlation_to_distance, neg_correlations
 from .zdist import segment_distance_matrix  # noqa: F401  bench/layers.py wraps it by this name
 
-# Kernel entries (rows times columns) each part of a k > 2 segment must
-# hold before the segment is split.  When parts ran side by side, two
-# threads took 1.1 to 1.3 times as long as one at n = 5000 for m = 32
-# to 256 (up to 629k entries a segment), but 0.65 to 0.9 times from
-# 1.3M entries on (n = 10000, m = 256; n = 20000, m = 128 to 1024).  A
-# smaller segment stays whole, and a pass pipelines whole segments; the
-# split also halves the part buffers at two workers (41 MB each at
-# m = 1024, n = 20000).  At k <= 2 no segment is split.
-MIN_PART_ENTRIES = 1 << 19
+# Bytes of a k > 2 part buffer, a part's column minima and width kernel
+# rows (3,568 positions at width 513); a pass holds two at most, however
+# long the series.  A part takes at least width positions, so the width
+# - 1 columns it shares with the next stay under half a buffer.
+PART_BYTES = 1 << 24
 
 # Bytes of rows the sliding minimum takes through all its passes at a
 # time.  Two such blocks fit in a 2 MiB L2 cache; at 513 rows of 20000
@@ -201,15 +197,15 @@ def _sliding_min_rows(matrix: np.ndarray, window: int, scratch=None) -> np.ndarr
 
     ``matrix`` is 1-D or 2-D and is overwritten.  Returns its leading
     ``matrix.shape[-1] - window + 1`` columns, which hold the minima.
-    ``scratch``, when given, is a 2-D array at least as large as the
-    scratch block.
+    ``scratch``, when given, is a contiguous array of at least as many
+    entries as the scratch block.
     """
     length = matrix.shape[-1]
     rows = matrix.reshape(-1, length)
     block = max(1, _BLOCK_BYTES // (8 * length))
-    if scratch is None:
-        scratch = np.empty((min(block, rows.shape[0]), length))
-    scratch = scratch[: min(block, rows.shape[0]), :length]
+    size = min(block, rows.shape[0]) * length
+    scratch = np.empty(size) if scratch is None else scratch.reshape(-1)[:size]
+    scratch = scratch.reshape(-1, length)
     for top in range(0, rows.shape[0], block):
         target = source = rows[top : top + block]
         dest = spare = scratch[: source.shape[0]]
@@ -241,18 +237,12 @@ def _batch_size(num_columns: int, num_segments: int) -> int:
     return max(1, min(_BLOCK_BYTES // (8 * num_columns), num_segments // 64))
 
 
-def _splits(n: int, params: MPdistParams, workers: int) -> list[tuple[int, int]]:
-    """The position ranges a segment's profile is split into across ``workers`` threads.
-
-    Contiguous, at most one per worker, each with at least
-    ``MIN_PART_ENTRIES`` of the segment's kernel entries.
-    """
+def _parts(n: int, params: MPdistParams) -> list[tuple[int, int]]:
+    """The position ranges a ``k > 2`` segment streams through, in order (see ``PART_BYTES``)."""
     num_positions = n - params.snippet_size + 1
     width = params.profile_width
-    entries = width * (num_positions + width - 1)
-    count = max(1, min(workers, num_positions, entries // MIN_PART_ENTRIES))
-    bounds = [num_positions * i // count for i in range(count + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
+    size = max(width, PART_BYTES // (8 * (width + 1)) - width + 1)
+    return [(lo, min(lo + size, num_positions)) for lo in range(0, num_positions, size)]
 
 
 def _min_profiles(stats, params: MPdistParams, segments, work=None) -> np.ndarray:
@@ -300,24 +290,21 @@ class _Flight:
 class _KthEngine:
     """``k > 2`` profiles on one set of part buffers and threads, a pass per :meth:`profiles` call.
 
-    Its at most two part buffers, its kernel workspace and its
-    ``threads`` threads (at most ``workers``, and no more than the parts
-    of ``num_segments`` segments), each with its scratch, serve every
-    pass.  The part buffers and the helper threads come with a pass,
-    the threads wait on a condition between passes, and :meth:`close`
-    joins them and drops the buffers.
+    Its at most two part buffers, the tail a part leaves the next, its
+    kernel workspace and its ``threads`` threads (at most ``workers``,
+    and no more than the parts of ``num_segments`` segments), each with
+    its scratch, serve every pass.  The buffers, the tail and the helper
+    threads come with a pass, the threads wait on a condition between
+    passes, and :meth:`close` joins them and drops the buffers and tail.
     """
 
     def __init__(self, stats, params: MPdistParams, workers: int, num_segments: int):
         width = params.profile_width
-        self.splits = _splits(stats.centred.size, params, workers)
+        self.splits = _parts(stats.centred.size, params)
         self.stats, self.width, self.snippet_size = stats, width, params.snippet_size
         self.threads = min(workers, num_segments * len(self.splits))
         self.num_positions = self.splits[-1][1]
-        sizes = [hi - lo for lo, hi in self.splits]
-        self.columns = max(sizes) + width - 1
-        # The sliding minima take the most rows a block at a part's fewest columns.
-        self.block_rows = min(width, max(1, _BLOCK_BYTES // (8 * (min(sizes) + width - 1))))
+        self.columns = self.splits[0][1] + width - 1  # the first part is the longest
         # Positions per selection tile: a tile's 2 * width float64
         # candidates per position take 16 * width bytes, so a tile fills
         # _BLOCK_BYTES (63 positions at width 513, 3,640 at width 9).
@@ -325,39 +312,42 @@ class _KthEngine:
         # kth = 2 * width - 1 (the largest candidate) covers k >= 2 * width.
         self.kth = min(params.k, 2 * width) - 1
         self.slots = min(2, self.threads)  # part buffers, made by a pass
-        self.buffers = self.windows = []
-        # Only one kernel runs at a time, so one workspace serves all.
-        self.work = np.empty((2, self.columns + width - 1))
+        self.buffers = self.windows = self.tail = []
+        # Only one kernel runs at a time, and a segment's parts in order,
+        # so one workspace serves all and carries each segment's diagonals.
+        self.work = np.empty((2, stats.sumsq.size + width - 1))
         self.scratch = self._scratch()  # the calling thread's
         self.lock = threading.Condition()
         self.helpers = []
         self._begin([])
         self._reset()
 
-    def _views(self, slot: int, lo: int, hi: int):
-        """Positions [lo, hi)'s kernel rows and column minima in part buffer ``slot``."""
+    def _rows(self, slot: int, lo: int, hi: int):
+        """Positions [lo, hi)'s column minima (row 0) and kernel rows in part buffer ``slot``."""
         columns = hi - lo + self.width - 1
-        rows = self.buffers[slot][: (self.width + 1) * columns].reshape(self.width + 1, columns)
-        return rows[1:], rows[0]
+        return self.buffers[slot][: (self.width + 1) * columns].reshape(self.width + 1, columns)
 
     def _scratch(self):
-        """One thread's sliding-minimum scratch rows and its selection block, in one array."""
-        rows = (self.block_rows, self.columns)
+        """One thread's sliding-minimum scratch and its selection block, in one array."""
         block = (min(self.tile, self.num_positions), 2 * self.width)
-        flat = np.empty(max(math.prod(rows), math.prod(block)))
-        return flat[: math.prod(rows)].reshape(rows), flat[: math.prod(block)].reshape(block)
+        flat = np.empty(max(_BLOCK_BYTES // 8, self.columns, math.prod(block)))
+        return flat, flat[: math.prod(block)].reshape(block)
 
     def _build(self, part, slot: int) -> None:
-        # Positions [lo, hi) read the kernel columns [lo, hi + width - 1).
+        # Positions [lo, hi) read kernel columns [lo, hi + width - 1), past
+        # the first part the first width - 1 from the last part's tail.
         s, lo, hi = part
-        rows, minima = self._views(slot, lo, hi)
+        rows = self._rows(slot, lo, hi)
         if lo == 0:
             self.best[s] = np.empty(self.num_positions)
-        work = self.work[:, : rows.shape[1] + self.width - 1]
-        columns = (lo, hi + self.width - 1)
-        for _ in neg_correlations(self.stats, self.starts[s], self.width, columns=columns, out=rows, work=work):
+        done = 0 if lo == 0 else self.width - 1
+        rows[:, :done] = self.tail[:, :done]
+        new = rows[:, done:]
+        columns = (lo + done, hi + self.width - 1)
+        for _ in neg_correlations(self.stats, self.starts[s], self.width, columns=columns, out=new[1:], work=self.work):
             pass
-        np.min(rows, axis=0, out=minima)  # nearest segment window per column
+        np.min(new[1:], axis=0, out=new[0])  # nearest segment window per column
+        self.tail[...] = rows[:, hi - lo :]  # the next part's, before a filter step runs
 
     def _steps(self, part):
         """A part's row-filter chunks of rows and its selection chunks of positions."""
@@ -369,7 +359,7 @@ class _KthEngine:
         return filters, selects
 
     def _filter(self, part, slot: int, r0: int, r1: int, scratch) -> None:
-        rows, _ = self._views(slot, *part[1:])
+        rows = self._rows(slot, *part[1:])[1:]
         _sliding_min_rows(rows[r0:r1], self.width, scratch=scratch[0])
 
     def _select(self, part, slot: int, p0: int, p1: int, scratch) -> None:
@@ -377,7 +367,7 @@ class _KthEngine:
         # candidates: its row-filtered column of the kernel rows, then its
         # window of the column minima.
         s, lo, hi = part
-        rows, _ = self._views(slot, lo, hi)
+        rows = self._rows(slot, lo, hi)[1:]
         windows = self.windows[slot]
         best = self.best[s][lo:hi]
         for a in range(p0, p1, self.tile):
@@ -426,6 +416,7 @@ class _KthEngine:
             self.windows = [
                 sliding_window_view(b[: self.columns], self.width) for b in self.buffers
             ]
+            self.tail = np.empty((self.width + 1, self.width - 1))
         with self.lock:
             self._begin(segments)
             self.lock.notify_all()
@@ -456,7 +447,7 @@ class _KthEngine:
         for thread in self.helpers:
             thread.join()
         self.helpers = []
-        self.buffers = self.windows = []
+        self.buffers = self.windows = self.tail = []
         self._reset()
 
     def _help(self) -> None:

@@ -289,9 +289,9 @@ def select_snippets(
     workers : int, optional
         Profiling threads; defaults to the ``SNIPLAB_WORKERS``
         environment variable, else 1.  At ``k > 2`` the pass runs on
-        them as one pipeline (see :mod:`sniplab.mpdist`): a segment
-        large enough is split into a part per worker, one thread runs a
-        part's kernel while the others filter and select the parts
+        them as one pipeline (see :mod:`sniplab.mpdist`): each segment
+        streams through parts of at most ``PART_BYTES``, one thread runs
+        a part's kernel while the others filter and select the parts
         already built, and a greedy round's recomputed profile runs the
         same way, on the pass's threads and part buffers; a search that
         keeps its rows joins the threads and drops the buffers once the

@@ -9,8 +9,8 @@ Profile XIV", SoCC 2019), over a series centred on its own mean, so an
 offset as large as the samples allow costs no precision.  No BLAS call,
 whose kernel varies by CPU, is on the path.  The module owns the window
 statistics it reads (:class:`SlidingStats`, built once per search by
-:func:`compute_sliding_stats`), and each kernel call computes its own
-first row and column for just the diagonals that reach its columns.
+:func:`compute_sliding_stats`), and a kernel call can resume the
+diagonals where one over the columns before it left them.
 Distances follow from the correlation identity
 
     dist = sqrt(2 * subseq_len * (1 - rho))
@@ -259,16 +259,12 @@ def neg_correlations(
     round-off along a diagonal, so a later row can differ in its last
     bits from the same query computed on its own (``num_rows=1``).
 
-    Every diagonal starts in row 0 or column 0, and both kinds of start
-    are seeded before the first update.  A column range ``[start,
-    stop)`` keeps only the diagonals that reach it by the last row:
-    row 0's cross products from column ``start - (num_rows - 1)`` (at
-    least 0) on, and column 0's for rows 1 to ``num_rows - 1 - start``
-    (none once ``start >= num_rows - 1``).  Row ``i >= 1`` then updates
-    its columns from ``max(1, start - (num_rows - 1 - i))`` on.  Every
-    entry in the range takes the same float operations as when all
-    columns are computed, so the rows are the same bits as that
-    matrix's columns ``start`` to ``stop``.
+    Every diagonal starts in row 0 or column 0.  Column ranges stream
+    the rows a block at a time: the call from column 0 seeds every
+    diagonal in ``work[0]``, and each call advances just those that reach
+    its columns, so calls over ``[0, b)``, ``[b, c)`` and on, in order on
+    one ``work``, compute each entry once, with the same float operations
+    as one call over all columns: the same bits.
 
     ``-rho`` is ``-cov / sqrt(sumsq[j] * sumsq[q])`` rather than a product
     of inverse norms.  In row 0, a window bit-equal to the query has
@@ -292,10 +288,10 @@ def neg_correlations(
     out : ndarray, optional
         Where to write every row instead of the reused buffer.
     work : ndarray, optional
-        The diagonals and the scratch, shape ``(2, B, stop - start +
-        num_rows - 1)`` (no B for an int); a caller that profiles batch
-        after batch passes the same one each time, so no call maps fresh
-        pages.
+        The diagonals and the scratch, shape ``(2, B, n - window_len +
+        num_rows)`` (no B for an int); a caller that profiles batch after
+        batch passes the same one each time, so no call maps fresh pages,
+        and a stream's calls must.
     """
     sumsq, df, dg = stats.sumsq, stats.df, stats.dg
     first_queries = np.asarray(first_queries, dtype=np.intp)
@@ -303,10 +299,9 @@ def neg_correlations(
     width = stop - start
     col_sumsq = sumsq[start:stop]
     constant = np.flatnonzero(col_sumsq == 0.0)
-    # Row i's query windows and their terms, taken before the loop, so a
-    # row costs no indexing call.
+    # Row i's query windows and their terms, as columns against the rows.
     queries = first_queries[..., None] + np.arange(num_rows)
-    q_df, q_dg, q_sumsq = (_operands(v[queries]) for v in (df, dg, sumsq))
+    q_df, q_dg, q_sumsq = (v[queries][..., None] for v in (df, dg, sumsq))
     by_row = queries.reshape(-1, num_rows).T
     flat = (sumsq[by_row] == 0.0).any(axis=1).tolist()
     # Each row's own windows in the range, as (segment, column) pairs in
@@ -314,47 +309,62 @@ def neg_correlations(
     own_row, own_segment = np.nonzero((start <= by_row) & (by_row < stop))
     own_column = by_row[own_row, own_segment] - start
     cuts = np.searchsorted(own_row, np.arange(num_rows + 1)).tolist()
-    # Diagonal j - i of row i sits at buffer[..., j - i + lead].  Row 0
-    # seeds it from column ``halo`` on, and column 0 of rows 1 to
-    # ``lead`` seeds the diagonals that start there, reversed, in
-    # buffer[..., :lead].
-    lead = num_rows - 1 - start
-    halo = max(0, -lead)
+    # Diagonal j - i of row i sits at buffer[..., j - i + lead]: row 0
+    # seeds it from column 0 on, and column 0 of rows 1 to lead seeds the
+    # diagonals that start there, reversed, in buffer[..., :lead].
+    lead = num_rows - 1
     if work is None:
-        work = np.empty((2, *first_queries.shape, width + num_rows - 1))
+        work = np.empty((2, *first_queries.shape, sumsq.size + lead))
     buffer, scratch = work
-    seeded = buffer[..., halo + lead :]
-    _sliding_dots(stats, first_queries, halo, stop, out=seeded, scratch=scratch[..., halo + lead :])
-    # A product with -1 is the same bits as a negation; numpy 2.4.6's
-    # np.negative (x86-64) misreads arrays strided 8 float64 apart, as a
-    # one-column range of B segments' diagonals can be.
-    np.multiply(seeded, -1.0, out=seeded)
-    if lead > 0:
-        # Window 0's products with one range of windows that covers every
-        # segment's rows 1 to lead.
-        base = int(first_queries.min()) + 1
-        column0 = _sliding_dots(stats, 0, base, int(first_queries.max()) + lead + 1)
-        np.multiply(column0[queries[..., lead:0:-1] - base], -1.0, out=buffer[..., :lead])
+    if start == 0:
+        seeded = buffer[..., lead : lead + sumsq.size]
+        _sliding_dots(stats, first_queries, 0, sumsq.size, out=seeded, scratch=scratch[..., : sumsq.size])
+        # A product with -1 is the same bits as a negation; numpy 2.4.6's
+        # np.negative (x86-64) misreads arrays strided 8 float64 apart.
+        np.multiply(seeded, -1.0, out=seeded)
+        if lead:
+            # Window 0's products with one range of windows that covers
+            # every segment's rows 1 to lead.
+            base = int(first_queries.min()) + 1
+            column0 = _sliding_dots(stats, 0, base, int(first_queries.max()) + lead + 1)
+            np.multiply(column0[queries[..., lead:0:-1] - base], -1.0, out=buffer[..., :lead])
+    lo = max(1, start)  # column 0 is seeded
+    dgs, dfs = dg[lo:stop], df[lo:stop]
+    # Rows' denominators go where the rows do, up to 512 kB of rows in
+    # two calls, and each row is divided there in place.  With out, the
+    # update's products are taken 256 kB of rows at a time, in two calls:
+    # fewer, longer numpy calls wait less for the GIL beside other threads.
+    held = scratch[..., None, :width] if out is None else out
+    step = min(held.shape[-2], max(1, (1 << 16) // held[..., 0, :].size))
+    if out is not None:
+        chunk = min(num_rows, max(1, (1 << 14) // max(1, held[..., 0, lo - start :].size)))
+        terms = np.empty((2, *held[..., :chunk, lo - start :].shape))
     for i in range(num_rows):
+        r = i % held.shape[-2]
+        if out is not None and i % chunk == 0:
+            n = min(chunk, num_rows - i)
+            np.multiply(q_df[..., i : i + n, :], dgs, out=terms[0, ..., :n, :])
+            np.multiply(q_dg[..., i : i + n, :], dfs, out=terms[1, ..., :n, :])
         if i:
-            # Columns [lo, stop) of this row still reach the range;
-            # column 0 is seeded.
-            lo = max(1, start - (num_rows - 1 - i))
             cov = buffer[..., lo - i + lead : stop - i + lead]
-            term = scratch[..., : cov.shape[-1]]
-            np.multiply(dg[lo:stop], q_df[i], out=term)
-            np.subtract(cov, term, out=cov)
-            np.multiply(df[lo:stop], q_dg[i], out=term)
-            np.subtract(cov, term, out=cov)
-        denominator = scratch[..., :width]
-        rows = denominator if out is None else out[..., i, :]
-        np.multiply(col_sumsq, q_sumsq[i], out=denominator)
-        np.sqrt(denominator, out=denominator)
-        first = num_rows - 1 - i
+            if out is None:  # one row of products in the scratch, reused
+                term = scratch[..., : cov.shape[-1]]
+                np.multiply(dgs, q_df[..., i, :], out=term)
+                np.subtract(cov, term, out=cov)
+                np.multiply(dfs, q_dg[..., i, :], out=term)
+                np.subtract(cov, term, out=cov)
+            else:
+                np.subtract(cov, terms[0, ..., i % chunk, :], out=cov)
+                np.subtract(cov, terms[1, ..., i % chunk, :], out=cov)
+        if r % step == 0:
+            block = held[..., r : r + step, :]
+            np.multiply(q_sumsq[..., i : i + step, :], col_sumsq, out=block)
+            np.sqrt(block, out=block)
+        rows = held[..., r, :]
         # Only the division runs under errstate, so no yield suspends
         # the generator with the caller's numpy warnings silenced.
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(buffer[..., first : first + width], denominator, out=rows)
+            np.divide(buffer[..., start - i + lead : stop - i + lead], rows, out=rows)
         if constant.size:
             rows[..., constant] = -0.5
         if flat[i]:
@@ -373,18 +383,15 @@ def neg_correlation_matrix(
     stats: SlidingStats,
     first_query: int,
     num_rows: int,
-    *,
-    columns: tuple[int, int] | None = None,
 ) -> np.ndarray:
     """The :func:`neg_correlations` rows of one segment, stacked.
 
     Returns
     -------
-    ndarray of shape (num_rows, stop - start)
+    ndarray of shape (num_rows, n - window_len + 1)
     """
-    start, stop = (0, stats.sumsq.size) if columns is None else columns
-    out = np.empty((num_rows, stop - start))
-    for _ in neg_correlations(stats, first_query, num_rows, columns=columns, out=out):
+    out = np.empty((num_rows, stats.sumsq.size))
+    for _ in neg_correlations(stats, first_query, num_rows, out=out):
         pass
     return out
 

@@ -138,8 +138,9 @@ class TestWorkers:
     @pytest.fixture(autouse=True)
     def split_every_segment(self, monkeypatch):
         # The reference series is too short to split at the default part
-        # threshold; at one entry, every worker count splits every segment.
-        monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
+        # size; at one byte, every k > 2 segment streams through parts of
+        # the profile width.
+        monkeypatch.setattr(mpdist, "PART_BYTES", 1)
 
     def test_discover_outputs_identical_across_workers(self, series_csv, tmp_path, capsys):
         path, _ = series_csv
@@ -171,9 +172,9 @@ class TestWorkers:
 
     @pytest.mark.parametrize("command", ["discover", "label"])
     def test_unsplit_outputs_identical_across_workers(self, series_csv, capsys, monkeypatch, command):
-        # Back at the default part threshold (undoing the class's fixture)
-        # no segment splits, and at m = 16 (k = 2) the 32 segments are
-        # profiled in one range per thread.
+        # Back at the default part size (undoing the class's fixture), and
+        # at m = 16 (k = 2) the 32 segments are profiled in one range per
+        # thread.
         monkeypatch.undo()
         path, _ = series_csv
         outputs = []

@@ -264,6 +264,12 @@ def _kth_pass(stats, params, segments, workers):
         yield from engine.profiles(segments)
 
 
+def _part_bytes(params, size):
+    """A ``PART_BYTES`` that streams a segment through parts of ``size`` positions (at least the width)."""
+    width = params.profile_width
+    return 8 * (width + 1) * (size + width - 1)
+
+
 def _assert_split_profile(series, seg, params, stats, expected):
     # mpdist_profile (one worker), and at k > 2 one-segment passes at two
     # and three workers.
@@ -279,34 +285,36 @@ class TestMPdistProfileSplit:
     @given(_series_with_flat_runs(), st.data())
     @settings(max_examples=120, deadline=None)
     def test_split_equals_distance_space_selection(self, values, data):
-        # With a one-entry part threshold every segment splits, so short
-        # series give parts whose halo is clipped at column 0, and a
-        # snippet length near n gives more workers than positions.
+        # Parts of width to width + 3 positions split every segment that
+        # has more, so a part's first columns come from the last part's
+        # tail, and a snippet length near n gives more workers than parts.
         n = values.size
         m = data.draw(st.integers(min_value=2, max_value=n))
         l = data.draw(st.integers(min_value=1, max_value=m))
         width = m - l + 1
         k = data.draw(st.sampled_from([1, 2, max(2, 2 * width - 1), 2 * width, 2 * width + 1]))
-        # A flat run across the first boundary between parts at 2 or 3
-        # workers, so constant windows fall on both sides of it.
-        boundary = (n - m + 1) // data.draw(st.sampled_from([2, 3]))
-        start = data.draw(st.integers(min_value=max(0, boundary - l), max_value=boundary))
-        length = data.draw(st.integers(min_value=1, max_value=l + width))
-        values = values.copy()
-        values[start : start + length] = values[start]
-        series = TimeSeries(values)
         params = MPdistParams(snippet_size=m, window_size=l, k=k)
-        stats = compute_sliding_stats(series, l)
-        seg = data.draw(st.integers(min_value=0, max_value=n // m - 1))
-        expected = distance_space_profile(series, seg, params, stats)
-        with mock.patch.object(mpdist, "MIN_PART_ENTRIES", 1):
+        size = width + data.draw(st.integers(min_value=0, max_value=3))
+        with mock.patch.object(mpdist, "PART_BYTES", _part_bytes(params, size)):
+            # A flat run across the first boundary between parts, so
+            # constant windows fall on both sides of it.
+            boundary = mpdist._parts(n, params)[0][1]
+            start = data.draw(st.integers(min_value=max(0, boundary - l), max_value=boundary))
+            length = data.draw(st.integers(min_value=1, max_value=l + width))
+            values = values.copy()
+            values[start : start + length] = values[start]
+            series = TimeSeries(values)
+            stats = compute_sliding_stats(series, l)
+            seg = data.draw(st.integers(min_value=0, max_value=n // m - 1))
+            expected = distance_space_profile(series, seg, params, stats)
             _assert_split_profile(series, seg, params, stats, expected)
 
     @given(_series_with_flat_runs(), st.data())
     @settings(max_examples=120, deadline=None)
     def test_tiled_selection_equals_distance_space_selection(self, values, data):
         # Tiles of 1, 2 or 3 positions put tile boundaries all through
-        # every part, part boundaries included, at workers 1, 2 and 3.
+        # every part of width positions, part boundaries included, at
+        # workers 1, 2 and 3.
         series = TimeSeries(values)
         m = data.draw(st.integers(min_value=2, max_value=series.n))
         l = data.draw(st.integers(min_value=1, max_value=m))
@@ -317,39 +325,55 @@ class TestMPdistProfileSplit:
         stats = compute_sliding_stats(series, l)
         seg = data.draw(st.integers(min_value=0, max_value=series.n // m - 1))
         expected = distance_space_profile(series, seg, params, stats)
-        with mock.patch.object(mpdist, "MIN_PART_ENTRIES", 1), \
+        with mock.patch.object(mpdist, "PART_BYTES", 1), \
                 mock.patch.object(mpdist, "_BLOCK_BYTES", 16 * width * tile):
             _assert_split_profile(series, seg, params, stats, expected)
 
     def test_one_profile_holds_one_width_row_buffer(self):
-        # The kernel's width rows over the part's columns are the only
-        # large array a profile needs; the margin covers the selection
-        # block, the row-0 products and the profile's own vectors.
-        values = np.cumsum(np.random.default_rng(1).standard_normal(4000))
-        series = TimeSeries(values)
+        # A profile streams its segment through parts of at most
+        # PART_BYTES, so at any series length its peak is one part buffer,
+        # the tail the next part starts with, and a margin for the
+        # selection block, the kernel's diagonals and the profile's own
+        # vectors: one bound holds at n = 4,000 (one part of 3,745
+        # positions) and at n = 40,000 (three parts).
         params = MPdistParams(snippet_size=256)
-        stats = compute_sliding_stats(series, params.window_size)
         width = params.profile_width
-        num_positions = series.n - params.snippet_size + 1
-        kernel_bytes = width * (num_positions + width - 1) * 8
-        tracemalloc.start()
-        try:
-            mpdist_profile(series, 3, params, stats=stats)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.3 * kernel_bytes, f"peak {peak / kernel_bytes:.2f} x the kernel rows"
+        bound = 1.3 * mpdist.PART_BYTES + (width + 1) * (width - 1) * 8
+        for n in (4000, 40000):
+            series = TimeSeries(np.cumsum(np.random.default_rng(1).standard_normal(n)))
+            stats = compute_sliding_stats(series, params.window_size)
+            tracemalloc.start()
+            try:
+                mpdist_profile(series, 3, params, stats=stats)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, f"n = {n}: peak {peak / mpdist.PART_BYTES:.2f} x PART_BYTES"
 
-    def test_column_parts(self):
-        # n = 20000: an m = 8 segment is too small to split at any worker
-        # count; an m = 1024 one splits evenly; no part is ever empty
-        # (5 positions at m = 4000, l = 1 hold 16M entries).
-        assert mpdist._splits(20000, MPdistParams(snippet_size=8), 4) == [(0, 19993)]
-        assert mpdist._splits(20000, MPdistParams(snippet_size=1024), 2) == [
-            (0, 9488),
-            (9488, 18977),
-        ]
-        assert len(mpdist._splits(4004, MPdistParams(snippet_size=4000, window_size=1), 8)) == 5
+    @pytest.mark.parametrize(
+        "n, m, l", [(20000, 8, None), (20000, 1024, None), (4004, 4000, 1), (300, 40, 2)]
+    )
+    def test_part_plan(self, n, m, l):
+        # Parts cover the positions in order and none is empty; all but a
+        # short last one hold at least width positions, and each holds at
+        # most PART_BYTES unless width positions take more.  A pass's part
+        # buffers are the same size at any worker count.
+        params = MPdistParams(snippet_size=m, window_size=l)
+        width = params.profile_width
+        parts = mpdist._parts(n, params)
+        assert [lo for lo, _ in parts] == [0] + [hi for _, hi in parts[:-1]]
+        assert parts[-1][1] == n - m + 1
+        assert all(hi > lo for lo, hi in parts)
+        assert all(hi - lo >= width for lo, hi in parts[:-1])
+        for lo, hi in parts:
+            assert hi - lo <= width or (width + 1) * (hi - lo + width - 1) * 8 <= mpdist.PART_BYTES
+        stats = compute_sliding_stats(TimeSeries(np.sin(np.arange(n) / 7.0)), params.window_size)
+        columns = {mpdist._KthEngine(stats, params, workers, n // m).columns for workers in (1, 2, 3)}
+        assert columns == {parts[0][1] - parts[0][0] + width - 1}
+        if (n, m) == (20000, 1024):
+            assert parts == [(lo, lo + 3568) for lo in range(0, 17840, 3568)] + [(17840, 18977)]
+        if m in (8, 4000):
+            assert len(parts) == 1
 
 
 def _kth_pass_case(n=3000, m=64, seed=5):
@@ -366,8 +390,8 @@ class TestKthPass:
     @given(_series_with_flat_runs(), st.data())
     @settings(max_examples=80, deadline=None)
     def test_pass_equals_distance_space_selection(self, values, data):
-        # Every segment of one pass, each split into a part per worker at a
-        # one-entry threshold, with a flat run across the first part
+        # Every segment of one pass, streamed through parts of width to
+        # width + 3 positions, with a flat run across the first part
         # boundary, and filter and selection steps of a row or a few
         # positions each.  select_snippets runs the same pass and, with no
         # more segments than the profile width, holds its rows; its result
@@ -377,13 +401,15 @@ class TestKthPass:
         l = data.draw(st.integers(min_value=1, max_value=m))
         width = m - l + 1
         k = data.draw(st.sampled_from([3, max(3, 2 * width - 1), max(3, 2 * width), 2 * width + 1]))
-        boundary = (n - m + 1) // data.draw(st.sampled_from([2, 3]))
+        params = MPdistParams(snippet_size=m, window_size=l, k=k)
+        part_bytes = _part_bytes(params, width + data.draw(st.integers(min_value=0, max_value=3)))
+        with mock.patch.object(mpdist, "PART_BYTES", part_bytes):
+            boundary = mpdist._parts(n, params)[0][1]
         start = data.draw(st.integers(min_value=max(0, boundary - l), max_value=boundary))
         length = data.draw(st.integers(min_value=1, max_value=l + width))
         values = values.copy()
         values[start : start + length] = values[start]
         series = TimeSeries(values)
-        params = MPdistParams(snippet_size=m, window_size=l, k=k)
         stats = compute_sliding_stats(series, l)
         count = n // m
         expected = [distance_space_profile(series, i, params, stats) for i in range(count)]
@@ -391,7 +417,7 @@ class TestKthPass:
         num_snippets = data.draw(st.integers(min_value=1, max_value=min(3, count)))
         reference = select_snippets(series, params, num_snippets, profiles=oracle)
         tile = data.draw(st.sampled_from([1, 2, 3]))
-        with mock.patch.object(mpdist, "MIN_PART_ENTRIES", 1), \
+        with mock.patch.object(mpdist, "PART_BYTES", part_bytes), \
                 mock.patch.object(mpdist, "_BLOCK_BYTES", 16 * width * tile), \
                 mock.patch.object(mpdist, "_TASK_BLOCKS", 1):
             for workers in (1, 2, 3):
@@ -412,7 +438,7 @@ class TestKthPass:
         # ever run at once, each part's kernel runs once, and selection
         # steps do run beside a kernel.
         series, params, stats = _kth_pass_case()
-        monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
+        monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, 979))
         kernel = mpdist.neg_correlations
         select = mpdist._KthEngine._select
         lock = threading.Lock()
@@ -449,18 +475,43 @@ class TestKthPass:
         assert overlaps > 0
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("size", [None, 33, 100, 979])
+    def test_kernel_computes_each_entry_once(self, monkeypatch, workers, size):
+        # The kernel calls of a pass over five segments, each whole or
+        # streamed through parts of 33 (the width), 100 or 979 positions,
+        # compute each segment's width x (n - l + 1) entries once, at any
+        # worker count: no part recomputes the columns the last one left.
+        series, params, stats = _kth_pass_case()
+        if size is not None:
+            monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, size))
+        kernel = mpdist.neg_correlations
+        entries = []
+
+        def counted(stats, first_queries, num_rows, *, columns, **kwargs):
+            entries.append(num_rows * (columns[1] - columns[0]))
+            return kernel(stats, first_queries, num_rows, columns=columns, **kwargs)
+
+        monkeypatch.setattr(mpdist, "neg_correlations", counted)
+        assert len(list(_kth_pass(stats, params, range(5), workers))) == 5
+        parts = mpdist._parts(series.n, params)
+        assert len(entries) == 5 * len(parts)
+        assert sum(entries) == 5 * params.profile_width * stats.sumsq.size
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_pass_holds_at_most_two_part_buffers(self, monkeypatch, workers):
-        # A whole pass over 15 segments, each split into a part per worker:
-        # besides one part buffer per thread up to two, the margin covers
-        # each thread's scratch (a few small blocks here), the kernel's
-        # diagonals and the profiles in flight.  A buffer per part, or a
-        # third buffer, would pass it by a third of a buffer or more.
+        # A whole pass over 15 segments of two parts each: besides one
+        # part buffer per thread up to two, the tail and the kernel's
+        # 256 kB of update products, the margin covers each thread's
+        # scratch (a few small blocks here), the kernel's diagonals and
+        # the profiles in flight.  A buffer per part, or a third buffer,
+        # would pass it by half a buffer or more.
         series, params, stats = _kth_pass_case(n=4000, m=256)
-        monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
+        monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, 1873))
         monkeypatch.setattr(mpdist, "_BLOCK_BYTES", 1 << 15)
         width = params.profile_width
-        num_positions = series.n - params.snippet_size + 1
-        buffer_bytes = (width + 1) * (-(-num_positions // workers) + width - 1) * 8
+        assert len(mpdist._parts(series.n, params)) == 2
+        buffer_bytes = _part_bytes(params, 1873)
+        tail_bytes = (width + 1) * (width - 1) * 8
         tracemalloc.start()
         try:
             for _ in _kth_pass(stats, params, range(15), workers):
@@ -469,14 +520,15 @@ class TestKthPass:
         finally:
             tracemalloc.stop()
         buffers = min(2, workers)
-        assert peak <= (buffers + 0.3) * buffer_bytes, f"peak {peak / buffer_bytes:.2f} buffers"
+        bound = (buffers + 0.3) * buffer_bytes + tail_bytes + (1 << 18)
+        assert peak <= bound, f"peak {peak / buffer_bytes:.2f} buffers"
 
     def test_pass_waits_for_its_consumer(self, monkeypatch):
         # A consumer that has read one profile and pauses holds up the
         # pass, not memory: kernels start at most three segments ahead of
         # it (two parts each here), however long it waits.
         series, params, stats = _kth_pass_case()
-        monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
+        monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, 1469))
         build = mpdist._KthEngine._build
         built = []
         monkeypatch.setattr(
@@ -494,7 +546,7 @@ class TestKthPass:
         # selection step fails on a helper or the calling thread, no thread
         # of the pass is left; the failure reaches the caller.
         series, params, stats = _kth_pass_case()
-        monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
+        monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, 979))
         start = threading.active_count()
         assert len(list(_kth_pass(stats, params, range(10), workers))) == 10
         assert threading.active_count() == start
@@ -555,7 +607,7 @@ class TestKthPass:
         # in the same part buffers, from helpers started once; a pass
         # closed early joins them, and the next one starts them again.
         series, params, stats = _kth_pass_case()
-        monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
+        monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, 979))
         started = []
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
@@ -591,7 +643,7 @@ class TestKthPass:
         # first bounded round its helpers are joined and its part
         # buffers dropped.
         series, params, _ = _kth_pass_case(n=8 * 64 + 5)
-        monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
+        monkeypatch.setattr(mpdist, "PART_BYTES", 1)
         engines, passes, seen = [], [], []
 
         class Recording(mpdist._KthEngine):
@@ -627,7 +679,7 @@ class TestKthPass:
         # whose later passes are the greedy rounds' recomputes; its
         # helpers start once.
         series, params, _ = _kth_pass_case()
-        monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
+        monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, 979))
         engines, passes, started = [], [], []
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
@@ -691,7 +743,8 @@ class TestBatchedProfiles:
     @settings(max_examples=150, deadline=None)
     def test_batched_rows_and_profiles_equal_per_segment(self, case, data):
         # B segments in one kernel call must give each segment's rows bit
-        # for bit as a call for it alone, over any column range; and the
+        # for bit as a call for it alone, whole or streamed through two
+        # blocks of columns; and the
         # pass's batches, of 1 to 5 segments with a short last batch, the
         # profiles mpdist_profile computes segment by segment.  The greedy
         # rounds rely on a recomputed profile matching its pass row
@@ -700,13 +753,18 @@ class TestBatchedProfiles:
         stats = compute_sliding_stats(series, params.window_size)
         width = params.profile_width
         num_columns = stats.sumsq.size
-        start = data.draw(st.integers(min_value=0, max_value=num_columns - 1))
-        stop = data.draw(st.integers(min_value=start + 1, max_value=num_columns))
-        columns = data.draw(st.sampled_from([None, (start, stop)]))
+        cut = data.draw(st.integers(min_value=1, max_value=num_columns))
         starts = [s * params.snippet_size for s in segments]
-        rows = np.stack([r.copy() for r in neg_correlations(stats, starts, width, columns=columns)])
+        work = np.empty((2, len(starts), num_columns + width - 1))
+        rows = np.concatenate(
+            [
+                np.stack([r.copy() for r in neg_correlations(stats, starts, width, columns=block, work=work)])
+                for block in [(0, cut), (cut, num_columns)][: 1 + (cut < num_columns)]
+            ],
+            axis=-1,
+        )
         for b, seg_start in enumerate(starts):
-            alone = neg_correlation_matrix(stats, seg_start, width, columns=columns)
+            alone = neg_correlation_matrix(stats, seg_start, width)
             assert rows[:, b].tobytes() == alone.tobytes(), f"segment at {seg_start}"
 
         num_segments = series.n // params.snippet_size

@@ -166,26 +166,24 @@ class TestRunSchedule:
 
     def test_job_profiles_segments_whole(self, monkeypatch):
         # A sweep spends its workers on lengths: with SNIPLAB_WORKERS=3
-        # and every segment large enough to split, a job still profiles
-        # each segment in one part, on one thread.  Only k > 2 profiles
-        # (m = 32 has k = 4) are split into parts; at k <= 2 a segment's
-        # profile is one kernel call.
-        from sniplab import mpdist
+        # and every k > 2 segment (m = 32 has k = 4) streamed through
+        # many parts, each job's engine still runs on one thread.
+        from sniplab import mpdist, snippets
         from sniplab.snippets import WORKERS_ENV
 
         monkeypatch.setenv(WORKERS_ENV, "3")
-        monkeypatch.setattr(mpdist, "MIN_PART_ENTRIES", 1)
-        split = mpdist._splits
-        part_counts = []
+        monkeypatch.setattr(mpdist, "PART_BYTES", 1)
+        engines = []
 
-        def counted(*args):
-            parts = split(*args)
-            part_counts.append(len(parts))
-            return parts
+        class Recording(mpdist._KthEngine):
+            def __init__(self, *args):
+                super().__init__(*args)
+                engines.append(self)
 
-        monkeypatch.setattr(mpdist, "_splits", counted)
+        monkeypatch.setattr(snippets, "_KthEngine", Recording)
         run_schedule(self._series(), [MPdistParams(snippet_size=32)], 2, training_log=False)
-        assert part_counts and set(part_counts) == {1}
+        assert engines and all(len(engine.splits) > 1 for engine in engines)
+        assert [engine.threads for engine in engines] == [1] * len(engines)
 
     def test_duplicate_lengths_rejected(self):
         series = self._series()

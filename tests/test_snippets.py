@@ -492,11 +492,11 @@ class TestWorkers:
     @given(_selection_case())
     @settings(max_examples=40, deadline=None)
     def test_worker_count_changes_no_bit(self, case):
-        # Every segment splits at a one-entry part threshold; with the
-        # float64 rows held and with them recomputed, the result must be
-        # the same at any worker count.
+        # At a one-byte part size every k > 2 segment streams through
+        # parts of the profile width; with the float64 rows held and with
+        # them recomputed, the result must be the same at any worker count.
         series, params, num_snippets = case
-        with mock.patch.object(mpdist, "MIN_PART_ENTRIES", 1):
+        with mock.patch.object(mpdist, "PART_BYTES", 1):
             solo = select_snippets(series, params, num_snippets, workers=1)
             for workers in (2, 3):
                 _assert_same_result(
@@ -506,7 +506,7 @@ class TestWorkers:
     @given(_selection_case(), st.sampled_from([1, 2, 3]))
     @settings(max_examples=40, deadline=None)
     def test_batched_pass_worker_count_changes_no_bit(self, case, batch):
-        # At the default part threshold no segment here splits, so at
+        # At the default part size no segment here splits, so at
         # k <= 2 one, two or three threads profile contiguous ranges, one
         # per thread, in the default batches and in batches of 1 to 3
         # segments.  Ranges and batches need not

@@ -188,36 +188,51 @@ def test_stats_from_another_series_rejected(entry, source_length):
         entry(series, stats)
 
 
+def _streamed(stats, first_queries, num_rows, cuts):
+    """Rows over columns [cuts[0], cuts[1]), [cuts[1], cuts[2]) and on, side by side.
+
+    One :func:`neg_correlations` call per block, in order, on one workspace.
+    """
+    shape = np.shape(first_queries)
+    work = np.empty((2, *shape, stats.sumsq.size + num_rows - 1))
+    blocks = []
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        out = np.empty((*shape, num_rows, stop - start))
+        for _ in neg_correlations(stats, first_queries, num_rows, columns=(start, stop), out=out, work=work):
+            pass
+        blocks.append(out)
+    return np.concatenate(blocks, axis=-1)
+
+
 class TestNegCorrelationColumns:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
-    def test_column_range_equals_full_matrix(self, data):
-        # The rows of a column range must be the full matrix's columns bit
-        # for bit, whether the recurrence's left halo is clipped at column
-        # 0 or starts past it.  A 1e3 offset makes the recurrence's
-        # round-off show in the last bits, and a flat run adds constant
-        # windows.
+    def test_streamed_blocks_equal_full_matrix(self, data):
+        # Rows streamed through blocks of columns must be the full matrix
+        # bit for bit: blocks of one column on, of equal sizes or drawn
+        # cuts, narrower or wider than the rows are many, with a flat run
+        # across a block edge.  A 1e3 offset makes the recurrence's
+        # round-off show in the last bits.
         rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
         n = data.draw(st.integers(min_value=4, max_value=120))
         l = data.draw(st.integers(min_value=1, max_value=n // 2))
-        values = 1e3 + rng.standard_normal(n)
-        run = data.draw(st.integers(min_value=0, max_value=n - 1))
-        values[run : run + data.draw(st.integers(min_value=1, max_value=2 * l))] = values[run]
-        series = TimeSeries(values)
-        stats = compute_sliding_stats(series, l)
         num_columns = n - l + 1
+        if data.draw(st.booleans()):
+            size = data.draw(st.integers(min_value=1, max_value=num_columns))
+            inner = list(range(size, num_columns, size))
+        else:
+            inner = data.draw(st.lists(st.integers(1, num_columns - 1), max_size=6, unique=True))
+        cuts = [0, *sorted(inner), num_columns]
+        edge = data.draw(st.sampled_from(cuts[:-1]))
+        run = data.draw(st.integers(min_value=max(0, edge - l), max_value=edge))
+        values = 1e3 + rng.standard_normal(n)
+        values[run : run + data.draw(st.integers(min_value=1, max_value=2 * l))] = values[run]
+        stats = compute_sliding_stats(TimeSeries(values), l)
         first_query = data.draw(st.integers(min_value=0, max_value=num_columns - 1))
         num_rows = data.draw(st.integers(min_value=1, max_value=num_columns - first_query))
-        if data.draw(st.booleans()):
-            start = data.draw(st.integers(min_value=0, max_value=num_rows - 1))
-        else:
-            assume(num_rows < num_columns)
-            start = data.draw(st.integers(min_value=num_rows, max_value=num_columns - 1))
-        stop = data.draw(st.integers(min_value=start + 1, max_value=num_columns))
         full = neg_correlation_matrix(stats, first_query, num_rows)
-        part = neg_correlation_matrix(stats, first_query, num_rows, columns=(start, stop))
-        assert part.shape == (num_rows, stop - start)
-        assert np.array_equal(part.view(np.int64), full[:, start:stop].view(np.int64))
+        streamed = _streamed(stats, first_query, num_rows, cuts)
+        np.testing.assert_array_equal(streamed.view(np.int64), full.view(np.int64))
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -249,32 +264,33 @@ class TestNegCorrelationColumns:
         values = 1e3 + np.cumsum(np.random.default_rng(5).standard_normal(3000))
         stats = compute_sliding_stats(TimeSeries(values), l)
         first_query, num_rows = 700, 2 * l
-        rows = neg_correlation_matrix(stats, first_query, num_rows, columns=(0, 50))
+        rows = neg_correlation_matrix(stats, first_query, num_rows)
         for i in range(num_rows):
-            alone = neg_correlation_matrix(stats, first_query + i, 1, columns=(0, 1))
+            alone = neg_correlation_matrix(stats, first_query + i, 1)
             assert rows[i, 0] == alone[0, 0], f"row {i}"
 
-    @pytest.mark.parametrize("num_rows", [7, 8, 9])
-    def test_one_column_of_two_segments_equals_each_alone(self, num_rows):
-        # One column of two segments' rows leaves each diagonal buffer
-        # row num_rows float64 long, so at 8 the seeds of both segments
-        # sit 64 bytes apart, the stride numpy 2.4.6's np.negative
-        # misreads (x86-64).  A work array filled with 7.0 shows any seed
-        # that is not written.
-        series = TimeSeries(np.random.default_rng(8).standard_normal(40))
+    @pytest.mark.parametrize("stride", [7, 8, 9])
+    def test_one_column_of_two_segments_equals_each_alone(self, stride):
+        # Two rows of two segments over a series of stride - 1 windows
+        # leave each segment's diagonals stride float64 long, so at 8 the
+        # seeds of both segments sit 64 bytes apart, the stride numpy
+        # 2.4.6's np.negative misreads (x86-64).  A work array filled with
+        # 7.0 shows any seed that is not written.
+        series = TimeSeries(np.random.default_rng(8).standard_normal(stride))
         stats = compute_sliding_stats(series, 2)
-        work = np.full((2, 2, num_rows), 7.0)
+        queries = [0, stride - 3]
+        work = np.full((2, 2, stride), 7.0)
         rows = np.stack(
-            [r.copy() for r in neg_correlations(stats, [0, 20], num_rows, columns=(0, 1), work=work)]
+            [r.copy() for r in neg_correlations(stats, queries, 2, columns=(0, 1), work=work)]
         )
-        for b, first_query in enumerate([0, 20]):
-            alone = neg_correlation_matrix(stats, first_query, num_rows, columns=(0, 1))
+        for b, first_query in enumerate(queries):
+            alone = neg_correlation_matrix(stats, first_query, 2)[:, :1]
             assert rows[:, b].tobytes() == alone.tobytes(), f"segment at {first_query}"
 
     def test_column_zero_computed_only_where_a_diagonal_starts(self):
-        # Column 0 seeds the diagonals that start there, so a range that no
-        # such diagonal reaches by its last row, and a single row, take
-        # only row 0's cross products.
+        # A stream's first block seeds every diagonal, row 0 over all the
+        # columns and column 0 of the rows after it, and later blocks
+        # compute no cross products; a single row takes only row 0's.
         series = TimeSeries(np.random.default_rng(6).standard_normal(60))
         stats = compute_sliding_stats(series, 8)
         first_query = 20
@@ -284,12 +300,9 @@ class TestNegCorrelationColumns:
                 run()
             return [(np.ravel(call.args[1]).tolist(), *call.args[2:4]) for call in dots.call_args_list]
 
-        for start in (4, 10):
-            ranged = calls(lambda: neg_correlation_matrix(stats, first_query, 5, columns=(start, 30)))
-            assert ranged == [([first_query], max(0, start - 4), 30)]
         assert calls(lambda: distance_row(series, stats, first_query, 0, 8)) == [([first_query], 0, 53)]
-        assert calls(lambda: neg_correlation_matrix(stats, first_query, 5, columns=(0, 30))) == [
-            ([first_query], 0, 30),
+        assert calls(lambda: _streamed(stats, first_query, 5, [0, 4, 10, 53])) == [
+            ([first_query], 0, 53),
             ([0], first_query + 1, first_query + 5),
         ]
 
