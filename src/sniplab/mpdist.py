@@ -95,9 +95,10 @@ from .zdist import neg_correlation_to_distance, neg_correlations
 from .zdist import segment_distance_matrix  # noqa: F401  bench/layers.py wraps it by this name
 
 # Bytes of a k > 2 part buffer, a part's column minima and width kernel
-# rows (3,568 positions at width 513); a pass holds two at most, however
-# long the series.  A part takes at least width positions, so the width
-# - 1 columns it shares with the next stay under half a buffer.
+# rows; a pass holds two at most, however long the series.  A segment
+# takes the fewest equal parts that fit (six of 3,162-3,163 positions at
+# m = 1024, n = 20,000), each of at least width positions, so the width
+# - 1 columns a part shares with the next stay under half a buffer.
 PART_BYTES = 1 << 24
 
 # Bytes of rows the sliding minimum takes through all its passes at a
@@ -242,7 +243,8 @@ def _parts(n: int, params: MPdistParams) -> list[tuple[int, int]]:
     num_positions = n - params.snippet_size + 1
     width = params.profile_width
     size = max(width, PART_BYTES // (8 * (width + 1)) - width + 1)
-    return [(lo, min(lo + size, num_positions)) for lo in range(0, num_positions, size)]
+    count = max(1, min(-(-num_positions // size), num_positions // width))
+    return [(num_positions * i // count, num_positions * (i + 1) // count) for i in range(count)]
 
 
 def _min_profiles(stats, params: MPdistParams, segments, work=None) -> np.ndarray:
@@ -304,7 +306,7 @@ class _KthEngine:
         self.stats, self.width, self.snippet_size = stats, width, params.snippet_size
         self.threads = min(workers, num_segments * len(self.splits))
         self.num_positions = self.splits[-1][1]
-        self.columns = self.splits[0][1] + width - 1  # the first part is the longest
+        self.columns = max(hi - lo for lo, hi in self.splits) + width - 1
         # Positions per selection tile: a tile's 2 * width float64
         # candidates per position take 16 * width bytes, so a tile fills
         # _BLOCK_BYTES (63 positions at width 513, 3,640 at width 9).

@@ -260,11 +260,10 @@ def neg_correlations(
     bits from the same query computed on its own (``num_rows=1``).
 
     Every diagonal starts in row 0 or column 0.  Column ranges stream
-    the rows a block at a time: the call from column 0 seeds every
-    diagonal in ``work[0]``, and each call advances just those that reach
-    its columns, so calls over ``[0, b)``, ``[b, c)`` and on, in order on
-    one ``work``, compute each entry once, with the same float operations
-    as one call over all columns: the same bits.
+    the rows: the call from column 0 seeds every diagonal in ``work[0]``
+    and each call advances those that reach its columns, so calls over
+    ``[0, b)``, ``[b, c)`` and on, in order on one ``work``, compute each
+    entry once, by the float operations of one call over all columns.
 
     ``-rho`` is ``-cov / sqrt(sumsq[j] * sumsq[q])`` rather than a product
     of inverse norms.  In row 0, a window bit-equal to the query has
@@ -322,61 +321,61 @@ def neg_correlations(
         # A product with -1 is the same bits as a negation; numpy 2.4.6's
         # np.negative (x86-64) misreads arrays strided 8 float64 apart.
         np.multiply(seeded, -1.0, out=seeded)
-        if lead:
-            # Window 0's products with one range of windows that covers
-            # every segment's rows 1 to lead.
+        if lead:  # window 0's products with every segment's rows 1 to lead
             base = int(first_queries.min()) + 1
             column0 = _sliding_dots(stats, 0, base, int(first_queries.max()) + lead + 1)
             np.multiply(column0[queries[..., lead:0:-1] - base], -1.0, out=buffer[..., :lead])
     lo = max(1, start)  # column 0 is seeded
     dgs, dfs = dg[lo:stop], df[lo:stop]
-    # Rows' denominators go where the rows do, up to 512 kB of rows in
-    # two calls, and each row is divided there in place.  With out, the
-    # update's products are taken 256 kB of rows at a time, in two calls:
-    # fewer, longer numpy calls wait less for the GIL beside other threads.
-    held = scratch[..., None, :width] if out is None else out
-    step = min(held.shape[-2], max(1, (1 << 16) // held[..., 0, :].size))
-    if out is not None:
-        chunk = min(num_rows, max(1, (1 << 14) // max(1, held[..., 0, lo - start :].size)))
-        terms = np.empty((2, *held[..., :chunk, lo - start :].shape))
-    for i in range(num_rows):
-        r = i % held.shape[-2]
-        if out is not None and i % chunk == 0:
-            n = min(chunk, num_rows - i)
-            np.multiply(q_df[..., i : i + n, :], dgs, out=terms[0, ..., :n, :])
-            np.multiply(q_dg[..., i : i + n, :], dfs, out=terms[1, ..., :n, :])
-        if i:
-            cov = buffer[..., lo - i + lead : stop - i + lead]
-            if out is None:  # one row of products in the scratch, reused
-                term = scratch[..., : cov.shape[-1]]
-                np.multiply(dgs, q_df[..., i, :], out=term)
-                np.subtract(cov, term, out=cov)
-                np.multiply(dfs, q_dg[..., i, :], out=term)
-                np.subtract(cov, term, out=cov)
-            else:
-                np.subtract(cov, terms[0, ..., i % chunk, :], out=cov)
-                np.subtract(cov, terms[1, ..., i % chunk, :], out=cov)
-        if r % step == 0:
-            block = held[..., r : r + step, :]
-            np.multiply(q_sumsq[..., i : i + step, :], col_sumsq, out=block)
+    # With out, rows go in blocks of up to 128 kB, each taking its update
+    # products and its denominators (where its rows go) in four calls:
+    # fewer numpy calls wait less for the GIL beside other threads.
+    # Without out a block is a row, taken in the scratch it ends in.
+    step = 1 if out is None else min(num_rows, max(1, (1 << 14) // out[..., 0, :].size))
+    terms = None if out is None else np.empty((2, *out[..., :step, lo - start :].shape))
+    for top in range(0, num_rows, step):
+        end = min(top + step, num_rows)
+        if out is not None:
+            block = out[..., top:end, :]
+            np.multiply(q_df[..., top:end, :], dgs, out=terms[0, ..., : end - top, :])
+            np.multiply(q_dg[..., top:end, :], dfs, out=terms[1, ..., : end - top, :])
+            np.multiply(q_sumsq[..., top:end, :], col_sumsq, out=block)
             np.sqrt(block, out=block)
-        rows = held[..., r, :]
-        # Only the division runs under errstate, so no yield suspends
-        # the generator with the caller's numpy warnings silenced.
+        # No yield runs under errstate, so none suspends the generator
+        # with the caller's numpy warnings silenced.
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(buffer[..., start - i + lead : stop - i + lead], rows, out=rows)
-        if constant.size:
-            rows[..., constant] = -0.5
-        if flat[i]:
-            fixed = rows.reshape(-1, width)  # a view, one row per segment
-            flat_rows = np.flatnonzero(sumsq[by_row[i]] == 0.0)
-            fixed[flat_rows] = -0.5
-            fixed[np.ix_(flat_rows, constant)] = -1.0
-        if cuts[i] < cuts[i + 1]:
-            own = slice(cuts[i], cuts[i + 1])
-            # (segment, column) pairs; the columns alone index 1-D rows.
-            rows[(own_segment[own], own_column[own])[-rows.ndim :]] = -1.0
-        yield rows
+            for i in range(top, end):
+                cov = buffer[..., lo - i + lead : stop - i + lead]
+                if out is not None:
+                    rows = block[..., i - top, :]
+                    if i:
+                        np.subtract(cov, terms[0, ..., i - top, :], out=cov)
+                        np.subtract(cov, terms[1, ..., i - top, :], out=cov)
+                else:
+                    rows = scratch[..., :width]
+                    if i:
+                        term = scratch[..., : cov.shape[-1]]
+                        np.multiply(dgs, q_df[..., i, :], out=term)
+                        np.subtract(cov, term, out=cov)
+                        np.multiply(dfs, q_dg[..., i, :], out=term)
+                        np.subtract(cov, term, out=cov)
+                    np.multiply(col_sumsq, q_sumsq[..., i, :], out=rows)
+                    np.sqrt(rows, out=rows)
+                np.divide(buffer[..., start - i + lead : stop - i + lead], rows, out=rows)
+        for i in range(top, end):
+            rows = scratch[..., :width] if out is None else out[..., i, :]
+            if constant.size:
+                rows[..., constant] = -0.5
+            if flat[i]:
+                fixed = rows.reshape(-1, width)  # a view, one row per segment
+                flat_rows = np.flatnonzero(sumsq[by_row[i]] == 0.0)
+                fixed[flat_rows] = -0.5
+                fixed[np.ix_(flat_rows, constant)] = -1.0
+            if cuts[i] < cuts[i + 1]:
+                own = slice(cuts[i], cuts[i + 1])
+                # (segment, column) pairs; the columns alone index 1-D rows.
+                rows[(own_segment[own], own_column[own])[-rows.ndim :]] = -1.0
+            yield rows
 
 
 def neg_correlation_matrix(

@@ -265,7 +265,7 @@ def _kth_pass(stats, params, segments, workers):
 
 
 def _part_bytes(params, size):
-    """A ``PART_BYTES`` that streams a segment through parts of ``size`` positions (at least the width)."""
+    """A ``PART_BYTES`` that streams a segment through parts of at most ``size`` positions (at least the width)."""
     width = params.profile_width
     return 8 * (width + 1) * (size + width - 1)
 
@@ -285,9 +285,10 @@ class TestMPdistProfileSplit:
     @given(_series_with_flat_runs(), st.data())
     @settings(max_examples=120, deadline=None)
     def test_split_equals_distance_space_selection(self, values, data):
-        # Parts of width to width + 3 positions split every segment that
-        # has more, so a part's first columns come from the last part's
-        # tail, and a snippet length near n gives more workers than parts.
+        # Parts of at most width to width + 3 positions split every
+        # segment of at least twice the width, so a part's first columns
+        # come from the last part's tail, and a snippet length near n
+        # gives more workers than parts.
         n = values.size
         m = data.draw(st.integers(min_value=2, max_value=n))
         l = data.draw(st.integers(min_value=1, max_value=m))
@@ -313,8 +314,8 @@ class TestMPdistProfileSplit:
     @settings(max_examples=120, deadline=None)
     def test_tiled_selection_equals_distance_space_selection(self, values, data):
         # Tiles of 1, 2 or 3 positions put tile boundaries all through
-        # every part of width positions, part boundaries included, at
-        # workers 1, 2 and 3.
+        # every part of width to 2 * width positions, part boundaries
+        # included, at workers 1, 2 and 3.
         series = TimeSeries(values)
         m = data.draw(st.integers(min_value=2, max_value=series.n))
         l = data.draw(st.integers(min_value=1, max_value=m))
@@ -351,28 +352,38 @@ class TestMPdistProfileSplit:
             assert peak <= bound, f"n = {n}: peak {peak / mpdist.PART_BYTES:.2f} x PART_BYTES"
 
     @pytest.mark.parametrize(
-        "n, m, l", [(20000, 8, None), (20000, 1024, None), (4004, 4000, 1), (300, 40, 2)]
+        "n, m, l",
+        [(20000, 8, None), (20000, 1024, None), (4004, 4000, 1), (300, 40, 2), (3499, 2000, 1000)],
     )
     def test_part_plan(self, n, m, l):
-        # Parts cover the positions in order and none is empty; all but a
-        # short last one hold at least width positions, and each holds at
-        # most PART_BYTES unless width positions take more.  A pass's part
-        # buffers are the same size at any worker count.
+        # Parts cover the positions in order, none empty, their sizes a
+        # position apart.  Each holds at least width positions unless
+        # the segment has fewer, and at most PART_BYTES unless it has
+        # fewer than 2 * width (at m = 2000 here), and one part fewer
+        # would not fit.  A pass's part buffers are the same size at any
+        # worker count.
         params = MPdistParams(snippet_size=m, window_size=l)
         width = params.profile_width
+        num_positions = n - m + 1
         parts = mpdist._parts(n, params)
+        sizes = [hi - lo for lo, hi in parts]
         assert [lo for lo, _ in parts] == [0] + [hi for _, hi in parts[:-1]]
-        assert parts[-1][1] == n - m + 1
-        assert all(hi > lo for lo, hi in parts)
-        assert all(hi - lo >= width for lo, hi in parts[:-1])
-        for lo, hi in parts:
-            assert hi - lo <= width or (width + 1) * (hi - lo + width - 1) * 8 <= mpdist.PART_BYTES
+        assert parts[-1][1] == num_positions
+        assert min(sizes) > 0 and max(sizes) - min(sizes) <= 1
+        assert min(sizes) >= min(width, num_positions)
+
+        def part_bytes(size):
+            return (width + 1) * (size + width - 1) * 8
+
+        assert max(sizes) < 2 * width or part_bytes(max(sizes)) <= mpdist.PART_BYTES
+        if len(parts) > 1:
+            assert part_bytes(-(-num_positions // (len(parts) - 1))) > mpdist.PART_BYTES
         stats = compute_sliding_stats(TimeSeries(np.sin(np.arange(n) / 7.0)), params.window_size)
         columns = {mpdist._KthEngine(stats, params, workers, n // m).columns for workers in (1, 2, 3)}
-        assert columns == {parts[0][1] - parts[0][0] + width - 1}
+        assert columns == {max(sizes) + width - 1}
         if (n, m) == (20000, 1024):
-            assert parts == [(lo, lo + 3568) for lo in range(0, 17840, 3568)] + [(17840, 18977)]
-        if m in (8, 4000):
+            assert sizes == [3162] + [3163] * 5
+        if m in (8, 4000, 2000):
             assert len(parts) == 1
 
 
@@ -390,9 +401,9 @@ class TestKthPass:
     @given(_series_with_flat_runs(), st.data())
     @settings(max_examples=80, deadline=None)
     def test_pass_equals_distance_space_selection(self, values, data):
-        # Every segment of one pass, streamed through parts of width to
-        # width + 3 positions, with a flat run across the first part
-        # boundary, and filter and selection steps of a row or a few
+        # Every segment of one pass, streamed through parts of at most
+        # width to width + 3 positions, with a flat run across the first
+        # part boundary, and filter and selection steps of a row or a few
         # positions each.  select_snippets runs the same pass and, with no
         # more segments than the profile width, holds its rows; its result
         # must be the one it gives on the oracle's profiles.
@@ -478,9 +489,10 @@ class TestKthPass:
     @pytest.mark.parametrize("size", [None, 33, 100, 979])
     def test_kernel_computes_each_entry_once(self, monkeypatch, workers, size):
         # The kernel calls of a pass over five segments, each whole or
-        # streamed through parts of 33 (the width), 100 or 979 positions,
-        # compute each segment's width x (n - l + 1) entries once, at any
-        # worker count: no part recomputes the columns the last one left.
+        # streamed through parts of at most 33 (the width), 100 or 979
+        # positions, compute each segment's width x (n - l + 1) entries
+        # once, at any worker count: no part recomputes the columns the
+        # last one left.
         series, params, stats = _kth_pass_case()
         if size is not None:
             monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, size))
