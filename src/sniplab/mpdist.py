@@ -23,16 +23,17 @@ candidates are equal.  It is the sliding minimum of the column minima,
 so the profile is that one sliding window and the per-row filter, merge
 and partition are skipped.
 
-At ``k > 2`` each segment's positions stream in order through parts of
-at most ``PART_BYTES`` of kernel rows whatever n or the worker count.
-Part ``[lo, hi)`` reads kernel columns ``[lo, hi + width - 1)``; past
-the first part, the first ``width - 1`` are the last part's, copied with
-their column minima into a tail before any step changed them, and the
-kernel resumes the diagonals where the last part left them, so it
-computes each entry once.  A part takes three kinds of step in one part
-buffer: its kernel writes the ``-rho`` rows there and takes their column
-minima; filter steps then run the sliding minima in place, a few blocks
-of rows each; selection steps then fill its positions, a few tiles each.  A selection step copies each tile's
+At ``k > 2`` each segment's positions stream in order through the
+fewest equal parts whose kernel rows fit ``PART_BYTES``, whatever n or
+the worker count.  Part ``[lo, hi)`` reads kernel columns ``[lo, hi +
+width - 1)``; past the first part, the first ``width - 1`` are the last
+part's, copied with their column minima into a tail before any step
+changed them, and the kernel resumes the diagonals where the last part
+left them, so it computes each entry once.  A part takes three kinds of
+step in one part buffer: its kernel writes the ``-rho`` rows there and
+takes their column minima; filter steps then run the sliding minima in
+place, a few blocks of rows each; selection steps then fill its
+positions, a few tiles each.  A selection step copies each tile's
 columns of the filtered rows (transposed) and its sliding windows of
 the column minima into the rows of one reused C-ordered block, and
 partitions the block along its rows, so each tile's candidates are
@@ -56,16 +57,15 @@ Idle threads wait on a condition: a thread spinning in Python keeps the
 GIL for whole switch intervals.
 
 One kernel at a time is a measured rule, not a setting.  The kernel is
-about seven numpy calls per row, a few µs each over the 10,000 columns
-of half an m = 1024 segment at n = 20,000; each releases the GIL only while it
-runs and waits for it after, so the kernel slows beside any thread that
-takes the GIL often.  On two cores (numpy 2.4) a half-segment kernel
-took 0.036-0.048 s alone, 0.038 s beside a thread partitioning tiles
-(about 110 µs a call) and 0.09-0.11 s beside one taking sliding minima
-(about 26 µs a call), and two such kernels took 0.12-0.13 s on two
-threads against 0.11 s one after the other.  Batching B segments per
-kernel call would not make the calls longer: a part buffer's bytes fix
-the entries a call covers.
+a few numpy calls per row, a few µs each; each releases the GIL only
+while it runs and waits for it after, so the kernel slows beside any
+thread that takes the GIL often.  On two cores (numpy 2.4) a kernel
+over 10,000 columns of an m = 1024 segment took 0.036-0.048 s alone,
+0.038 s beside a thread partitioning tiles (about 110 µs a call) and
+0.09-0.11 s beside one taking sliding minima (about 26 µs a call), and
+two such kernels took 0.12-0.13 s on two threads against 0.11 s one
+after the other.  Batching B segments per kernel call would not make
+the calls longer: a part buffer's bytes fix the entries a call covers.
 
 At ``k <= 2`` a profile needs no rows held: :func:`mpdist_profile`
 runs one kernel call on the calling thread, and a search profiles its
