@@ -34,6 +34,8 @@ class LabelSequence:
             raise ValueError("labels must be non-empty")
         if not np.issubdtype(labels.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+        if labels.max() > np.iinfo(np.int64).max:  # a uint64 label would wrap
+            raise ValueError(f"label {labels.max()} is not a 64-bit signed integer")
         object.__setattr__(self, "labels", _freeze(labels.astype(np.int64)))
 
     @property

@@ -64,14 +64,15 @@ over 10,000 columns of an m = 1024 segment took 0.036-0.048 s alone,
 0.038 s beside a thread partitioning tiles (about 110 µs a call) and
 0.09-0.11 s beside one taking sliding minima (about 26 µs a call), and
 two such kernels took 0.12-0.13 s on two threads against 0.11 s one
-after the other.  Batching B segments per kernel call would not make
-the calls longer: a part buffer's bytes fix the entries a call covers.
+after the other.  A part's kernel call takes a batch of one segment:
+more would not make the calls longer, since a part buffer's bytes fix
+the entries a call covers.
 
 At ``k <= 2`` a profile needs no rows held: :func:`mpdist_profile`
 runs one kernel call on the calling thread, and a search profiles its
-segments several at a time (:func:`_min_profiles`): the kernel runs
-over B segments' rows as 2-D arrays, about ``_BLOCK_BYTES`` a row, and
-folds each row into the column minima as it comes.  One segment's numpy
+segments several at a time (:func:`_min_profiles`): one kernel call
+takes a batch of B segments, about ``_BLOCK_BYTES`` a row, and folds
+each row into the column minima as it comes.  One segment's numpy
 calls last 7 to 15 µs at n = 20,000, too short for threads to overlap
 between GIL hand-offs; B segments' calls last B times as long, so
 threads that each take a range of segments pay off (see
@@ -317,7 +318,7 @@ class _KthEngine:
         self.buffers = self.windows = self.tail = []
         # Only one kernel runs at a time, and a segment's parts in order,
         # so one workspace serves all and carries each segment's diagonals.
-        self.work = np.empty((2, stats.sumsq.size + width - 1))
+        self.work = np.empty((2, 1, stats.sumsq.size + width - 1))
         self.scratch = self._scratch()  # the calling thread's
         self.lock = threading.Condition()
         self.helpers = []
@@ -346,7 +347,7 @@ class _KthEngine:
         rows[:, :done] = self.tail[:, :done]
         new = rows[:, done:]
         columns = (lo + done, hi + self.width - 1)
-        for _ in neg_correlations(self.stats, self.starts[s], self.width, columns=columns, out=new[1:], work=self.work):
+        for _ in neg_correlations(self.stats, [self.starts[s]], self.width, columns=columns, out=new[None, 1:], work=self.work):
             pass
         np.min(new[1:], axis=0, out=new[0])  # nearest segment window per column
         self.tail[...] = rows[:, hi - lo :]  # the next part's, before a filter step runs

@@ -388,14 +388,12 @@ def select_snippets(
         # Each range, the first on this thread, writes its own entries of
         # lower, maxima, the codes and the held rows, and the ranges'
         # nearest segments merge in range order, ties to the lower range.
-        if count == 1:
-            _, nearest = profile_range(0, num_segments)
-        else:
-            bounds = [num_segments * i // count for i in range(count + 1)]
-            with ThreadPoolExecutor(max_workers=count - 1) as pool:
-                rest = pool.map(profile_range, bounds[1:-1], bounds[2:])
-                parts = [profile_range(0, bounds[1]), *rest]
-            _, nearest = _nearest_rows((labels, best) for best, labels in parts)
+        # A pool with nothing to map starts no thread.
+        bounds = [num_segments * i // count for i in range(count + 1)]
+        with ThreadPoolExecutor(max_workers=max(1, count - 1)) as pool:
+            rest = pool.map(profile_range, bounds[1:-1], bounds[2:])
+            parts = [profile_range(0, bounds[1]), *rest]
+        _, nearest = _nearest_rows((labels, best) for best, labels in parts)
         if held is not None:
             # With its rows held a search needs no engine after the pass:
             # its threads are joined and its part buffers dropped here.

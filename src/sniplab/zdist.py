@@ -9,8 +9,9 @@ Profile XIV", SoCC 2019), over a series centred on its own mean, so an
 offset as large as the samples allow costs no precision.  No BLAS call,
 whose kernel varies by CPU, is on the path.  The module owns the window
 statistics it reads (:class:`SlidingStats`, built once per search by
-:func:`compute_sliding_stats`), and a kernel call can resume the
-diagonals where one over the columns before it left them.
+:func:`compute_sliding_stats`).  A kernel call takes a batch of
+segments, one or more, and can resume the diagonals where one over the
+columns before it left them.
 Distances follow from the correlation identity
 
     dist = sqrt(2 * subseq_len * (1 - rho))
@@ -172,23 +173,13 @@ def _check_stats(series: TimeSeries, stats: SlidingStats, window_len: int) -> No
         )
 
 
-def _operands(values: np.ndarray) -> list:
-    """Each entry along the last axis as an operand against 1-D rows.
-
-    A float where ``values`` is 1-D (one query), which a numpy call
-    takes for less than a one-element array; a ``(B, 1)`` column where
-    it is 2-D (B queries).
-    """
-    return values.tolist() if values.ndim == 1 else list(values.T[..., None])
-
-
 def _sliding_dots(
     stats: SlidingStats, queries, start: int, stop: int, out=None, scratch=None
 ) -> np.ndarray:
     """Centred cross products of query windows with series windows [start, stop).
 
-    ``queries`` is one window start or a sequence of them.  Entry ``j -
-    start`` of query ``q``'s row is ``sum_k (c[q + k] - mu[q]) *
+    ``queries`` is a 1-D sequence of window starts.  Entry ``j - start``
+    of query ``q``'s row is ``sum_k (c[q + k] - mu[q]) *
     (c[j + k] - mu[j])`` on the centred series ``c``, in ``window_len``
     elementwise passes, one per query sample, so an entry is the same
     bits whatever the range and whatever the other queries.  Both
@@ -197,23 +188,20 @@ def _sliding_dots(
     lie from 0.  It serves the kernel's row 0 and, with window 0 as the
     query, its column 0.
 
-    Returns an array of shape ``np.shape(queries) + (stop - start,)``,
-    ``out`` when given; ``scratch`` of that shape, when given, holds the
-    terms.
+    Returns an array of shape ``(len(queries), stop - start)``, ``out``
+    when given; ``scratch`` of that shape, when given, holds the terms.
     """
     subseq_len = stats.window_len
     values = stats.centred
     means = stats.centred_means[start:stop]
     queries = np.asarray(queries)
-    samples = values[queries[..., None] + np.arange(subseq_len)]
-    samples -= stats.centred_means[queries][..., None]
-    samples = _operands(samples)
-    shape = queries.shape + (stop - start,)
+    samples = values[queries[:, None] + np.arange(subseq_len)]
+    samples -= stats.centred_means[queries][:, None]
+    samples = samples.T[..., None]  # pass k's (B, 1) column of query samples
+    shape = (queries.size, stop - start)
     dots = np.empty(shape) if out is None else out
     term = np.empty(shape) if scratch is None else scratch
-    # B queries share each pass's deviations; one query forms its
-    # products in place, which touches one array less per pass.
-    deviation = term if queries.ndim == 0 else np.empty(stop - start)
+    deviation = np.empty(stop - start)  # shared by the queries of a pass
     for k in range(subseq_len):
         np.subtract(values[start + k : stop + k], means, out=deviation)
         np.multiply(deviation, samples[k], out=term if k else dots)
@@ -234,16 +222,14 @@ def neg_correlations(
     """Negated correlations of B segments' query windows against series windows, row by row.
 
     Yields ``num_rows`` arrays of shape ``(B, stop - start)``, B being
-    ``len(first_queries)``.  Row ``b`` of the ``i``-th holds ``-rho``
-    between the window starting at ``first_queries[b] + i`` and each
-    series window in ``columns``, so smaller is nearer.  A single int
-    ``first_queries`` drops the segment axis: every array is 1-D, and a
-    numpy call on it costs less than on a ``(1, stop - start)`` one.
-    Without ``out`` every yielded array is one buffer, overwritten by
-    the next row, so a caller that folds the rows (into column minima,
-    say) never holds them all; with ``out`` of shape ``(B, num_rows,
-    stop - start)`` (no B for an int) row ``i`` is written to and
-    yielded as ``out[..., i, :]``.
+    ``len(first_queries)``, one segment or more.  Row ``b`` of the
+    ``i``-th holds ``-rho`` between the window starting at
+    ``first_queries[b] + i`` and each series window in ``columns``, so
+    smaller is nearer.  Without ``out`` every yielded array is one
+    buffer, overwritten by the next row, so a caller that folds the rows
+    (into column minima, say) never holds them all; with ``out`` of
+    shape ``(B, num_rows, stop - start)`` row ``i`` is written to and
+    yielded as ``out[:, i]``.
 
     Row 0 and column 0 come from :func:`_sliding_dots`; every other
     entry follows from the one before it on its diagonal by SCAMP's
@@ -280,7 +266,7 @@ def neg_correlations(
 
     Parameters
     ----------
-    first_queries : int or sequence of int
+    first_queries : 1-D sequence of int
         First query window of each segment.
     columns : (start, stop), optional
         Series windows to correlate against; all of them by default.
@@ -288,9 +274,9 @@ def neg_correlations(
         Where to write every row instead of the reused buffer.
     work : ndarray, optional
         The diagonals and the scratch, shape ``(2, B, n - window_len +
-        num_rows)`` (no B for an int); a caller that profiles batch after
-        batch passes the same one each time, so no call maps fresh pages,
-        and a stream's calls must.
+        num_rows)``; a caller that profiles batch after batch passes the
+        same one each time, so no call maps fresh pages, and a stream's
+        calls must.
     """
     sumsq, df, dg = stats.sumsq, stats.df, stats.dg
     first_queries = np.asarray(first_queries, dtype=np.intp)
@@ -299,82 +285,80 @@ def neg_correlations(
     col_sumsq = sumsq[start:stop]
     constant = np.flatnonzero(col_sumsq == 0.0)
     # Row i's query windows and their terms, as columns against the rows.
-    queries = first_queries[..., None] + np.arange(num_rows)
+    queries = first_queries[:, None] + np.arange(num_rows)
     q_df, q_dg, q_sumsq = (v[queries][..., None] for v in (df, dg, sumsq))
-    by_row = queries.reshape(-1, num_rows).T
+    by_row = queries.T
     flat = (sumsq[by_row] == 0.0).any(axis=1).tolist()
     # Each row's own windows in the range, as (segment, column) pairs in
     # row order; row i's are pairs cuts[i] to cuts[i + 1].
     own_row, own_segment = np.nonzero((start <= by_row) & (by_row < stop))
     own_column = by_row[own_row, own_segment] - start
     cuts = np.searchsorted(own_row, np.arange(num_rows + 1)).tolist()
-    # Diagonal j - i of row i sits at buffer[..., j - i + lead]: row 0
+    # Diagonal j - i of row i sits at buffer[:, j - i + lead]: row 0
     # seeds it from column 0 on, and column 0 of rows 1 to lead seeds the
-    # diagonals that start there, reversed, in buffer[..., :lead].
+    # diagonals that start there, reversed, in buffer[:, :lead].
     lead = num_rows - 1
     if work is None:
-        work = np.empty((2, *first_queries.shape, sumsq.size + lead))
+        work = np.empty((2, first_queries.size, sumsq.size + lead))
     buffer, scratch = work
     if start == 0:
-        seeded = buffer[..., lead : lead + sumsq.size]
-        _sliding_dots(stats, first_queries, 0, sumsq.size, out=seeded, scratch=scratch[..., : sumsq.size])
+        seeded = buffer[:, lead : lead + sumsq.size]
+        _sliding_dots(stats, first_queries, 0, sumsq.size, out=seeded, scratch=scratch[:, : sumsq.size])
         # A product with -1 is the same bits as a negation; numpy 2.4.6's
         # np.negative (x86-64) misreads arrays strided 8 float64 apart.
         np.multiply(seeded, -1.0, out=seeded)
         if lead:  # window 0's products with every segment's rows 1 to lead
             base = int(first_queries.min()) + 1
-            column0 = _sliding_dots(stats, 0, base, int(first_queries.max()) + lead + 1)
-            np.multiply(column0[queries[..., lead:0:-1] - base], -1.0, out=buffer[..., :lead])
+            column0 = _sliding_dots(stats, [0], base, int(first_queries.max()) + lead + 1)[0]
+            np.multiply(column0[queries[:, lead:0:-1] - base], -1.0, out=buffer[:, :lead])
     lo = max(1, start)  # column 0 is seeded
     dgs, dfs = dg[lo:stop], df[lo:stop]
     # With out, rows go in blocks of up to 128 kB, each taking its update
     # products and its denominators (where its rows go) in four calls:
     # fewer numpy calls wait less for the GIL beside other threads.
     # Without out a block is a row, taken in the scratch it ends in.
-    step = 1 if out is None else min(num_rows, max(1, (1 << 14) // out[..., 0, :].size))
-    terms = None if out is None else np.empty((2, *out[..., :step, lo - start :].shape))
+    step = 1 if out is None else min(num_rows, max(1, (1 << 14) // out[:, 0].size))
+    terms = None if out is None else np.empty((2, *out[:, :step, lo - start :].shape))
     for top in range(0, num_rows, step):
         end = min(top + step, num_rows)
         if out is not None:
-            block = out[..., top:end, :]
-            np.multiply(q_df[..., top:end, :], dgs, out=terms[0, ..., : end - top, :])
-            np.multiply(q_dg[..., top:end, :], dfs, out=terms[1, ..., : end - top, :])
-            np.multiply(q_sumsq[..., top:end, :], col_sumsq, out=block)
+            block = out[:, top:end]
+            np.multiply(q_df[:, top:end], dgs, out=terms[0, :, : end - top])
+            np.multiply(q_dg[:, top:end], dfs, out=terms[1, :, : end - top])
+            np.multiply(q_sumsq[:, top:end], col_sumsq, out=block)
             np.sqrt(block, out=block)
         # No yield runs under errstate, so none suspends the generator
         # with the caller's numpy warnings silenced.
         with np.errstate(divide="ignore", invalid="ignore"):
             for i in range(top, end):
-                cov = buffer[..., lo - i + lead : stop - i + lead]
+                cov = buffer[:, lo - i + lead : stop - i + lead]
                 if out is not None:
-                    rows = block[..., i - top, :]
+                    rows = block[:, i - top]
                     if i:
-                        np.subtract(cov, terms[0, ..., i - top, :], out=cov)
-                        np.subtract(cov, terms[1, ..., i - top, :], out=cov)
+                        np.subtract(cov, terms[0, :, i - top], out=cov)
+                        np.subtract(cov, terms[1, :, i - top], out=cov)
                 else:
-                    rows = scratch[..., :width]
+                    rows = scratch[:, :width]
                     if i:
-                        term = scratch[..., : cov.shape[-1]]
-                        np.multiply(dgs, q_df[..., i, :], out=term)
+                        term = scratch[:, : cov.shape[1]]
+                        np.multiply(dgs, q_df[:, i], out=term)
                         np.subtract(cov, term, out=cov)
-                        np.multiply(dfs, q_dg[..., i, :], out=term)
+                        np.multiply(dfs, q_dg[:, i], out=term)
                         np.subtract(cov, term, out=cov)
-                    np.multiply(col_sumsq, q_sumsq[..., i, :], out=rows)
+                    np.multiply(col_sumsq, q_sumsq[:, i], out=rows)
                     np.sqrt(rows, out=rows)
-                np.divide(buffer[..., start - i + lead : stop - i + lead], rows, out=rows)
+                np.divide(buffer[:, start - i + lead : stop - i + lead], rows, out=rows)
         for i in range(top, end):
-            rows = scratch[..., :width] if out is None else out[..., i, :]
+            rows = scratch[:, :width] if out is None else out[:, i]
             if constant.size:
-                rows[..., constant] = -0.5
+                rows[:, constant] = -0.5
             if flat[i]:
-                fixed = rows.reshape(-1, width)  # a view, one row per segment
                 flat_rows = np.flatnonzero(sumsq[by_row[i]] == 0.0)
-                fixed[flat_rows] = -0.5
-                fixed[np.ix_(flat_rows, constant)] = -1.0
+                rows[flat_rows] = -0.5
+                rows[np.ix_(flat_rows, constant)] = -1.0
             if cuts[i] < cuts[i + 1]:
                 own = slice(cuts[i], cuts[i + 1])
-                # (segment, column) pairs; the columns alone index 1-D rows.
-                rows[(own_segment[own], own_column[own])[-rows.ndim :]] = -1.0
+                rows[own_segment[own], own_column[own]] = -1.0
             yield rows
 
 
@@ -389,10 +373,10 @@ def neg_correlation_matrix(
     -------
     ndarray of shape (num_rows, n - window_len + 1)
     """
-    out = np.empty((num_rows, stats.sumsq.size))
-    for _ in neg_correlations(stats, first_query, num_rows, out=out):
+    out = np.empty((1, num_rows, stats.sumsq.size))
+    for _ in neg_correlations(stats, [first_query], num_rows, out=out):
         pass
-    return out
+    return out[0]
 
 
 def neg_correlation_to_distance(neg_rho, subseq_len: int, out=None) -> np.ndarray:

@@ -30,6 +30,15 @@ class TestLabelSequence:
         with pytest.raises(ValueError, match="integers"):
             LabelSequence(np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("top", [2**63, 2**64 - 1])
+    def test_rejects_uint64_past_int64(self, top):
+        # Cast to int64 they would wrap to negative ids, which the
+        # report would print as classes that are not in the input.
+        with pytest.raises(ValueError, match=f"label {top} "):
+            LabelSequence(np.array([top, 0], dtype=np.uint64))
+        largest = LabelSequence(np.array([2**63 - 1, 0], dtype=np.uint64))
+        assert largest.labels.tolist() == [2**63 - 1, 0]
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="non-empty"):
             LabelSequence(np.array([], dtype=np.int64))

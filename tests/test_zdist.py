@@ -193,11 +193,10 @@ def _streamed(stats, first_queries, num_rows, cuts):
 
     One :func:`neg_correlations` call per block, in order, on one workspace.
     """
-    shape = np.shape(first_queries)
-    work = np.empty((2, *shape, stats.sumsq.size + num_rows - 1))
+    work = np.empty((2, len(first_queries), stats.sumsq.size + num_rows - 1))
     blocks = []
     for start, stop in zip(cuts[:-1], cuts[1:]):
-        out = np.empty((*shape, num_rows, stop - start))
+        out = np.empty((len(first_queries), num_rows, stop - start))
         for _ in neg_correlations(stats, first_queries, num_rows, columns=(start, stop), out=out, work=work):
             pass
         blocks.append(out)
@@ -231,7 +230,7 @@ class TestNegCorrelationColumns:
         first_query = data.draw(st.integers(min_value=0, max_value=num_columns - 1))
         num_rows = data.draw(st.integers(min_value=1, max_value=num_columns - first_query))
         full = neg_correlation_matrix(stats, first_query, num_rows)
-        streamed = _streamed(stats, first_query, num_rows, cuts)
+        (streamed,) = _streamed(stats, [first_query], num_rows, cuts)
         np.testing.assert_array_equal(streamed.view(np.int64), full.view(np.int64))
 
     @given(st.data())
@@ -301,7 +300,7 @@ class TestNegCorrelationColumns:
             return [(np.ravel(call.args[1]).tolist(), *call.args[2:4]) for call in dots.call_args_list]
 
         assert calls(lambda: distance_row(series, stats, first_query, 0, 8)) == [([first_query], 0, 53)]
-        assert calls(lambda: _streamed(stats, first_query, 5, [0, 4, 10, 53])) == [
+        assert calls(lambda: _streamed(stats, [first_query], 5, [0, 4, 10, 53])) == [
             ([first_query], 0, 53),
             ([0], first_query + 1, first_query + 5),
         ]
