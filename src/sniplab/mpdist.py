@@ -27,46 +27,26 @@ At ``k > 2`` each segment's positions stream in order through the
 fewest equal parts whose kernel rows fit ``PART_BYTES``, whatever n or
 the worker count.  Part ``[lo, hi)`` reads kernel columns ``[lo, hi +
 width - 1)``; past the first part, the first ``width - 1`` are the last
-part's, copied with their column minima into a tail before any step
+part's, copied with their column minima into a tail before the filter
 changed them, and the kernel resumes the diagonals where the last part
-left them, so it computes each entry once.  A part takes three kinds of
-step in one part buffer: its kernel writes the ``-rho`` rows there and
-takes their column minima; filter steps then run the sliding minima in
-place, a few blocks of rows each; selection steps then fill its
-positions, a few tiles each.  A selection step copies each tile's
-columns of the filtered rows (transposed) and its sliding windows of
-the column minima into the rows of one reused C-ordered block, and
-partitions the block along its rows, so each tile's candidates are
-contiguous and stay in cache.  Every entry goes through the same float
-operations whatever the parts, the step or the thread, and an order
-statistic is one of the candidates, so the profile does not change by
-a bit.
+left them, so it computes each entry once.  A part runs three steps in
+one part buffer: its kernel writes the ``-rho`` rows there and takes
+their column minima; the sliding minima then filter the rows in place;
+the selection then fills its positions, a tile at a time.  It copies
+each tile's columns of the filtered rows (transposed) and its sliding
+windows of the column minima into the rows of one reused C-ordered
+block, and partitions the block along its rows, so each tile's
+candidates are contiguous and stay in cache.  Every entry goes through
+the same float operations whatever the parts or the thread, and an
+order statistic is one of the candidates, so the profile does not
+change by a bit.
 
-The parts are pipelined rather than run side by side, by an engine
-(:class:`_KthEngine`) whose at most two part buffers and helper threads
-serve every pass it runs until it is closed: a search runs its pass,
-and every profile its greedy rounds compute again, on one engine, and
-:func:`mpdist_profile` runs a one-worker pass of its own.  One thread
-at a time runs a kernel, parts in order, into a free buffer; every
-thread, the kernel's included whenever no kernel may start, takes the
-filter and then the selection steps of the parts already built, oldest
-first, and a part's buffer is free again once its last selection step
-has run.  With one worker the calling thread takes every step in one
-buffer and no thread starts.
-Idle threads wait on a condition: a thread spinning in Python keeps the
-GIL for whole switch intervals.
-
-One kernel at a time is a measured rule, not a setting.  The kernel is
-a few numpy calls per row, a few µs each; each releases the GIL only
-while it runs and waits for it after, so the kernel slows beside any
-thread that takes the GIL often.  On two cores (numpy 2.4) a kernel
-over 10,000 columns of an m = 1024 segment took 0.036-0.048 s alone,
-0.038 s beside a thread partitioning tiles (about 110 µs a call) and
-0.09-0.11 s beside one taking sliding minima (about 26 µs a call), and
-two such kernels took 0.12-0.13 s on two threads against 0.11 s one
-after the other.  A part's kernel call takes a batch of one segment:
-more would not make the calls longer, since a part buffer's bytes fix
-the entries a call covers.
+A profiler (:class:`_KthProfiler`) runs those steps for one segment
+after another on one thread, in one part buffer allocated once.  A
+search gives each thread that profiles a range of segments a profiler
+of its own, as at ``k <= 2`` (see
+:func:`~sniplab.snippets.select_snippets`), and :func:`mpdist_profile`
+makes one for its segment.
 
 At ``k <= 2`` a profile needs no rows held: :func:`mpdist_profile`
 runs one kernel call on the calling thread, and a search profiles its
@@ -83,8 +63,6 @@ batches cut the per-call overhead.
 from __future__ import annotations
 
 import math
-import threading
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +74,7 @@ from .zdist import neg_correlation_to_distance, neg_correlations
 from .zdist import segment_distance_matrix  # noqa: F401  bench/layers.py wraps it by this name
 
 # Bytes of a k > 2 part buffer, a part's column minima and width kernel
-# rows; a pass holds two at most, however long the series.  A segment
+# rows; each profiling thread holds one, however long the series.  A segment
 # takes the fewest equal parts that fit (six of 3,162-3,163 positions at
 # m = 1024, n = 20,000), each of at least width positions, so the width
 # - 1 columns a part shares with the next stay under half a buffer.
@@ -107,11 +85,6 @@ PART_BYTES = 1 << 24
 # columns, 4-row blocks took 40 ms against 80 ms for 16-row blocks and
 # 158 ms for scipy's minimum_filter1d.
 _BLOCK_BYTES = 1 << 19
-
-# Blocks a step of a k > 2 pass takes: a filter step runs the sliding
-# minima over this many blocks of rows, a selection step over this many
-# tiles.
-_TASK_BLOCKS = 4
 
 
 def default_window_size(snippet_size: int, l_frac: float = 0.5) -> int:
@@ -279,246 +252,71 @@ def _min_profiles(stats, params: MPdistParams, segments, work=None) -> np.ndarra
     return _sliding_min_rows(minima, width, scratch=work[1])
 
 
-@dataclass(eq=False)
-class _Flight:
-    """A part whose kernel has run: its buffer slot and the steps it has left."""
+class _KthProfiler:
+    """``k > 2`` profiles, one segment after another, on the calling thread.
 
-    part: tuple[int, int, int]
-    slot: int
-    steps: deque
-    selects: list | None  # queued once every filter step has run
-    running: int = 0
-
-
-class _KthEngine:
-    """``k > 2`` profiles on one set of part buffers and threads, a pass per :meth:`profiles` call.
-
-    Its at most two part buffers, the tail a part leaves the next, its
-    kernel workspace and its ``threads`` threads (at most ``workers``,
-    and no more than the parts of ``num_segments`` segments), each with
-    its scratch, serve every pass.  The buffers, the tail and the helper
-    threads come with a pass, the threads wait on a condition between
-    passes, and :meth:`close` joins them and drops the buffers and tail.
+    It allocates once the one part buffer, the tail a part leaves the
+    next, the kernel workspace, the sliding-minimum scratch and the
+    selection block that all its profiles share; a thread that profiles
+    a range of segments makes one of its own.
     """
 
-    def __init__(self, stats, params: MPdistParams, workers: int, num_segments: int):
+    def __init__(self, stats, params: MPdistParams):
         width = params.profile_width
         self.splits = _parts(stats.centred.size, params)
         self.stats, self.width, self.snippet_size = stats, width, params.snippet_size
-        self.threads = min(workers, num_segments * len(self.splits))
         self.num_positions = self.splits[-1][1]
-        self.columns = max(hi - lo for lo, hi in self.splits) + width - 1
+        columns = max(hi - lo for lo, hi in self.splits) + width - 1
         # Positions per selection tile: a tile's 2 * width float64
         # candidates per position take 16 * width bytes, so a tile fills
         # _BLOCK_BYTES (63 positions at width 513, 3,640 at width 9).
         self.tile = max(1, _BLOCK_BYTES // (16 * width))
         # kth = 2 * width - 1 (the largest candidate) covers k >= 2 * width.
         self.kth = min(params.k, 2 * width) - 1
-        self.slots = min(2, self.threads)  # part buffers, made by a pass
-        self.buffers = self.windows = self.tail = []
-        # Only one kernel runs at a time, and a segment's parts in order,
-        # so one workspace serves all and carries each segment's diagonals.
+        # The part buffer holds a part's column minima, then its width
+        # kernel rows.  Its sliding windows of the minima are taken once,
+        # over the longest part's columns.
+        self.buffer = np.empty((width + 1) * columns)
+        self.windows = sliding_window_view(self.buffer[:columns], width)
+        self.tail = np.empty((width + 1, width - 1))
+        # A segment's parts run in order, so one workspace carries its diagonals.
         self.work = np.empty((2, 1, stats.sumsq.size + width - 1))
-        self.scratch = self._scratch()  # the calling thread's
-        self.lock = threading.Condition()
-        self.helpers = []
-        self._begin([])
-        self._reset()
-
-    def _rows(self, slot: int, lo: int, hi: int):
-        """Positions [lo, hi)'s column minima (row 0) and kernel rows in part buffer ``slot``."""
-        columns = hi - lo + self.width - 1
-        return self.buffers[slot][: (self.width + 1) * columns].reshape(self.width + 1, columns)
-
-    def _scratch(self):
-        """One thread's sliding-minimum scratch and its selection block, in one array."""
-        block = (min(self.tile, self.num_positions), 2 * self.width)
-        flat = np.empty(max(_BLOCK_BYTES // 8, self.columns, math.prod(block)))
-        return flat, flat[: math.prod(block)].reshape(block)
-
-    def _build(self, part, slot: int) -> None:
-        # Positions [lo, hi) read kernel columns [lo, hi + width - 1), past
-        # the first part the first width - 1 from the last part's tail.
-        s, lo, hi = part
-        rows = self._rows(slot, lo, hi)
-        if lo == 0:
-            self.best[s] = np.empty(self.num_positions)
-        done = 0 if lo == 0 else self.width - 1
-        rows[:, :done] = self.tail[:, :done]
-        new = rows[:, done:]
-        columns = (lo + done, hi + self.width - 1)
-        for _ in neg_correlations(self.stats, [self.starts[s]], self.width, columns=columns, out=new[None, 1:], work=self.work):
-            pass
-        np.min(new[1:], axis=0, out=new[0])  # nearest segment window per column
-        self.tail[...] = rows[:, hi - lo :]  # the next part's, before a filter step runs
-
-    def _steps(self, part):
-        """A part's row-filter chunks of rows and its selection chunks of positions."""
-        _, lo, hi = part
-        rows = _TASK_BLOCKS * max(1, _BLOCK_BYTES // (8 * (hi - lo + self.width - 1)))
-        positions = _TASK_BLOCKS * self.tile
-        filters = [(self._filter, r, min(r + rows, self.width)) for r in range(0, self.width, rows)]
-        selects = [(self._select, p, min(p + positions, hi - lo)) for p in range(0, hi - lo, positions)]
-        return filters, selects
-
-    def _filter(self, part, slot: int, r0: int, r1: int, scratch) -> None:
-        rows = self._rows(slot, *part[1:])[1:]
-        _sliding_min_rows(rows[r0:r1], self.width, scratch=scratch[0])
-
-    def _select(self, part, slot: int, p0: int, p1: int, scratch) -> None:
-        # Each row of a tile's block holds one position's 2 * width
-        # candidates: its row-filtered column of the kernel rows, then its
-        # window of the column minima.
-        s, lo, hi = part
-        rows = self._rows(slot, lo, hi)[1:]
-        windows = self.windows[slot]
-        best = self.best[s][lo:hi]
-        for a in range(p0, p1, self.tile):
-            b = min(a + self.tile, p1)
-            candidates = scratch[1][: b - a]
-            candidates[:, : self.width] = rows[:, a:b].T
-            candidates[:, self.width :] = windows[a:b]
-            candidates.partition(self.kth, axis=1)
-            best[a:b] = candidates[:, self.kth]
-
-    def _begin(self, segments) -> None:
-        # A pass's parts, in order, and its progress.
-        self.starts = [s * self.snippet_size for s in segments]
-        self.parts = [(s, lo, hi) for s in range(len(self.starts)) for lo, hi in self.splits]
-        self.started = 0  # parts whose kernel has started
-        self.left = [len(self.splits)] * len(self.starts)  # parts not yet selected, per segment
-        self.yielded = 0
-        self.best = {}  # segment position -> its profile, from its first part's kernel on
-
-    def _reset(self) -> None:
-        # No thread runs a step: every buffer is free and nothing is in flight.
-        self.free = list(range(self.slots))
-        self.kernel_busy = False
-        self.active = []  # in-flight parts, oldest first
-        self.error = None
-        self.stopped = False
+        block = (min(self.tile, self.num_positions), 2 * width)
+        self.scratch = np.empty(max(_BLOCK_BYTES // 8, columns, math.prod(block)))
+        self.block = self.scratch[: math.prod(block)].reshape(block)
 
     def profiles(self, segments):
-        """One pass: the negated-correlation profile of each of ``segments``, in order.
-
-        Every thread takes, in this order: (the calling thread only) the
-        next segment's profile once all its parts are selected; the next
-        part's kernel, when no kernel runs, a part buffer is free and the
-        part's segment is fewer than three ahead of the last one taken;
-        a step of the oldest part in flight with steps left.  A part's
-        selection steps are queued once all its filter steps have run,
-        and its buffer is freed once all its selection steps have.  A
-        pass that fails, or is closed before its last profile, closes
-        the engine, and the first exception in any thread is raised here.
-        """
-        if not self.buffers:
-            # Each part buffer holds a part's column minima, then its width
-            # kernel rows.  A buffer's sliding windows of the minima are
-            # taken once, over its longest part's columns.
-            self.buffers = [np.empty((self.width + 1) * self.columns) for _ in range(self.slots)]
-            self.windows = [
-                sliding_window_view(b[: self.columns], self.width) for b in self.buffers
-            ]
-            self.tail = np.empty((self.width + 1, self.width - 1))
-        with self.lock:
-            self._begin(segments)
-            self.lock.notify_all()
-        while len(self.helpers) < self.threads - 1:
-            self.helpers.append(threading.Thread(target=self._help, daemon=True))
-            self.helpers[-1].start()
-        try:
-            while (task := self._take(caller=True)) is not None:
-                if isinstance(task, np.ndarray):
-                    yield task
-                    continue
-                try:
-                    self._run(task, self.scratch)
-                except Exception as exc:
-                    self._fail(exc)
-            if self.error is not None:
-                raise self.error
-        finally:
-            # Once the last profile is out, every step has run.
-            if self.yielded < len(self.left) or self.error is not None:
-                self.close()
-
-    def close(self) -> None:
-        """Join the helper threads and drop the part buffers; a later pass makes both again."""
-        with self.lock:
-            self.stopped = True
-            self.lock.notify_all()
-        for thread in self.helpers:
-            thread.join()
-        self.helpers = []
-        self.buffers = self.windows = self.tail = []
-        self._reset()
-
-    def _help(self) -> None:
-        scratch = self._scratch()
-        try:
-            while (task := self._take(caller=False)) is not None:
-                self._run(task, scratch)
-        except BaseException as exc:  # raised again on the calling thread
-            self._fail(exc)
-
-    def _fail(self, exc: BaseException) -> None:
-        with self.lock:
-            if self.error is None:
-                self.error = exc
-            self.lock.notify_all()
-
-    def _take(self, caller: bool):
-        """This thread's next task, a finished profile, or None once there is none left."""
-        with self.lock:
-            while not self.stopped and self.error is None:
-                if caller and self.yielded < len(self.left) and self.left[self.yielded] == 0:
-                    self.yielded += 1
-                    self.lock.notify_all()
-                    return self.best.pop(self.yielded - 1)
-                # Profiles the consumer has not read yet cannot pile up.
-                if (
-                    not self.kernel_busy
-                    and self.free
-                    and self.started < len(self.parts)
-                    and self.parts[self.started][0] < self.yielded + 3
-                ):
-                    self.kernel_busy = True
-                    self.started += 1
-                    return None, (self.parts[self.started - 1], self.free.pop())
-                for flight in self.active:
-                    if flight.steps:
-                        flight.running += 1
-                        return flight, flight.steps.popleft()
-                if caller and self.yielded == len(self.left):
-                    return None
-                self.lock.wait()
-            return None
-
-    def _run(self, task, scratch) -> None:
-        flight, step = task
-        if flight is None:  # a kernel
-            part, slot = step
-            self._build(part, slot)
-            filters, selects = self._steps(part)
-            with self.lock:
-                self.kernel_busy = False
-                self.active.append(_Flight(part, slot, deque(filters), selects))
-                self.lock.notify_all()
-            return
-        method, a, b = step
-        method(flight.part, flight.slot, a, b, scratch)
-        with self.lock:
-            flight.running -= 1
-            if flight.steps or flight.running:
-                return
-            if flight.selects:
-                flight.steps.extend(flight.selects)
-                flight.selects = None
-            else:
-                self.active.remove(flight)
-                self.free.append(flight.slot)
-                self.left[flight.part[0]] -= 1
-            self.lock.notify_all()
+        """The negated-correlation profile of each of ``segments``, in order, each the caller's."""
+        width = self.width
+        for segment in segments:
+            best = np.empty(self.num_positions)
+            for lo, hi in self.splits:
+                # Positions [lo, hi) read kernel columns [lo, hi + width - 1),
+                # past the first part the first width - 1 from the last
+                # part's tail.
+                columns = hi - lo + width - 1
+                rows = self.buffer[: (width + 1) * columns].reshape(width + 1, columns)
+                done = 0 if lo == 0 else width - 1
+                rows[:, :done] = self.tail[:, :done]
+                new = rows[:, done:]
+                span = (lo + done, hi + width - 1)
+                start = [segment * self.snippet_size]
+                for _ in neg_correlations(self.stats, start, width, columns=span, out=new[None, 1:], work=self.work):
+                    pass
+                np.min(new[1:], axis=0, out=new[0])  # nearest segment window per column
+                self.tail[...] = rows[:, hi - lo :]  # the next part's, before the filter runs
+                _sliding_min_rows(rows[1:], width, scratch=self.scratch)
+                # Each row of a tile's block holds one position's 2 * width
+                # candidates: its row-filtered column of the kernel rows,
+                # then its window of the column minima.
+                for a in range(0, hi - lo, self.tile):
+                    b = min(a + self.tile, hi - lo)
+                    candidates = self.block[: b - a]
+                    candidates[:, :width] = rows[1:, a:b].T
+                    candidates[:, width:] = self.windows[a:b]
+                    candidates.partition(self.kth, axis=1)
+                    best[lo + a : lo + b] = candidates[:, self.kth]
+            yield best
 
 
 def mpdist_profile(
@@ -564,6 +362,6 @@ def mpdist_profile(
     if params.k <= 2:
         best = _min_profiles(stats, params, [segment_index])[0]
     else:
-        (best,) = _KthEngine(stats, params, 1, 1).profiles([segment_index])
+        (best,) = _KthProfiler(stats, params).profiles([segment_index])
     values = neg_correlation_to_distance(best, params.window_size, out=best)
     return MPdistProfile(segment_index=segment_index, values=values)

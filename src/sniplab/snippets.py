@@ -22,12 +22,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, closing
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mpdist import MPdistParams, MPdistProfile, _batch_size, _KthEngine, _min_profiles
+from .mpdist import MPdistParams, MPdistProfile, _batch_size, _KthProfiler, _min_profiles
 from .mpdist import mpdist_profile
 from .series import TimeSeries
 from .zdist import compute_sliding_stats, neg_correlation_to_distance
@@ -38,17 +38,19 @@ WORKERS_ENV = "SNIPLAB_WORKERS"
 def resolve_workers(workers: int | None = None) -> int:
     """``workers`` if given, else ``SNIPLAB_WORKERS``, 1 when unset.
 
-    Raises ``ValueError`` for a given count below 1, or naming the
-    variable unless it is a positive integer.
+    Raises ``ValueError`` for a given count that is not an integer or is
+    below 1, or naming the variable unless it is a positive integer.
     """
     if workers is None:
         raw = os.environ.get(WORKERS_ENV, "1")
         if not raw.strip().isdecimal() or int(raw) < 1:
             raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
         return int(raw)
+    if not isinstance(workers, (int, np.integer)):
+        raise ValueError(f"worker count must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-    return workers
+    return int(workers)
 
 
 @dataclass(frozen=True)
@@ -178,16 +180,14 @@ def _batched_rows(stats, params: MPdistParams, first: int, stop: int, batch: int
         yield from enumerate(distances, lo)
 
 
-def _kth_rows(engine: _KthEngine, params: MPdistParams, first: int, stop: int):
+def _kth_rows(profiler: _KthProfiler, params: MPdistParams, first: int, stop: int):
     """Profiles of segments ``[first, stop)`` at ``k > 2``, as ``(index, distances)``.
 
-    They come from one pass of ``engine``.  Each row is the caller's to
-    keep, bit for bit :func:`~sniplab.mpdist.mpdist_profile`'s.  Closing
-    the generator early stops the pass and joins its threads.
+    They come from ``profiler``, on the calling thread.  Each row is the
+    caller's to keep, bit for bit :func:`~sniplab.mpdist.mpdist_profile`'s.
     """
-    with closing(engine.profiles(range(first, stop))) as best:
-        for index, row in enumerate(best, first):
-            yield index, neg_correlation_to_distance(row, params.window_size, out=row)
+    for index, row in enumerate(profiler.profiles(range(first, stop)), first):
+        yield index, neg_correlation_to_distance(row, params.window_size, out=row)
 
 
 class _ProfileStore:
@@ -288,138 +288,131 @@ def select_snippets(
         ``2 * sqrt(window_size)``) raises ``ValueError``.
     workers : int, optional
         Profiling threads; defaults to the ``SNIPLAB_WORKERS``
-        environment variable, else 1.  At ``k > 2`` the pass runs on
-        them as one pipeline (see :mod:`sniplab.mpdist`): each segment
-        streams through parts of at most ``PART_BYTES``, one thread runs
-        a part's kernel while the others filter and select the parts
-        already built, and a greedy round's recomputed profile runs the
-        same way, on the pass's threads and part buffers; a search that
-        keeps its rows joins the threads and drops the buffers once the
-        pass ends.  At ``k <= 2`` the segments are split into one
-        contiguous range per thread, each profiled a batch of segments
-        per kernel call.  The result does not depend on it; a count
-        below 1 raises ``ValueError``.
+        environment variable, else 1.  The segments are split into one
+        contiguous range per thread, at most one per segment, for every
+        k: at ``k <= 2`` a thread profiles its range a batch of segments
+        per kernel call, and at ``k > 2`` one segment after another
+        through parts of at most ``PART_BYTES`` in one part buffer of
+        its own (see :mod:`sniplab.mpdist`).  This thread's buffer
+        serves the greedy rounds' recomputes too, and goes once the pass
+        ends when the search keeps its rows.  The result does not depend
+        on it; a count that is not an integer of at least 1 raises
+        ``ValueError``.
 
     Returns
     -------
     SnippetResult
     """
     num_segments = _check_count(series, params.snippet_size, num_snippets)
-    workers = resolve_workers(workers)
+    count = min(resolve_workers(workers), num_segments)  # contiguous ranges, one per thread
     num_windows = series.n - params.snippet_size + 1
     top = 2.0 * math.sqrt(params.window_size)  # the largest MPdist entry
-    count = 1  # contiguous ranges of segments the pass takes, one per thread (k <= 2)
     held = None  # the pass's float64 rows, when it keeps them for the greedy
-    with ExitStack() as stack:
-        if profiles is not None:
-            if len(profiles) != num_segments:
+    if profiles is not None:
+        if len(profiles) != num_segments:
+            raise ValueError(
+                f"got {len(profiles)} profiles for {num_segments} segments"
+            )
+        cap = (1 + 2**-16) * top  # spares a caller's last-bit rounding
+        for i, profile in enumerate(profiles):
+            if profile.segment_index != i:
                 raise ValueError(
-                    f"got {len(profiles)} profiles for {num_segments} segments"
+                    f"profile at position {i} is for segment {profile.segment_index}"
                 )
-            cap = (1 + 2**-16) * top  # spares a caller's last-bit rounding
-            for i, profile in enumerate(profiles):
-                if profile.segment_index != i:
-                    raise ValueError(
-                        f"profile at position {i} is for segment {profile.segment_index}"
-                    )
-                if len(profile) != num_windows:
-                    raise ValueError(
-                        f"profile {i} has length {len(profile)}, expected {num_windows}"
-                    )
-                if profile.values.max() >= cap:
-                    raise ValueError(
-                        f"profile {i} has an entry of {profile.values.max()!r}, at or "
-                        f"above {cap!r}, beyond any MPdist of window size {params.window_size}"
-                    )
+            if len(profile) != num_windows:
+                raise ValueError(
+                    f"profile {i} has length {len(profile)}, expected {num_windows}"
+                )
+            if profile.values.max() >= cap:
+                raise ValueError(
+                    f"profile {i} has an entry of {profile.values.max()!r}, at or "
+                    f"above {cap!r}, beyond any MPdist of window size {params.window_size}"
+                )
+
+        def rows(first: int, stop: int):
+            return ((i, profiles[i].values) for i in range(first, stop))
+
+        fetch = profiles.__getitem__
+    else:
+        stats = compute_sliding_stats(series, params.window_size)
+        if params.k <= 2:
+            batch = _batch_size(stats.sumsq.size, num_segments)
 
             def rows(first: int, stop: int):
-                return ((i, profiles[i].values) for i in range(first, stop))
+                return _batched_rows(stats, params, first, stop, batch)
 
-            fetch = profiles.__getitem__
+            def fetch(index: int) -> MPdistProfile:
+                return mpdist_profile(series, index, params, stats=stats)
+
         else:
-            stats = compute_sliding_stats(series, params.window_size)
-            if params.k <= 2:
-                count = min(workers, num_segments)
-                batch = _batch_size(stats.sumsq.size, num_segments)
+            # This thread's profiler takes the first range and every row
+            # the greedy recomputes; every other range's thread makes its own.
+            profiler = _KthProfiler(stats, params)
 
-                def rows(first: int, stop: int):
-                    return _batched_rows(stats, params, first, stop, batch)
+            def rows(first: int, stop: int):
+                mine = profiler if first == 0 else _KthProfiler(stats, params)
+                return _kth_rows(mine, params, first, stop)
 
-                def fetch(index: int) -> MPdistProfile:
-                    return mpdist_profile(series, index, params, stats=stats)
+            def fetch(index: int) -> MPdistProfile:
+                ((_, values),) = _kth_rows(profiler, params, index, index + 1)
+                return MPdistProfile(segment_index=index, values=values)
 
-            else:
-                # One engine profiles the pass and every row the greedy
-                # recomputes, and its threads are joined however the
-                # search ends.
-                engine = _KthEngine(stats, params, workers, num_segments)
-                stack.enter_context(closing(engine))
+        if num_segments <= params.profile_width:
+            held = [None] * num_segments
+            fetch = held.__getitem__
 
-                def rows(first: int, stop: int):
-                    return _kth_rows(engine, params, first, stop)
+    store = _ProfileStore(num_segments, num_windows, top)
+    lower = np.empty(num_segments)  # round 1's bounds are its exact areas
+    maxima = np.empty(num_segments)
 
-                def fetch(index: int) -> MPdistProfile:
-                    ((_, values),) = rows(index, index + 1)
-                    return MPdistProfile(segment_index=index, values=values)
-
-            if num_segments <= params.profile_width:
-                held = [None] * num_segments
-                fetch = held.__getitem__
-
-        store = _ProfileStore(num_segments, num_windows, top)
-        lower = np.empty(num_segments)  # round 1's bounds are its exact areas
-        maxima = np.empty(num_segments)
-
-        def take(index: int, values: np.ndarray) -> tuple[int, np.ndarray]:
-            # The pass reads each segment's profile once: its round-1 area,
-            # its largest entry and its codes, a copy when the rows are
-            # held, then its share of the nearest segments.
-            lower[index] = values.sum()
-            maxima[index] = values.max()
-            store.keep(index, values)
-            if held is not None:
-                held[index] = MPdistProfile(segment_index=index, values=values)
-            return index, values
-
-        def profile_range(first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-            with closing(rows(first, stop)) as pairs:
-                return _nearest_rows(take(i, values) for i, values in pairs)
-
-        # Each range, the first on this thread, writes its own entries of
-        # lower, maxima, the codes and the held rows, and the ranges'
-        # nearest segments merge in range order, ties to the lower range.
-        # A pool with nothing to map starts no thread.
-        bounds = [num_segments * i // count for i in range(count + 1)]
-        with ThreadPoolExecutor(max_workers=max(1, count - 1)) as pool:
-            rest = pool.map(profile_range, bounds[1:-1], bounds[2:])
-            parts = [profile_range(0, bounds[1]), *rest]
-        _, nearest = _nearest_rows((labels, best) for best, labels in parts)
+    def take(index: int, values: np.ndarray) -> tuple[int, np.ndarray]:
+        # The pass reads each segment's profile once: its round-1 area,
+        # its largest entry and its codes, a copy when the rows are
+        # held, then its share of the nearest segments.
+        lower[index] = values.sum()
+        maxima[index] = values.max()
+        store.keep(index, values)
         if held is not None:
-            # With its rows held a search needs no engine after the pass:
-            # its threads are joined and its part buffers dropped here.
-            stack.close()
+            held[index] = MPdistProfile(segment_index=index, values=values)
+        return index, values
 
-        # Every round takes exact areas in (bound, index) order and stops at
-        # the first bound past the smallest (area, index) so far.  An
-        # unscanned segment has (area, index) >= (bound, index) > that, so
-        # the smallest measured is the float64 argmin.
-        chosen: dict[int, MPdistProfile] = {}  # segment index -> profile, in pick order
-        curve = np.full(num_windows, np.inf)
-        scratch = np.empty(num_windows)
-        for _ in range(num_snippets):
-            if chosen:
-                lower = store.lower_bounds(curve)
-                lower[list(chosen)] = np.inf
-            best_area, best_index = np.inf, num_segments
-            for index in np.argsort(lower, kind="stable"):
-                if (lower[index], index) > (best_area, best_index):
-                    break
-                profile = fetch(int(index))
-                area = np.minimum(profile.values, curve, out=scratch).sum()
-                if (area, index) < (best_area, best_index):
-                    best, best_area, best_index = profile, area, index
-            chosen[best.segment_index] = best
-            np.minimum(curve, best.values, out=curve)
+    def profile_range(first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        with closing(rows(first, stop)) as pairs:
+            return _nearest_rows(take(i, values) for i, values in pairs)
+
+    # Each range, the first on this thread, writes its own entries of
+    # lower, maxima, the codes and the held rows, and the ranges'
+    # nearest segments merge in range order, ties to the lower range.
+    # A pool with nothing to map starts no thread.
+    bounds = [num_segments * i // count for i in range(count + 1)]
+    with ThreadPoolExecutor(max_workers=max(1, count - 1)) as pool:
+        rest = pool.map(profile_range, bounds[1:-1], bounds[2:])
+        parts = [profile_range(0, bounds[1]), *rest]
+    _, nearest = _nearest_rows((labels, best) for best, labels in parts)
+    if held is not None:
+        profiler = None  # with its rows held, the search needs no k > 2 part buffer
+
+    # Every round takes exact areas in (bound, index) order and stops at
+    # the first bound past the smallest (area, index) so far.  An
+    # unscanned segment has (area, index) >= (bound, index) > that, so
+    # the smallest measured is the float64 argmin.
+    chosen: dict[int, MPdistProfile] = {}  # segment index -> profile, in pick order
+    curve = np.full(num_windows, np.inf)
+    scratch = np.empty(num_windows)
+    for _ in range(num_snippets):
+        if chosen:
+            lower = store.lower_bounds(curve)
+            lower[list(chosen)] = np.inf
+        best_area, best_index = np.inf, num_segments
+        for index in np.argsort(lower, kind="stable"):
+            if (lower[index], index) > (best_area, best_index):
+                break
+            profile = fetch(int(index))
+            area = np.minimum(profile.values, curve, out=scratch).sum()
+            if (area, index) < (best_area, best_index):
+                best, best_area, best_index = profile, area, index
+        chosen[best.segment_index] = best
+        np.minimum(curve, best.values, out=curve)
 
     counts = np.bincount(nearest, minlength=num_segments)
     snippets = [

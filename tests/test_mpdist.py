@@ -1,9 +1,8 @@
 import math
-import sys
 import threading
-import time
 import tracemalloc
-from contextlib import closing
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -255,13 +254,21 @@ class TestMPdistProfileExact:
 
 
 def _kth_pass(stats, params, segments, workers):
-    """Negated-correlation ``k > 2`` profiles of ``segments`` from one pass.
+    """Negated-correlation ``k > 2`` profiles of ``segments``, in order.
 
-    The pass runs on a ``workers``-thread engine of its own, closed when
-    the pass ends, fails or is closed early.
+    As in a search, the segments split into ``min(workers, len(segments))``
+    contiguous ranges, each profiled on a thread of its own by a profiler
+    of its own.
     """
-    with closing(mpdist._KthEngine(stats, params, workers, len(segments))) as engine:
-        yield from engine.profiles(segments)
+    segments = list(segments)
+    count = min(workers, len(segments))
+    bounds = [len(segments) * i // count for i in range(count + 1)]
+
+    def profile(first, stop):
+        return list(mpdist._KthProfiler(stats, params).profiles(segments[first:stop]))
+
+    with ThreadPoolExecutor(count) as pool:
+        return [row for rows in pool.map(profile, bounds[:-1], bounds[1:]) for row in rows]
 
 
 def _part_bytes(params, size):
@@ -271,14 +278,14 @@ def _part_bytes(params, size):
 
 
 def _assert_split_profile(series, seg, params, stats, expected):
-    # mpdist_profile (one worker), and at k > 2 one-segment passes at two
-    # and three workers.
+    # mpdist_profile, and at k > 2 a profiler that has profiled another
+    # segment first, so its part buffer, tail and workspace come used.
     np.testing.assert_array_equal(mpdist_profile(series, seg, params, stats=stats).values, expected)
     if params.k > 2:
-        for workers in (2, 3):
-            (row,) = _kth_pass(stats, params, [seg], workers)
-            distances = neg_correlation_to_distance(row, params.window_size)
-            np.testing.assert_array_equal(distances, expected, err_msg=f"{workers} workers")
+        other = (seg + 1) % (series.n // params.snippet_size)
+        _, row = mpdist._KthProfiler(stats, params).profiles([other, seg])
+        distances = neg_correlation_to_distance(row, params.window_size)
+        np.testing.assert_array_equal(distances, expected, err_msg=f"after segment {other}")
 
 
 class TestMPdistProfileSplit:
@@ -287,8 +294,7 @@ class TestMPdistProfileSplit:
     def test_split_equals_distance_space_selection(self, values, data):
         # Parts of at most width to width + 3 positions split every
         # segment of at least twice the width, so a part's first columns
-        # come from the last part's tail, and a snippet length near n
-        # gives more workers than parts.
+        # come from the last part's tail.
         n = values.size
         m = data.draw(st.integers(min_value=2, max_value=n))
         l = data.draw(st.integers(min_value=1, max_value=m))
@@ -315,7 +321,7 @@ class TestMPdistProfileSplit:
     def test_tiled_selection_equals_distance_space_selection(self, values, data):
         # Tiles of 1, 2 or 3 positions put tile boundaries all through
         # every part of width to 2 * width positions, part boundaries
-        # included, at workers 1, 2 and 3.
+        # included.
         series = TimeSeries(values)
         m = data.draw(st.integers(min_value=2, max_value=series.n))
         l = data.draw(st.integers(min_value=1, max_value=m))
@@ -360,8 +366,7 @@ class TestMPdistProfileSplit:
         # position apart.  Each holds at least width positions unless
         # the segment has fewer, and at most PART_BYTES unless it has
         # fewer than 2 * width (at m = 2000 here), and one part fewer
-        # would not fit.  A pass's part buffers are the same size at any
-        # worker count.
+        # would not fit.  A profiler's part buffer fits its longest part.
         params = MPdistParams(snippet_size=m, window_size=l)
         width = params.profile_width
         num_positions = n - m + 1
@@ -379,8 +384,8 @@ class TestMPdistProfileSplit:
         if len(parts) > 1:
             assert part_bytes(-(-num_positions // (len(parts) - 1))) > mpdist.PART_BYTES
         stats = compute_sliding_stats(TimeSeries(np.sin(np.arange(n) / 7.0)), params.window_size)
-        columns = {mpdist._KthEngine(stats, params, workers, n // m).columns for workers in (1, 2, 3)}
-        assert columns == {max(sizes) + width - 1}
+        profiler = mpdist._KthProfiler(stats, params)
+        assert profiler.buffer.size == (width + 1) * (max(sizes) + width - 1)
         if (n, m) == (20000, 1024):
             assert sizes == [3162] + [3163] * 5
         if m in (8, 4000, 2000):
@@ -396,15 +401,15 @@ def _kth_pass_case(n=3000, m=64, seed=5):
 
 
 class TestKthPass:
-    """The k > 2 pass: one kernel at a time, two part buffers, threads joined."""
+    """The k > 2 pass: a profiler per range of segments, threads joined."""
 
     @given(_series_with_flat_runs(), st.data())
     @settings(max_examples=80, deadline=None)
     def test_pass_equals_distance_space_selection(self, values, data):
         # Every segment of one pass, streamed through parts of at most
         # width to width + 3 positions, with a flat run across the first
-        # part boundary, and filter and selection steps of a row or a few
-        # positions each.  select_snippets runs the same pass and, with no
+        # part boundary, and selection tiles of a few positions each, over
+        # one, two or three ranges.  select_snippets runs the same pass and, with no
         # more segments than the profile width, holds its rows; its result
         # must be the one it gives on the oracle's profiles.
         n = values.size
@@ -429,8 +434,7 @@ class TestKthPass:
         reference = select_snippets(series, params, num_snippets, profiles=oracle)
         tile = data.draw(st.sampled_from([1, 2, 3]))
         with mock.patch.object(mpdist, "PART_BYTES", part_bytes), \
-                mock.patch.object(mpdist, "_BLOCK_BYTES", 16 * width * tile), \
-                mock.patch.object(mpdist, "_TASK_BLOCKS", 1):
+                mock.patch.object(mpdist, "_BLOCK_BYTES", 16 * width * tile):
             for workers in (1, 2, 3):
                 rows = _kth_pass(stats, params, range(count), workers)
                 for i, row in enumerate(rows):
@@ -443,56 +447,14 @@ class TestKthPass:
                 for got, want in zip(result.profiles, reference.profiles):
                     assert got.values.tobytes() == want.values.tobytes()
 
-    def test_one_kernel_at_a_time(self, monkeypatch):
-        # Three threads over 46 segments of three parts each, with the
-        # interpreter switching threads every microsecond: no two kernels
-        # ever run at once, each part's kernel runs once, and selection
-        # steps do run beside a kernel.
-        series, params, stats = _kth_pass_case()
-        monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, 979))
-        kernel = mpdist.neg_correlations
-        select = mpdist._KthEngine._select
-        lock = threading.Lock()
-        running = []
-        calls = overlaps = peak = 0
-
-        def counted(*args, **kwargs):
-            nonlocal calls, peak
-            with lock:
-                running.append(None)
-                calls += 1
-                peak = max(peak, len(running))
-            try:
-                yield from kernel(*args, **kwargs)
-            finally:
-                with lock:
-                    running.pop()
-
-        def selecting(*args, **kwargs):
-            nonlocal overlaps
-            overlaps += bool(running)
-            return select(*args, **kwargs)
-
-        monkeypatch.setattr(mpdist, "neg_correlations", counted)
-        monkeypatch.setattr(mpdist._KthEngine, "_select", selecting)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            rows = list(_kth_pass(stats, params, range(46), 3))
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(rows) == 46
-        assert (calls, peak) == (46 * 3, 1)
-        assert overlaps > 0
-
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("size", [None, 33, 100, 979])
     def test_kernel_computes_each_entry_once(self, monkeypatch, workers, size):
         # The kernel calls of a pass over five segments, each whole or
         # streamed through parts of at most 33 (the width), 100 or 979
         # positions, compute each segment's width x (n - l + 1) entries
-        # once, at any worker count: no part recomputes the columns the
-        # last one left.
+        # once, over any number of ranges: no part recomputes the columns
+        # the last one left.
         series, params, stats = _kth_pass_case()
         if size is not None:
             monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, size))
@@ -510,100 +472,105 @@ class TestKthPass:
         assert sum(entries) == 5 * params.profile_width * stats.sumsq.size
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_pass_holds_at_most_two_part_buffers(self, monkeypatch, workers):
-        # A whole pass over 15 segments of two parts each: besides one
-        # part buffer per thread up to two, the tail and the kernel's
-        # 256 kB of update products, the margin covers each thread's
-        # scratch (a few small blocks here), the kernel's diagonals and
-        # the profiles in flight.  A buffer per part, or a third buffer,
-        # would pass it by half a buffer or more.
-        series, params, stats = _kth_pass_case(n=4000, m=256)
-        monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, 1873))
-        monkeypatch.setattr(mpdist, "_BLOCK_BYTES", 1 << 15)
-        width = params.profile_width
-        assert len(mpdist._parts(series.n, params)) == 2
-        buffer_bytes = _part_bytes(params, 1873)
-        tail_bytes = (width + 1) * (width - 1) * 8
-        tracemalloc.start()
-        try:
-            for _ in _kth_pass(stats, params, range(15), workers):
-                pass
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        buffers = min(2, workers)
-        bound = (buffers + 0.3) * buffer_bytes + tail_bytes + (1 << 18)
-        assert peak <= bound, f"peak {peak / buffer_bytes:.2f} buffers"
+    def test_search_builds_a_profiler_a_range(self, monkeypatch, workers):
+        # A streamed k > 2 search (46 segments, past the width of 33)
+        # builds one profiler per range, min(workers, 46) in all, each
+        # profiling its contiguous range once; the greedy rounds'
+        # recomputes, one segment each, run on this thread's profiler,
+        # the first range's, and build none.
+        series, params, _ = _kth_pass_case()
+        monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, 979))
+        built, passes = [], []
+
+        class Recording(mpdist._KthProfiler):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+            def profiles(self, segments):
+                passes.append((self, threading.get_ident(), list(segments)))
+                return super().profiles(segments)
+
+        monkeypatch.setattr(snippets, "_KthProfiler", Recording)
+        result = select_snippets(series, params, 3, workers=workers)
+        assert len(built) == min(workers, 46)
+        ranges = sorted(passes[: len(built)], key=lambda p: p[2])
+        assert [p[0] for p in ranges] == built
+        assert [i for p in ranges for i in p[2]] == list(range(46))
+        assert ranges[0][1] == threading.get_ident()
+        recomputes = passes[len(built) :]
+        assert recomputes and all(
+            (p[0], p[1], len(p[2])) == (built[0], threading.get_ident(), 1) for p in recomputes
+        )
+        monkeypatch.setattr(snippets, "_KthProfiler", mpdist._KthProfiler)
+        profiles = [mpdist_profile(series, i, params) for i in range(46)]
+        reference = select_snippets(series, params, 3, profiles=profiles)
+        assert result.to_dict() == reference.to_dict()
+        assert result.curve.tobytes() == reference.curve.tobytes()
 
     def test_pass_waits_for_its_consumer(self, monkeypatch):
-        # A consumer that has read one profile and pauses holds up the
-        # pass, not memory: kernels start at most three segments ahead of
-        # it (two parts each here), however long it waits.
+        # A profiler builds no part of a segment before its caller has
+        # read the last segment's profile (two parts a segment here).
         series, params, stats = _kth_pass_case()
         monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, 1469))
-        build = mpdist._KthEngine._build
+        kernel = mpdist.neg_correlations
         built = []
-        monkeypatch.setattr(
-            mpdist._KthEngine, "_build", lambda *a: built.append(a[1]) or build(*a)
-        )
-        rows = _kth_pass(stats, params, range(20), 2)
-        next(rows)
-        time.sleep(0.3)
-        assert 0 < len(built) <= 2 * 4
-        assert len(list(rows)) == 19
+
+        def counted(stats, starts, *args, **kwargs):
+            built.append(starts[0] // params.snippet_size)
+            return kernel(stats, starts, *args, **kwargs)
+
+        monkeypatch.setattr(mpdist, "neg_correlations", counted)
+        rows = mpdist._KthProfiler(stats, params).profiles(range(20))
+        assert built == []
+        for segment in range(20):
+            next(rows)
+            assert built == [s for s in range(segment + 1) for _ in range(2)]
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_threads_joined(self, monkeypatch, workers):
-        # After a pass ends, after a consumer stops early, and after a
-        # selection step fails on a helper or the calling thread, no thread
-        # of the pass is left; the failure reaches the caller.
-        series, params, stats = _kth_pass_case()
+        # A search (46 segments, past the width of 33, so streamed) joins
+        # its range threads when it ends, and when a range fails, on this
+        # thread or another, in a profiler's step or while its rows are
+        # read, even while the caller still holds the exception and its
+        # frames; the failure reaches the caller.
+        series, params, _ = _kth_pass_case()
         monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, 979))
         start = threading.active_count()
-        assert len(list(_kth_pass(stats, params, range(10), workers))) == 10
-        assert threading.active_count() == start
-        rows = _kth_pass(stats, params, range(10), workers)
-        next(rows)
-        rows.close()
+        select_snippets(series, params, 2, workers=workers)
         assert threading.active_count() == start
 
-        select = mpdist._KthEngine._select
-        for failing in range(1, 8):
-            steps = 0
+        minima = mpdist._sliding_min_rows
+        for main in (True, False):
 
             def broken(*args, **kwargs):
-                nonlocal steps
-                steps += 1
-                if steps == failing:
-                    raise RuntimeError("selection step failed")
-                return select(*args, **kwargs)
+                if (threading.current_thread() is threading.main_thread()) == main:
+                    raise RuntimeError("filter failed")
+                return minima(*args, **kwargs)
 
-            monkeypatch.setattr(mpdist._KthEngine, "_select", broken)
-            with pytest.raises(RuntimeError, match="selection step failed"):
-                list(_kth_pass(stats, params, range(10), workers))
+            monkeypatch.setattr(mpdist, "_sliding_min_rows", broken)
+            with pytest.raises(RuntimeError, match="filter failed"):
+                select_snippets(series, params, 2, workers=workers)
             assert threading.active_count() == start
-        monkeypatch.setattr(mpdist._KthEngine, "_select", select)
+        monkeypatch.setattr(mpdist, "_sliding_min_rows", minima)
 
-        # select_snippets' pass (46 segments, past the width of 33, so
-        # streamed) stops the pipeline when reading a row fails, even
-        # while the caller still holds the exception and its frames.
         keep = snippets._ProfileStore.keep
+        for failing in (3, 45):  # in the first range and in the last
 
-        def failing_keep(store, index, values):
-            if index == 3:
-                raise RuntimeError("keeping a row failed")
-            keep(store, index, values)
+            def failing_keep(store, index, values):
+                if index == failing:
+                    raise RuntimeError("keeping a row failed")
+                keep(store, index, values)
 
-        monkeypatch.setattr(snippets._ProfileStore, "keep", failing_keep)
-        with pytest.raises(RuntimeError, match="keeping a row failed") as failure:
-            select_snippets(series, params, 2, workers=workers)
-        assert failure.tb is not None
-        assert threading.active_count() == start
-
-        # A greedy round that fails after the pass, while the engine's
-        # helpers wait for its recomputes, joins them too.
+            monkeypatch.setattr(snippets._ProfileStore, "keep", failing_keep)
+            with pytest.raises(RuntimeError, match="keeping a row failed") as failure:
+                select_snippets(series, params, 2, workers=workers)
+            assert failure.tb is not None
+            assert threading.active_count() == start
         monkeypatch.setattr(snippets._ProfileStore, "keep", keep)
 
+        # A greedy round that fails after the pass, while the recomputes
+        # run on this thread's profiler, leaves no thread either.
         def failing_bounds(store, curve):
             raise RuntimeError("bounding failed")
 
@@ -612,56 +579,20 @@ class TestKthPass:
             select_snippets(series, params, 2, workers=workers)
         assert threading.active_count() == start
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_engine_passes_share_buffers_and_threads(self, monkeypatch, workers):
-        # One engine's passes, a whole one and then one segment at a time
-        # as a search's greedy rounds recompute them, give the same rows
-        # in the same part buffers, from helpers started once; a pass
-        # closed early joins them, and the next one starts them again.
-        series, params, stats = _kth_pass_case()
-        monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, 979))
-        started = []
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
-        count = threading.active_count()
-        engine = mpdist._KthEngine(stats, params, workers, 10)
-        assert engine.buffers == []
-        try:
-            rows = [row.copy() for row in engine.profiles(range(10))]
-            buffers = [b.ctypes.data for b in engine.buffers]
-            for i in (3, 0, 9, 3):
-                (row,) = engine.profiles([i])
-                assert row.tobytes() == rows[i].tobytes(), f"segment {i}"
-            assert len(started) == workers - 1
-            assert len(buffers) == min(2, workers)
-            assert [b.ctypes.data for b in engine.buffers] == buffers
-            early = engine.profiles(range(10))
-            next(early)
-            early.close()
-            assert threading.active_count() == count
-            assert engine.buffers == []
-            assert [row.tobytes() for row in engine.profiles(range(4, 7))] == [
-                row.tobytes() for row in rows[4:7]
-            ]
-            assert len(started) == 2 * (workers - 1)
-        finally:
-            engine.close()
-        assert threading.active_count() == count
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_held_search_closes_its_engine_before_the_greedy(self, monkeypatch, workers):
         # 8 segments, no more than the width of 33, so the search holds
-        # its rows: its one engine runs one pass, and by the greedy's
-        # first bounded round its helpers are joined and its part
-        # buffers dropped.
+        # its rows: its profilers, one a range, each profile their range
+        # once, and by the greedy's first bounded round every one of them,
+        # with its part buffer, is gone and their threads are joined.
         series, params, _ = _kth_pass_case(n=8 * 64 + 5)
         monkeypatch.setattr(mpdist, "PART_BYTES", 1)
-        engines, passes, seen = [], [], []
+        built, passes, seen = [], [], []
 
-        class Recording(mpdist._KthEngine):
+        class Recording(mpdist._KthProfiler):
             def __init__(self, *args):
                 super().__init__(*args)
-                engines.append(self)
+                built.append(weakref.ref(self))
 
             def profiles(self, segments):
                 passes.append(list(segments))
@@ -670,49 +601,17 @@ class TestKthPass:
         bounds = snippets._ProfileStore.lower_bounds
 
         def checked(store, curve):
-            seen.append((threading.active_count(), [engine.buffers for engine in engines]))
+            seen.append((threading.active_count(), [ref() for ref in built]))
             return bounds(store, curve)
 
-        monkeypatch.setattr(snippets, "_KthEngine", Recording)
+        monkeypatch.setattr(snippets, "_KthProfiler", Recording)
         monkeypatch.setattr(snippets._ProfileStore, "lower_bounds", checked)
         count = threading.active_count()
         result = select_snippets(series, params, 3, workers=workers)
-        assert passes == [list(range(8))]
-        assert seen == [(count, [[]])] * 2
+        assert len(built) == workers
+        assert sorted(passes) == [list(range(8 * i // workers, 8 * (i + 1) // workers)) for i in range(workers)]
+        assert seen == [(count, [None] * workers)] * 2
         profiles = [mpdist_profile(series, i, params) for i in range(8)]
-        reference = select_snippets(series, params, 3, profiles=profiles)
-        assert result.to_dict() == reference.to_dict()
-        assert result.curve.tobytes() == reference.curve.tobytes()
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_search_recomputes_on_its_pass_engine(self, monkeypatch, workers):
-        # A streamed k > 2 search (46 segments, past the width of 33)
-        # makes one engine, whose first pass profiles every segment and
-        # whose later passes are the greedy rounds' recomputes; its
-        # helpers start once.
-        series, params, _ = _kth_pass_case()
-        monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, 979))
-        engines, passes, started = [], [], []
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
-
-        class Recording(mpdist._KthEngine):
-            def __init__(self, *args):
-                super().__init__(*args)
-                engines.append(self)
-
-            def profiles(self, segments):
-                passes.append(list(segments))
-                return super().profiles(segments)
-
-        monkeypatch.setattr(snippets, "_KthEngine", Recording)
-        result = select_snippets(series, params, 3, workers=workers)
-        assert len(engines) == 1
-        assert passes[0] == list(range(46))
-        assert len(passes) > 1 and all(len(segments) == 1 for segments in passes[1:])
-        assert len(started) == workers - 1
-        monkeypatch.setattr(snippets, "_KthEngine", mpdist._KthEngine)
-        profiles = [mpdist_profile(series, i, params) for i in range(46)]
         reference = select_snippets(series, params, 3, profiles=profiles)
         assert result.to_dict() == reference.to_dict()
         assert result.curve.tobytes() == reference.curve.tobytes()

@@ -167,23 +167,28 @@ class TestRunSchedule:
     def test_job_profiles_segments_whole(self, monkeypatch):
         # A sweep spends its workers on lengths: with SNIPLAB_WORKERS=3
         # and every k > 2 segment (m = 32 has k = 4) streamed through
-        # many parts, each job's engine still runs on one thread.
+        # many parts, each job still profiles on one profiler, on the
+        # thread that runs the job.
         from sniplab import mpdist, snippets
         from sniplab.snippets import WORKERS_ENV
 
         monkeypatch.setenv(WORKERS_ENV, "3")
         monkeypatch.setattr(mpdist, "PART_BYTES", 1)
-        engines = []
+        profilers, threads = [], set()
 
-        class Recording(mpdist._KthEngine):
+        class Recording(mpdist._KthProfiler):
             def __init__(self, *args):
                 super().__init__(*args)
-                engines.append(self)
+                profilers.append(self)
 
-        monkeypatch.setattr(snippets, "_KthEngine", Recording)
+            def profiles(self, segments):
+                threads.add(threading.get_ident())
+                return super().profiles(segments)
+
+        monkeypatch.setattr(snippets, "_KthProfiler", Recording)
         run_schedule(self._series(), [MPdistParams(snippet_size=32)], 2, training_log=False)
-        assert engines and all(len(engine.splits) > 1 for engine in engines)
-        assert [engine.threads for engine in engines] == [1] * len(engines)
+        assert len(profilers) == 1 and len(profilers[0].splits) > 1
+        assert threads == {threading.get_ident()}
 
     def test_duplicate_lengths_rejected(self):
         series = self._series()

@@ -15,6 +15,7 @@ from sniplab import (
     export_curve_csv,
     export_profiles_csv,
     label_series,
+    run_schedule,
     segment_profiles,
     select_snippets,
 )
@@ -31,8 +32,8 @@ def _count_profiles(monkeypatch):
     """The segment index of every profile ``snippets`` computes from now on.
 
     One per ``mpdist_profile`` call, one per segment of each batch the
-    ``k <= 2`` pass profiles together, and one per segment of each pass
-    of a search's ``k > 2`` engine, its first and its recomputes.
+    ``k <= 2`` pass profiles together, and one per segment a search's
+    ``k > 2`` profilers are asked for, in its pass and its recomputes.
     """
     calls = []
     profile = snippets.mpdist_profile
@@ -44,12 +45,12 @@ def _count_profiles(monkeypatch):
         snippets, "_min_profiles", lambda *a, **kw: calls.extend(a[2]) or batch(*a, **kw)
     )
 
-    class CountingEngine(snippets._KthEngine):
+    class CountingProfiler(snippets._KthProfiler):
         def profiles(self, segments):
             calls.extend(segments)
             return super().profiles(segments)
 
-    monkeypatch.setattr(snippets, "_KthEngine", CountingEngine)
+    monkeypatch.setattr(snippets, "_KthProfiler", CountingProfiler)
     return calls
 
 
@@ -394,9 +395,9 @@ class TestExactSelection:
     def test_rows_within_profile_width_profiled_once(self, monkeypatch, num_snippets):
         # 8 segments, no more than the profile width: the pass keeps every
         # float64 row, so no round profiles one again, and with profiles=
-        # given no segment is profiled at all.  At k > 2 (m = 40) one
-        # engine pass takes the segments in order; at k <= 2 (m = 16,
-        # width 9) one to three threads take a range of them each.
+        # given no segment is profiled at all.  One to three threads take
+        # a range of them each, at k > 2 (m = 40) with a profiler each,
+        # at k <= 2 (m = 16, width 9) in batches.
         rng = np.random.default_rng(15)
         calls = _count_profiles(monkeypatch)
         for m, workers in [(40, 1), (40, 2), (16, 1), (16, 2), (16, 3)]:
@@ -530,27 +531,35 @@ class TestWorkers:
         # 710 noise-free periods of 8 samples: many segments' profiles
         # are the same bits, so many windows find their smallest entry
         # both in the first range and in a later one, and must take the
-        # lower segment, as the stacked argmin does.  The ranges (355 or
-        # 236/237/237 segments) take unpatched batches of 11 segments,
-        # which divide none of them.
+        # lower segment, as the stacked argmin does.  At k <= 2 the
+        # ranges (355 or 236/237/237 segments) take unpatched batches of
+        # 11 segments, which divide none of them.  At k = 3 each range's
+        # profiler streams its segments, more than the width of 5; the
+        # periods are small integers there, since the kernel's round-off
+        # along its diagonals tells the sine's segments apart at k > 2,
+        # and with exact arithmetic every profile is the same bits.
         t = np.arange(8)
-        series = _tiled(np.sin(2 * np.pi * t / 8) + t / 8, 710)
-        params = MPdistParams(snippet_size=8)
         assert mpdist._batch_size(5677, 710) == 11
-        profiles = segment_profiles(series, params)
-        matrix = np.vstack([p.values for p in profiles])
-        lowest = matrix.min(axis=0)
-        first_range = 710 // workers
-        tied = (matrix[:first_range] == lowest).any(axis=0) & (
-            matrix[first_range:] == lowest
-        ).any(axis=0)
-        assert tied.sum() > 1000
-        _, _, _, counts, _ = stacked_selection(matrix, 2)
-        calls = _count_profiles(monkeypatch)
-        result = select_snippets(series, params, 2, workers=workers)
-        assert sorted(calls[:710]) == list(range(710))
-        np.testing.assert_array_equal(result.segment_window_counts, counts)
-        _assert_same_result(result, select_snippets(series, params, 2, profiles=profiles))
+        cases = [
+            (_tiled(np.sin(2 * np.pi * t / 8) + t / 8, 710), MPdistParams(snippet_size=8)),
+            (_tiled([0, 2, 1, 3, 2, 0, 1, 2], 710), MPdistParams(snippet_size=8, k=3)),
+        ]
+        for series, params in cases:
+            profiles = segment_profiles(series, params)
+            matrix = np.vstack([p.values for p in profiles])
+            lowest = matrix.min(axis=0)
+            first_range = 710 // workers
+            tied = (matrix[:first_range] == lowest).any(axis=0) & (
+                matrix[first_range:] == lowest
+            ).any(axis=0)
+            assert tied.sum() > 1000, f"k = {params.k}"
+            _, _, _, counts, _ = stacked_selection(matrix, 2)
+            with monkeypatch.context() as patched:
+                calls = _count_profiles(patched)
+                result = select_snippets(series, params, 2, workers=workers)
+            assert sorted(calls[:710]) == list(range(710))
+            np.testing.assert_array_equal(result.segment_window_counts, counts)
+            _assert_same_result(result, select_snippets(series, params, 2, profiles=profiles))
 
     def test_batched_pass_working_memory_bounded(self):
         # n = 8,000, m = 8 at two workers: 1,000 segments of 7,993 codes,
@@ -586,6 +595,17 @@ class TestWorkers:
             with pytest.raises(ValueError, match=f"need at least one worker, got {workers}"):
                 select_snippets(series, params, 2, profiles=given, workers=workers)
         assert calls == []
+
+    @pytest.mark.parametrize("workers", [2.5, 1.5, 2.0, "2"])
+    def test_non_integer_count_rejected(self, workers):
+        # A count that is not an integer is an error, however close to
+        # one, for a search and for a sweep alike.
+        series = TimeSeries(random_series(np.random.default_rng(3), 200))
+        params = MPdistParams(snippet_size=10)
+        with pytest.raises(ValueError, match="worker count must be an integer"):
+            select_snippets(series, params, 2, workers=workers)
+        with pytest.raises(ValueError, match="worker count must be an integer"):
+            run_schedule(series, [params], 2, workers=workers, training_log=False)
 
     def test_default_reads_env(self, monkeypatch):
         series = TimeSeries(random_series(np.random.default_rng(3), 200))
