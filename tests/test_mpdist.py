@@ -508,6 +508,116 @@ class TestKthPass:
         assert result.to_dict() == reference.to_dict()
         assert result.curve.tobytes() == reference.curve.tobytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_search_recomputes_on_its_pass_engine(self, monkeypatch, workers):
+        # A streamed k > 2 search (46 segments, past the width of 33)
+        # recomputes its greedy rounds' rows on the profiler whose pass
+        # took the first range, on this thread, and each recomputed row is
+        # bit for bit the row the pass gave, whichever range's profiler
+        # gave it: the greedy's exact areas rely on it.
+        series, params, _ = _kth_pass_case()
+        monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, 979))
+        built, given = [], []
+
+        class Recording(mpdist._KthProfiler):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+            def profiles(self, segments):
+                for segment, row in zip(segments, super().profiles(segments)):
+                    given.append((self, threading.get_ident(), segment, row.copy()))
+                    yield row
+
+        monkeypatch.setattr(snippets, "_KthProfiler", Recording)
+        result = select_snippets(series, params, 3, workers=workers)
+        passed, recomputed = given[:46], given[46:]
+        assert sorted(segment for _, _, segment, _ in passed) == list(range(46))
+        rows = {segment: row for _, _, segment, row in passed}
+        assert recomputed
+        for profiler, thread, segment, row in recomputed:
+            assert (profiler, thread) == (built[0], threading.get_ident())
+            assert row.tobytes() == rows[segment].tobytes(), f"segment {segment}"
+        if workers > 1:  # some recomputed row came from another range's profiler
+            assert any(segment >= 46 // workers for _, _, segment, _ in recomputed)
+        monkeypatch.setattr(snippets, "_KthProfiler", mpdist._KthProfiler)
+        profiles = [mpdist_profile(series, i, params) for i in range(46)]
+        reference = select_snippets(series, params, 3, profiles=profiles)
+        assert result.to_dict() == reference.to_dict()
+        assert result.curve.tobytes() == reference.curve.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pass_holds_at_most_two_part_buffers(self, monkeypatch, workers):
+        # A whole pass over 15 segments of two parts each, split into one
+        # range a thread: each range's pass holds its one part buffer and
+        # tail, and a margin of 0.3 buffers and 256 kB covers its kernel
+        # workspace and update products, its scratch (a few small blocks
+        # here) and the profile in flight.  A second buffer in any range's
+        # pass, or a buffer per part, would pass the bound by more than
+        # half a buffer.
+        series, params, stats = _kth_pass_case(n=4000, m=256)
+        monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, 1873))
+        monkeypatch.setattr(mpdist, "_BLOCK_BYTES", 1 << 15)
+        width = params.profile_width
+        assert len(mpdist._parts(series.n, params)) == 2
+        buffer_bytes = _part_bytes(params, 1873)
+        tail_bytes = (width + 1) * (width - 1) * 8
+
+        def profile(first, stop):
+            for _ in mpdist._KthProfiler(stats, params).profiles(range(first, stop)):
+                pass
+
+        bounds = [15 * i // workers for i in range(workers + 1)]
+        tracemalloc.start()
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                list(pool.map(profile, bounds[:-1], bounds[1:]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = workers * (1.3 * buffer_bytes + tail_bytes + (1 << 18))
+        assert peak <= bound, f"peak {peak / buffer_bytes:.2f} buffers"
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_engine_passes_share_buffers_and_threads(self, monkeypatch, workers):
+        # One profiler's passes, a whole one and then one segment at a
+        # time as a search's greedy rounds recompute them, give the same
+        # rows in the same part buffer, tail, workspace and scratch; a
+        # pass closed early leaves them to the next.  A search at W
+        # workers starts a thread for each range past the first, W - 1 at
+        # most, joins them, and its greedy recomputes start none.
+        series, params, stats = _kth_pass_case()
+        monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, 979))
+        profiler = mpdist._KthProfiler(stats, params)
+        arrays = [a.ctypes.data for a in (profiler.buffer, profiler.tail, profiler.work, profiler.scratch)]
+        rows = list(profiler.profiles(range(10)))
+        for i in (3, 0, 9, 3):
+            (row,) = profiler.profiles([i])
+            assert row.tobytes() == rows[i].tobytes(), f"segment {i}"
+        early = profiler.profiles(range(10))
+        next(early)
+        early.close()
+        assert [row.tobytes() for row in profiler.profiles(range(4, 7))] == [
+            row.tobytes() for row in rows[4:7]
+        ]
+        assert [a.ctypes.data for a in (profiler.buffer, profiler.tail, profiler.work, profiler.scratch)] == arrays
+
+        started, recomputing = [], []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+
+        class Recording(mpdist._KthProfiler):
+            def profiles(self, segments):
+                if len(segments) == 1:
+                    recomputing.append(len(started))
+                return super().profiles(segments)
+
+        monkeypatch.setattr(snippets, "_KthProfiler", Recording)
+        select_snippets(series, params, 3, workers=workers)
+        assert (not started) == (workers == 1) and len(started) <= workers - 1
+        assert recomputing and set(recomputing) == {len(started)}
+        assert not any(thread.is_alive() for thread in started)
+
     def test_pass_waits_for_its_consumer(self, monkeypatch):
         # A profiler builds no part of a segment before its caller has
         # read the last segment's profile (two parts a segment here).
