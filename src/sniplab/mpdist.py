@@ -41,23 +41,23 @@ the same float operations whatever the parts or the thread, and an
 order statistic is one of the candidates, so the profile does not
 change by a bit.
 
-A profiler (:class:`_KthProfiler`) runs those steps for one segment
-after another on one thread, in one part buffer allocated once.  A
-search gives each thread that profiles a range of segments a profiler
-of its own, as at ``k <= 2`` (see
-:func:`~sniplab.snippets.select_snippets`), and :func:`mpdist_profile`
-makes one for its segment.
-
-At ``k <= 2`` a profile needs no rows held: :func:`mpdist_profile`
-runs one kernel call on the calling thread, and a search profiles its
-segments several at a time (:func:`_min_profiles`): one kernel call
-takes a batch of B segments, about ``_BLOCK_BYTES`` a row, and folds
-each row into the column minima as it comes.  One segment's numpy
-calls last 7 to 15 µs at n = 20,000, too short for threads to overlap
-between GIL hand-offs; B segments' calls last B times as long, so
-threads that each take a range of segments pay off (see
-:func:`~sniplab.snippets.select_snippets`), and on one thread the
-batches cut the per-call overhead.
+Profiles reach every caller one way.  A profiler's
+``profiles(segments)`` yields one negated-correlation row per segment,
+in order, on the calling thread, in memory it allocated once and
+reuses: read a row before asking for the next.  :func:`_profiler`
+picks the class from k.  At ``k > 2`` a :class:`_KthProfiler` runs the
+steps above for one segment after another in one part buffer.  At
+``k <= 2`` a :class:`_MinProfiler` holds no rows: one kernel call takes
+a batch of B segments, about ``_BLOCK_BYTES`` a row, and folds each row
+into the column minima as it comes.  One segment's numpy calls last 7
+to 15 µs at n = 20,000, too short for threads to overlap between GIL
+hand-offs; B segments' calls last B times as long, so threads that
+each take a range of segments pay off, and on one thread the batches
+cut the per-call overhead.  A search gives each thread that profiles a
+range of segments a profiler of its own and recomputes the greedy
+rounds' rows on the calling thread's (see
+:func:`~sniplab.snippets.select_snippets`); :func:`mpdist_profile`
+asks a fresh one for its one segment.
 """
 
 from __future__ import annotations
@@ -94,6 +94,11 @@ def default_window_size(snippet_size: int, l_frac: float = 0.5) -> int:
     return max(1, min(snippet_size, math.ceil(snippet_size * l_frac)))
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool, though an ``int``, is no count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MPdistParams:
     """Parameters of the MPdist measure, each a Python or numpy integer kept as ``int``.
@@ -116,7 +121,7 @@ class MPdistParams:
     def __post_init__(self):
         for name in ("snippet_size", "window_size", "k"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer, type(None))):
+            if value is not None and not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, None if value is None else int(value))
         if self.snippet_size < 2:
@@ -198,7 +203,7 @@ def _sliding_min_rows(matrix: np.ndarray, window: int, scratch=None) -> np.ndarr
 
 
 def _batch_size(num_columns: int, num_segments: int) -> int:
-    """Segments one :func:`_min_profiles` call profiles in a search's pass.
+    """Segments a :class:`_MinProfiler` profiles per kernel call.
 
     Their kernel rows over ``num_columns`` columns fill about
     ``_BLOCK_BYTES`` (3 segments at n = 20,000), so each numpy call runs
@@ -221,35 +226,38 @@ def _parts(n: int, params: MPdistParams) -> list[tuple[int, int]]:
     return [(num_positions * i // count, num_positions * (i + 1) // count) for i in range(count)]
 
 
-def _min_profiles(stats, params: MPdistParams, segments, work=None) -> np.ndarray:
-    """Negated-correlation profiles at ``k <= 2`` of several segments, one row each.
+class _MinProfiler:
+    """``k <= 2`` profiles, a batch of B segments per kernel call, on the calling thread.
 
-    A position's profile is the sliding minimum of the column minima
-    (see the module docstring).  The segments' kernel rows come from
-    one :func:`~sniplab.zdist.neg_correlations` call, one row at a time,
-    and are folded into the column minima as they come, so no segment's
-    ``width`` rows are ever held.
-
-    ``work``, of shape ``(3, B, num_columns + width - 1)`` for B
-    segments or more and the series' ``num_columns`` windows, holds the
-    kernel's diagonals and scratch (which the sliding minima reuse) and
-    the column minima.  A caller that profiles batch after batch passes
-    the same one each time: arrays of a few hundred kB allocated afresh
-    are mapped afresh, and their page faults cost as much as the
-    arithmetic.  Returns a view of it.
+    A profile is the sliding minimum of the column minima (see the
+    module docstring); a batch's kernel rows are folded into them as
+    they come, so no segment's ``width`` rows are ever held.  One
+    workspace of shape ``(3, B, num_columns + width - 1)`` holds the
+    kernel's diagonals and scratch, which the sliding minima reuse, and
+    the column minima.  It is allocated once: arrays of a few hundred kB
+    allocated afresh are mapped afresh, and their page faults cost as
+    much as the arithmetic.
     """
-    width = params.profile_width
-    num_columns = stats.sumsq.size
-    starts = np.asarray(segments, dtype=np.intp) * params.snippet_size
-    if work is None:
-        work = np.empty((3, starts.size, num_columns + width - 1))
-    work = work[:, : starts.size]
-    minima = work[2, :, :num_columns]
-    rows = neg_correlations(stats, starts, width, work=work[:2])
-    np.copyto(minima, next(rows))
-    for row in rows:
-        np.minimum(minima, row, out=minima)
-    return _sliding_min_rows(minima, width, scratch=work[1])
+
+    def __init__(self, stats, params: MPdistParams):
+        self.stats, self.width, self.snippet_size = stats, params.profile_width, params.snippet_size
+        num_columns = stats.sumsq.size
+        batch = _batch_size(num_columns, stats.centred.size // params.snippet_size)
+        self.work = np.empty((3, batch, num_columns + self.width - 1))
+
+    def profiles(self, segments):
+        """Each segment's negated-correlation profile, in order; read each before the next."""
+        segments = np.asarray(segments, dtype=np.intp)
+        batch = self.work.shape[1]
+        for lo in range(0, segments.size, batch):
+            starts = segments[lo : lo + batch] * self.snippet_size
+            work = self.work[:, : starts.size]
+            minima = work[2, :, : self.stats.sumsq.size]
+            rows = neg_correlations(self.stats, starts, self.width, work=work[:2])
+            np.copyto(minima, next(rows))
+            for row in rows:
+                np.minimum(minima, row, out=minima)
+            yield from _sliding_min_rows(minima, self.width, scratch=work[1])
 
 
 class _KthProfiler:
@@ -284,12 +292,12 @@ class _KthProfiler:
         block = (min(self.tile, self.num_positions), 2 * width)
         self.scratch = np.empty(max(_BLOCK_BYTES // 8, columns, math.prod(block)))
         self.block = self.scratch[: math.prod(block)].reshape(block)
+        self.best = np.empty(self.num_positions)
 
     def profiles(self, segments):
-        """The negated-correlation profile of each of ``segments``, in order, each the caller's."""
-        width = self.width
+        """Each segment's negated-correlation profile, in order; read each before the next."""
+        width, best = self.width, self.best
         for segment in segments:
-            best = np.empty(self.num_positions)
             for lo, hi in self.splits:
                 # Positions [lo, hi) read kernel columns [lo, hi + width - 1),
                 # past the first part the first width - 1 from the last
@@ -317,6 +325,11 @@ class _KthProfiler:
                     candidates.partition(self.kth, axis=1)
                     best[lo + a : lo + b] = candidates[:, self.kth]
             yield best
+
+
+def _profiler(stats, params: MPdistParams):
+    """A profiler of ``params``' k for one thread: ``profiles(segments)`` yields one row each."""
+    return (_MinProfiler if params.k <= 2 else _KthProfiler)(stats, params)
 
 
 def mpdist_profile(
@@ -359,9 +372,6 @@ def mpdist_profile(
     else:
         _check_stats(series, stats, params.window_size)
 
-    if params.k <= 2:
-        best = _min_profiles(stats, params, [segment_index])[0]
-    else:
-        (best,) = _KthProfiler(stats, params).profiles([segment_index])
+    (best,) = _profiler(stats, params).profiles([segment_index])
     values = neg_correlation_to_distance(best, params.window_size, out=best)
     return MPdistProfile(segment_index=segment_index, values=values)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mpdist import MPdistParams, MPdistProfile, _batch_size, _KthProfiler, _min_profiles
-from .mpdist import mpdist_profile
+from .mpdist import MPdistParams, MPdistProfile, _is_integer, _profiler
+from .mpdist import mpdist_profile  # noqa: F401  bench/layers.py wraps it by this name
 from .series import TimeSeries
 from .zdist import compute_sliding_stats, neg_correlation_to_distance
 
@@ -46,7 +46,7 @@ def resolve_workers(workers: int | None = None) -> int:
         if not raw.strip().isdecimal() or int(raw) < 1:
             raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
         return int(raw)
-    if not isinstance(workers, (int, np.integer)):
+    if not _is_integer(workers):
         raise ValueError(f"worker count must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
@@ -121,8 +121,10 @@ def _check_count(series: TimeSeries, snippet_size: int, num_snippets: int) -> in
     Segment ``i`` starts at ``i * snippet_size``; a trailing remainder
     shorter than the snippet size is not segmented (sliding windows
     still cover it).  Raises ``ValueError`` unless there are at least 2
-    segments and ``num_snippets`` is between 1 and their number.
+    segments and ``num_snippets`` is an integer between 1 and their number.
     """
+    if not _is_integer(num_snippets):
+        raise ValueError(f"snippet count must be an integer, got {num_snippets!r}")
     count = series.n // snippet_size
     if count < 2:
         raise ValueError(
@@ -141,7 +143,8 @@ def segment_profiles(series: TimeSeries, params: MPdistParams) -> list[MPdistPro
     """MPdist profile of every segment, sharing one statistics pass."""
     num_segments = _check_count(series, params.snippet_size, 1)
     stats = compute_sliding_stats(series, params.window_size)
-    return [mpdist_profile(series, i, params, stats=stats) for i in range(num_segments)]
+    rows = _distance_rows(_profiler(stats, params), params, 0, num_segments)
+    return [MPdistProfile(segment_index=i, values=values) for i, values in rows]
 
 
 def _nearest_rows(labelled_rows) -> tuple[np.ndarray, np.ndarray]:
@@ -164,27 +167,12 @@ def _nearest_rows(labelled_rows) -> tuple[np.ndarray, np.ndarray]:
     return best, nearest
 
 
-def _batched_rows(stats, params: MPdistParams, first: int, stop: int, batch: int):
-    """Profiles of segments ``[first, stop)`` at ``k <= 2``, as ``(index, distances)``.
+def _distance_rows(profiler, params: MPdistParams, first: int, stop: int):
+    """Profiles of segments ``[first, stop)`` from ``profiler``, as ``(index, distances)``.
 
-    Each ``batch`` of profiles is computed and converted to distances
-    in one reused array, so the next batch overwrites every yielded
-    row; read each before asking for the next.  The rows are bit for bit
-    :func:`~sniplab.mpdist.mpdist_profile`'s.
-    """
-    num_columns = stats.sumsq.size
-    work = np.empty((3, min(batch, stop - first), num_columns + params.profile_width - 1))
-    for lo in range(first, stop, batch):
-        profiles = _min_profiles(stats, params, range(lo, min(lo + batch, stop)), work=work)
-        distances = neg_correlation_to_distance(profiles, params.window_size, out=profiles)
-        yield from enumerate(distances, lo)
-
-
-def _kth_rows(profiler: _KthProfiler, params: MPdistParams, first: int, stop: int):
-    """Profiles of segments ``[first, stop)`` at ``k > 2``, as ``(index, distances)``.
-
-    They come from ``profiler``, on the calling thread.  Each row is the
-    caller's to keep, bit for bit :func:`~sniplab.mpdist.mpdist_profile`'s.
+    Each row is converted in the profiler's memory, so the next one may
+    overwrite it: read each before asking for the next.  The rows are
+    bit for bit :func:`~sniplab.mpdist.mpdist_profile`'s.
     """
     for index, row in enumerate(profiler.profiles(range(first, stop)), first):
         yield index, neg_correlation_to_distance(row, params.window_size, out=row)
@@ -278,7 +266,8 @@ def select_snippets(
     series : TimeSeries
     params : MPdistParams
     num_snippets : int
-        Between 1 and the number of segments.
+        An integer between 1 and the number of segments, else
+        ``ValueError`` before any profiling.
     profiles : list of MPdistProfile, optional
         Precomputed per-segment profiles, if the caller already has them;
         they are read in place.  A wrong count, an entry at position
@@ -289,15 +278,15 @@ def select_snippets(
     workers : int, optional
         Profiling threads; defaults to the ``SNIPLAB_WORKERS``
         environment variable, else 1.  The segments are split into one
-        contiguous range per thread, at most one per segment, for every
-        k: at ``k <= 2`` a thread profiles its range a batch of segments
-        per kernel call, and at ``k > 2`` one segment after another
-        through parts of at most ``PART_BYTES`` in one part buffer of
-        its own (see :mod:`sniplab.mpdist`).  This thread's buffer
-        serves the greedy rounds' recomputes too, and goes once the pass
-        ends when the search keeps its rows.  The result does not depend
-        on it; a count that is not an integer of at least 1 raises
-        ``ValueError``.
+        contiguous range per thread, at most one per segment, and each
+        thread profiles its range on a profiler of its own (see
+        :mod:`sniplab.mpdist`): at ``k <= 2`` a batch of segments per
+        kernel call, at ``k > 2`` one segment after another through
+        parts of at most ``PART_BYTES`` in one part buffer.  This
+        thread's profiler serves the greedy rounds' recomputes too, at
+        every k, and goes once the pass ends when the search keeps its
+        rows.  The result does not depend on it; a count that is not an
+        integer of at least 1 raises ``ValueError``.
 
     Returns
     -------
@@ -335,27 +324,17 @@ def select_snippets(
         fetch = profiles.__getitem__
     else:
         stats = compute_sliding_stats(series, params.window_size)
-        if params.k <= 2:
-            batch = _batch_size(stats.sumsq.size, num_segments)
+        # This thread's profiler takes the first range and every row the
+        # greedy recomputes; every other range's thread makes its own.
+        profiler = _profiler(stats, params)
 
-            def rows(first: int, stop: int):
-                return _batched_rows(stats, params, first, stop, batch)
+        def rows(first: int, stop: int):
+            mine = profiler if first == 0 else _profiler(stats, params)
+            return _distance_rows(mine, params, first, stop)
 
-            def fetch(index: int) -> MPdistProfile:
-                return mpdist_profile(series, index, params, stats=stats)
-
-        else:
-            # This thread's profiler takes the first range and every row
-            # the greedy recomputes; every other range's thread makes its own.
-            profiler = _KthProfiler(stats, params)
-
-            def rows(first: int, stop: int):
-                mine = profiler if first == 0 else _KthProfiler(stats, params)
-                return _kth_rows(mine, params, first, stop)
-
-            def fetch(index: int) -> MPdistProfile:
-                ((_, values),) = _kth_rows(profiler, params, index, index + 1)
-                return MPdistProfile(segment_index=index, values=values)
+        def fetch(index: int) -> MPdistProfile:
+            ((_, values),) = _distance_rows(profiler, params, index, index + 1)
+            return MPdistProfile(segment_index=index, values=values)
 
         if num_segments <= params.profile_width:
             held = [None] * num_segments
@@ -390,7 +369,7 @@ def select_snippets(
         parts = [profile_range(0, bounds[1]), *rest]
     _, nearest = _nearest_rows((labels, best) for best, labels in parts)
     if held is not None:
-        profiler = None  # with its rows held, the search needs no k > 2 part buffer
+        profiler = None  # with its rows held, the search needs no profiler
 
     # Every round takes exact areas in (bound, index) order and stops at
     # the first bound past the smallest (area, index) so far.  An

@@ -139,7 +139,8 @@ class TestWorkers:
     def split_every_segment(self, monkeypatch):
         # The reference series is too short to split at the default part
         # size; at one byte, every k > 2 segment streams through parts of
-        # the profile width.
+        # the profile width.  m = 16 defaults to k = 2, so the tests that
+        # split pass --mpdist-k 3.
         monkeypatch.setattr(mpdist, "PART_BYTES", 1)
 
     def test_discover_outputs_identical_across_workers(self, series_csv, tmp_path, capsys):
@@ -150,7 +151,7 @@ class TestWorkers:
             code, _, _ = _run(
                 [
                     "discover", "--input", str(path), "--m", "16", "--k", "3",
-                    "--workers", workers, "--output", str(files[0]),
+                    "--mpdist-k", "3", "--workers", workers, "--output", str(files[0]),
                     "--export-curve", str(files[1]), "--export-profiles", str(files[2]),
                 ],
                 capsys,
@@ -164,7 +165,8 @@ class TestWorkers:
         outputs = []
         for workers in ("1", "2", "3"):
             code, out, _ = _run(
-                ["label", "--input", str(path), "--m", "16", "--workers", workers], capsys
+                ["label", "--input", str(path), "--m", "16", "--mpdist-k", "3", "--workers", workers],
+                capsys,
             )
             assert code == 0
             outputs.append(out)

@@ -79,6 +79,8 @@ class TestMPdistParams:
             ({"snippet_size": 16, "window_size": 8.0}, "window_size must be an integer, got 8.0"),
             ({"snippet_size": 16, "k": 2.5}, "k must be an integer, got 2.5"),
             ({"snippet_size": np.float64(16)}, "snippet_size must be an integer"),
+            ({"snippet_size": 8, "window_size": True}, "window_size must be an integer, got True"),
+            ({"snippet_size": True}, "snippet_size must be an integer, got True"),
         ],
     )
     def test_non_integer_size_rejected(self, fields, named):
@@ -254,18 +256,19 @@ class TestMPdistProfileExact:
 
 
 def _kth_pass(stats, params, segments, workers):
-    """Negated-correlation ``k > 2`` profiles of ``segments``, in order.
+    """Negated-correlation ``k > 2`` profiles of ``segments``, in order, each a copy.
 
     As in a search, the segments split into ``min(workers, len(segments))``
     contiguous ranges, each profiled on a thread of its own by a profiler
-    of its own.
+    of its own, which reuses one row.
     """
     segments = list(segments)
     count = min(workers, len(segments))
     bounds = [len(segments) * i // count for i in range(count + 1)]
 
     def profile(first, stop):
-        return list(mpdist._KthProfiler(stats, params).profiles(segments[first:stop]))
+        profiler = mpdist._KthProfiler(stats, params)
+        return [row.copy() for row in profiler.profiles(segments[first:stop])]
 
     with ThreadPoolExecutor(count) as pool:
         return [row for rows in pool.map(profile, bounds[:-1], bounds[1:]) for row in rows]
@@ -491,7 +494,7 @@ class TestKthPass:
                 passes.append((self, threading.get_ident(), list(segments)))
                 return super().profiles(segments)
 
-        monkeypatch.setattr(snippets, "_KthProfiler", Recording)
+        monkeypatch.setattr(mpdist, "_KthProfiler", Recording)
         result = select_snippets(series, params, 3, workers=workers)
         assert len(built) == min(workers, 46)
         ranges = sorted(passes[: len(built)], key=lambda p: p[2])
@@ -502,7 +505,7 @@ class TestKthPass:
         assert recomputes and all(
             (p[0], p[1], len(p[2])) == (built[0], threading.get_ident(), 1) for p in recomputes
         )
-        monkeypatch.setattr(snippets, "_KthProfiler", mpdist._KthProfiler)
+        monkeypatch.setattr(mpdist, "_KthProfiler", Recording.__base__)
         profiles = [mpdist_profile(series, i, params) for i in range(46)]
         reference = select_snippets(series, params, 3, profiles=profiles)
         assert result.to_dict() == reference.to_dict()
@@ -529,7 +532,7 @@ class TestKthPass:
                     given.append((self, threading.get_ident(), segment, row.copy()))
                     yield row
 
-        monkeypatch.setattr(snippets, "_KthProfiler", Recording)
+        monkeypatch.setattr(mpdist, "_KthProfiler", Recording)
         result = select_snippets(series, params, 3, workers=workers)
         passed, recomputed = given[:46], given[46:]
         assert sorted(segment for _, _, segment, _ in passed) == list(range(46))
@@ -540,7 +543,7 @@ class TestKthPass:
             assert row.tobytes() == rows[segment].tobytes(), f"segment {segment}"
         if workers > 1:  # some recomputed row came from another range's profiler
             assert any(segment >= 46 // workers for _, _, segment, _ in recomputed)
-        monkeypatch.setattr(snippets, "_KthProfiler", mpdist._KthProfiler)
+        monkeypatch.setattr(mpdist, "_KthProfiler", Recording.__base__)
         profiles = [mpdist_profile(series, i, params) for i in range(46)]
         reference = select_snippets(series, params, 3, profiles=profiles)
         assert result.to_dict() == reference.to_dict()
@@ -582,15 +585,17 @@ class TestKthPass:
     def test_engine_passes_share_buffers_and_threads(self, monkeypatch, workers):
         # One profiler's passes, a whole one and then one segment at a
         # time as a search's greedy rounds recompute them, give the same
-        # rows in the same part buffer, tail, workspace and scratch; a
-        # pass closed early leaves them to the next.  A search at W
-        # workers starts a thread for each range past the first, W - 1 at
-        # most, joins them, and its greedy recomputes start none.
+        # rows in the same part buffer, tail, workspace, scratch and
+        # output row; a pass closed early leaves them to the next.  A
+        # search at W workers starts a thread for each range past the
+        # first, W - 1 at most, joins them, and its greedy recomputes
+        # start none.
         series, params, stats = _kth_pass_case()
         monkeypatch.setattr(mpdist, "PART_BYTES", _part_bytes(params, 979))
         profiler = mpdist._KthProfiler(stats, params)
-        arrays = [a.ctypes.data for a in (profiler.buffer, profiler.tail, profiler.work, profiler.scratch)]
-        rows = list(profiler.profiles(range(10)))
+        kept = (profiler.buffer, profiler.tail, profiler.work, profiler.scratch, profiler.best)
+        arrays = [a.ctypes.data for a in kept]
+        rows = [row.copy() for row in profiler.profiles(range(10))]
         for i in (3, 0, 9, 3):
             (row,) = profiler.profiles([i])
             assert row.tobytes() == rows[i].tobytes(), f"segment {i}"
@@ -600,7 +605,8 @@ class TestKthPass:
         assert [row.tobytes() for row in profiler.profiles(range(4, 7))] == [
             row.tobytes() for row in rows[4:7]
         ]
-        assert [a.ctypes.data for a in (profiler.buffer, profiler.tail, profiler.work, profiler.scratch)] == arrays
+        kept = (profiler.buffer, profiler.tail, profiler.work, profiler.scratch, profiler.best)
+        assert [a.ctypes.data for a in kept] == arrays
 
         started, recomputing = [], []
         start = threading.Thread.start
@@ -612,7 +618,7 @@ class TestKthPass:
                     recomputing.append(len(started))
                 return super().profiles(segments)
 
-        monkeypatch.setattr(snippets, "_KthProfiler", Recording)
+        monkeypatch.setattr(mpdist, "_KthProfiler", Recording)
         select_snippets(series, params, 3, workers=workers)
         assert (not started) == (workers == 1) and len(started) <= workers - 1
         assert recomputing and set(recomputing) == {len(started)}
@@ -714,7 +720,7 @@ class TestKthPass:
             seen.append((threading.active_count(), [ref() for ref in built]))
             return bounds(store, curve)
 
-        monkeypatch.setattr(snippets, "_KthProfiler", Recording)
+        monkeypatch.setattr(mpdist, "_KthProfiler", Recording)
         monkeypatch.setattr(snippets._ProfileStore, "lower_bounds", checked)
         count = threading.active_count()
         result = select_snippets(series, params, 3, workers=workers)
@@ -765,11 +771,10 @@ class TestBatchedProfiles:
     def test_batched_rows_and_profiles_equal_per_segment(self, case, data):
         # B segments in one kernel call must give each segment's rows bit
         # for bit as a call for it alone, whole or streamed through two
-        # blocks of columns; and the
-        # pass's batches, of 1 to 5 segments with a short last batch, the
-        # profiles mpdist_profile computes segment by segment.  The greedy
-        # rounds rely on a recomputed profile matching its pass row
-        # exactly.
+        # blocks of columns; and a profiler's batches, of 1 to 5 segments
+        # with a short last batch, the profiles mpdist_profile computes
+        # segment by segment.  The greedy rounds rely on a recomputed
+        # profile matching its pass row exactly.
         series, params, segments = case
         stats = compute_sliding_stats(series, params.window_size)
         width = params.profile_width
@@ -791,12 +796,53 @@ class TestBatchedProfiles:
         num_segments = series.n // params.snippet_size
         first = data.draw(st.integers(min_value=0, max_value=num_segments - 1))
         last = data.draw(st.integers(min_value=first + 1, max_value=num_segments))
-        rows = snippets._batched_rows(stats, params, first, last, len(segments))
+        with mock.patch.object(mpdist, "_batch_size", lambda *_: len(segments)):
+            profiler = mpdist._MinProfiler(stats, params)
+        rows = snippets._distance_rows(profiler, params, first, last)
         batched = [(index, row.copy()) for index, row in rows]
         assert [index for index, _ in batched] == list(range(first, last))
         for index, row in batched:
             profile = mpdist_profile(series, index, params, stats=stats)
             assert row.tobytes() == profile.values.tobytes(), f"segment {index}"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_search_recomputes_on_its_pass_profiler(self, monkeypatch, workers):
+        # A k <= 2 search with 46 segments, past the width of 33, recomputes
+        # its greedy rounds' rows on the profiler whose pass took the
+        # first range, on this thread, and builds no profiler for them;
+        # each recomputed row is bit for bit the row the pass gave,
+        # whichever range's profiler gave it.
+        series, _, _ = _kth_pass_case()
+        params = MPdistParams(snippet_size=64, k=2)
+        built, given = [], []
+
+        class Recording(mpdist._MinProfiler):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+            def profiles(self, segments):
+                for segment, row in zip(segments, super().profiles(segments)):
+                    given.append((self, threading.get_ident(), segment, row.copy()))
+                    yield row
+
+        monkeypatch.setattr(mpdist, "_MinProfiler", Recording)
+        result = select_snippets(series, params, 3, workers=workers)
+        assert len(built) == workers
+        passed, recomputed = given[:46], given[46:]
+        assert sorted(segment for _, _, segment, _ in passed) == list(range(46))
+        rows = {segment: row for _, _, segment, row in passed}
+        assert recomputed
+        for profiler, thread, segment, row in recomputed:
+            assert (profiler, thread) == (built[0], threading.get_ident())
+            assert row.tobytes() == rows[segment].tobytes(), f"segment {segment}"
+        if workers > 1:  # some recomputed row came from another range's profiler
+            assert any(segment >= 46 // workers for _, _, segment, _ in recomputed)
+        monkeypatch.setattr(mpdist, "_MinProfiler", Recording.__base__)
+        profiles = [mpdist_profile(series, i, params) for i in range(46)]
+        reference = select_snippets(series, params, 3, profiles=profiles)
+        assert result.to_dict() == reference.to_dict()
+        assert result.curve.tobytes() == reference.curve.tobytes()
 
     def test_batch_size(self):
         # At n = 20000 three segments' kernel rows fill a block; at

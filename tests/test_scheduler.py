@@ -169,7 +169,7 @@ class TestRunSchedule:
         # and every k > 2 segment (m = 32 has k = 4) streamed through
         # many parts, each job still profiles on one profiler, on the
         # thread that runs the job.
-        from sniplab import mpdist, snippets
+        from sniplab import mpdist
         from sniplab.snippets import WORKERS_ENV
 
         monkeypatch.setenv(WORKERS_ENV, "3")
@@ -185,7 +185,7 @@ class TestRunSchedule:
                 threads.add(threading.get_ident())
                 return super().profiles(segments)
 
-        monkeypatch.setattr(snippets, "_KthProfiler", Recording)
+        monkeypatch.setattr(mpdist, "_KthProfiler", Recording)
         run_schedule(self._series(), [MPdistParams(snippet_size=32)], 2, training_log=False)
         assert len(profilers) == 1 and len(profilers[0].splits) > 1
         assert threads == {threading.get_ident()}

@@ -31,26 +31,25 @@ def _tiled(pattern, reps):
 def _count_profiles(monkeypatch):
     """The segment index of every profile ``snippets`` computes from now on.
 
-    One per ``mpdist_profile`` call, one per segment of each batch the
-    ``k <= 2`` pass profiles together, and one per segment a search's
-    ``k > 2`` profilers are asked for, in its pass and its recomputes.
+    One per segment any profiler ``snippets`` builds is asked for, at
+    any k: in a search's pass, in its greedy recomputes and in
+    ``segment_profiles``.
     """
     calls = []
-    profile = snippets.mpdist_profile
-    monkeypatch.setattr(
-        snippets, "mpdist_profile", lambda *a, **kw: calls.append(a[1]) or profile(*a, **kw)
-    )
-    batch = snippets._min_profiles
-    monkeypatch.setattr(
-        snippets, "_min_profiles", lambda *a, **kw: calls.extend(a[2]) or batch(*a, **kw)
-    )
+    build = snippets._profiler
 
-    class CountingProfiler(snippets._KthProfiler):
-        def profiles(self, segments):
+    def counting(*args):
+        profiler = build(*args)
+        profiles = profiler.profiles
+
+        def counted(segments):
             calls.extend(segments)
-            return super().profiles(segments)
+            return profiles(segments)
 
-    monkeypatch.setattr(snippets, "_KthProfiler", CountingProfiler)
+        profiler.profiles = counted
+        return profiler
+
+    monkeypatch.setattr(snippets, "_profiler", counting)
     return calls
 
 
@@ -152,6 +151,20 @@ class TestSelectSnippets:
             select_snippets(series, MPdistParams(snippet_size=10), 0)
         with pytest.raises(ValueError, match="snippet count"):
             select_snippets(series, MPdistParams(snippet_size=10), 5)
+
+    @pytest.mark.parametrize("num_snippets", [2.5, np.float64(2.0), True])
+    def test_non_integer_snippet_count_rejected_before_any_work(self, monkeypatch, num_snippets):
+        # A count that is not an integer, a bool included, is an error
+        # raised before any segment is profiled, and a sweep raises it
+        # before any search runs, in this process or a forked one.
+        series = TimeSeries(random_series(np.random.default_rng(3), 200))
+        jobs = [MPdistParams(snippet_size=10), MPdistParams(snippet_size=20)]
+        calls = _count_profiles(monkeypatch)
+        with pytest.raises(ValueError, match="snippet count must be an integer"):
+            select_snippets(series, jobs[0], num_snippets)
+        with pytest.raises(ValueError, match="snippet count must be an integer"):
+            run_schedule(series, jobs, num_snippets, workers=2, training_log=False)
+        assert calls == []
 
     def test_profile_of_wrong_length_rejected(self):
         rng = np.random.default_rng(11)
@@ -518,7 +531,7 @@ class TestWorkers:
         solo = select_snippets(series, params, num_snippets, workers=1)
         for workers in (2, 3):
             _assert_same_result(select_snippets(series, params, num_snippets, workers=workers), solo)
-        with mock.patch.object(snippets, "_batch_size", lambda *_: batch):
+        with mock.patch.object(mpdist, "_batch_size", lambda *_: batch):
             for workers in (1, 2, 3):
                 _assert_same_result(
                     select_snippets(series, params, num_snippets, workers=workers), solo
@@ -596,7 +609,7 @@ class TestWorkers:
                 select_snippets(series, params, 2, profiles=given, workers=workers)
         assert calls == []
 
-    @pytest.mark.parametrize("workers", [2.5, 1.5, 2.0, "2"])
+    @pytest.mark.parametrize("workers", [2.5, 1.5, 2.0, "2", True])
     def test_non_integer_count_rejected(self, workers):
         # A count that is not an integer is an error, however close to
         # one, for a search and for a sweep alike.
