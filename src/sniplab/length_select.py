@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .mpdist import MPdistParams, default_window_size
+from .mpdist import MPdistParams, _is_integer, default_window_size
 from .scheduler import run_schedule
 from .series import TimeSeries
 from .snippets import SnippetResult
@@ -145,7 +145,7 @@ def select_length(
     results : dict
         The full search result per length, keyed by snippet length.
     """
-    if num_snippets < 2:
+    if _is_integer(num_snippets) and num_snippets < 2:  # run_schedule rejects non-integers
         raise ValueError(
             f"length selection needs at least 2 snippets per search, got {num_snippets}"
         )

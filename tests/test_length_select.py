@@ -156,6 +156,11 @@ class TestSelectLength:
         with pytest.raises(ValueError, match="at least 2"):
             select_length(TimeSeries(np.arange(64.0)), [8], 1)
 
+    @pytest.mark.parametrize("num_snippets", ["2", 2.5, True])
+    def test_non_integer_snippet_count_rejected(self, num_snippets):
+        with pytest.raises(ValueError, match="snippet count must be an integer"):
+            select_length(TimeSeries(np.arange(64.0)), [8], num_snippets, training_log=False)
+
     def test_too_long_length_rejected_before_any_search(self, monkeypatch):
         calls = []
         search = scheduler.select_snippets
