@@ -16,9 +16,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .mpdist import MPdistParams, _is_integer, default_window_size
+from .mpdist import MPdistParams, default_window_size
 from .scheduler import run_schedule
-from .series import TimeSeries
+from .series import TimeSeries, _is_integer
 from .snippets import SnippetResult
 
 
@@ -87,8 +87,12 @@ def make_grid(m_min: int, m_max: int, rule: str = "pow2", step: int | None = Non
     """Candidate snippet lengths between ``m_min`` and ``m_max``.
 
     ``rule="pow2"`` doubles from ``m_min`` while staying within
-    ``m_max``; ``rule="arith"`` steps by ``step`` (default 1).
+    ``m_max``; ``rule="arith"`` steps by ``step`` (default 1).  A bound
+    or step that is not an integer raises ``ValueError``.
     """
+    for name, value in (("m_min", m_min), ("m_max", m_max), ("step", step)):
+        if value is not None and not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if m_min < 2:
         raise ValueError(f"m_min must be at least 2, got {m_min}")
     if m_max < m_min:

@@ -42,12 +42,14 @@ order statistic is one of the candidates, so the profile does not
 change by a bit.
 
 Profiles reach every caller one way.  A profiler's
-``profiles(segments)`` yields one negated-correlation row per segment,
-in order, on the calling thread, in memory it allocated once and
-reuses: read a row before asking for the next.  :func:`_profiler`
-picks the class from k.  At ``k > 2`` a :class:`_KthProfiler` runs the
-steps above for one segment after another in one part buffer.  At
-``k <= 2`` a :class:`_MinProfiler` holds no rows: one kernel call takes
+``profiles(segments)`` yields one MPdist profile per segment, in order,
+on the calling thread, in memory it allocated once and reuses: read a
+row before asking for the next.  It converts the selected ``-rho`` to
+distances in that memory before it yields them, so no caller sees a
+negated correlation.  :func:`_profiler` picks the class from k.  At
+``k > 2`` a :class:`_KthProfiler` runs the steps above for one segment
+after another in one part buffer.  At ``k <= 2`` a
+:class:`_MinProfiler` holds no rows: one kernel call takes
 a batch of B segments, about ``_BLOCK_BYTES`` a row, and folds each row
 into the column minima as it comes.  One segment's numpy calls last 7
 to 15 µs at n = 20,000, too short for threads to overlap between GIL
@@ -68,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .series import TimeSeries, _freeze
+from .series import TimeSeries, _freeze, _is_integer
 from .zdist import _check_stats, compute_sliding_stats
 from .zdist import neg_correlation_to_distance, neg_correlations
 from .zdist import segment_distance_matrix  # noqa: F401  bench/layers.py wraps it by this name
@@ -92,11 +94,6 @@ def default_window_size(snippet_size: int, l_frac: float = 0.5) -> int:
     if not 0.0 < l_frac <= 1.0:
         raise ValueError(f"l_frac must be in (0, 1], got {l_frac}")
     return max(1, min(snippet_size, math.ceil(snippet_size * l_frac)))
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer; a bool, though an ``int``, is no count."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -234,45 +231,55 @@ class _MinProfiler:
     they come, so no segment's ``width`` rows are ever held.  One
     workspace of shape ``(3, B, num_columns + width - 1)`` holds the
     kernel's diagonals and scratch, which the sliding minima reuse, and
-    the column minima.  It is allocated once: arrays of a few hundred kB
+    the column minima, which one call converts to the batch's profiles
+    in place.  It is allocated once: arrays of a few hundred kB
     allocated afresh are mapped afresh, and their page faults cost as
-    much as the arithmetic.
+    much as the arithmetic.  The first request sizes it, B at most that
+    request's length, so a profiler asked for one segment holds three
+    rows, not a batch.
     """
 
     def __init__(self, stats, params: MPdistParams):
         self.stats, self.width, self.snippet_size = stats, params.profile_width, params.snippet_size
-        num_columns = stats.sumsq.size
-        batch = _batch_size(num_columns, stats.centred.size // params.snippet_size)
-        self.work = np.empty((3, batch, num_columns + self.width - 1))
+        self.window_size = params.window_size
+        self.work = None
 
     def profiles(self, segments):
-        """Each segment's negated-correlation profile, in order; read each before the next."""
+        """Each segment's MPdist profile, in order; read each before the next."""
         segments = np.asarray(segments, dtype=np.intp)
+        num_columns = self.stats.sumsq.size
+        if self.work is None:
+            batch = _batch_size(num_columns, self.stats.centred.size // self.snippet_size)
+            batch = max(1, min(batch, segments.size))
+            self.work = np.empty((3, batch, num_columns + self.width - 1))
         batch = self.work.shape[1]
         for lo in range(0, segments.size, batch):
             starts = segments[lo : lo + batch] * self.snippet_size
             work = self.work[:, : starts.size]
-            minima = work[2, :, : self.stats.sumsq.size]
+            minima = work[2, :, :num_columns]
             rows = neg_correlations(self.stats, starts, self.width, work=work[:2])
             np.copyto(minima, next(rows))
             for row in rows:
                 np.minimum(minima, row, out=minima)
-            yield from _sliding_min_rows(minima, self.width, scratch=work[1])
+            profiles = _sliding_min_rows(minima, self.width, scratch=work[1])
+            yield from neg_correlation_to_distance(profiles, self.window_size, out=profiles)
 
 
 class _KthProfiler:
     """``k > 2`` profiles, one segment after another, on the calling thread.
 
     It allocates once the one part buffer, the tail a part leaves the
-    next, the kernel workspace, the sliding-minimum scratch and the
-    selection block that all its profiles share; a thread that profiles
-    a range of segments makes one of its own.
+    next, the kernel workspace, the sliding-minimum scratch, the
+    selection block and the ``best`` row, converted in place once a
+    segment's last part is selected, that all its profiles share; a
+    thread that profiles a range of segments makes one of its own.
     """
 
     def __init__(self, stats, params: MPdistParams):
         width = params.profile_width
         self.splits = _parts(stats.centred.size, params)
         self.stats, self.width, self.snippet_size = stats, width, params.snippet_size
+        self.window_size = params.window_size
         self.num_positions = self.splits[-1][1]
         columns = max(hi - lo for lo, hi in self.splits) + width - 1
         # Positions per selection tile: a tile's 2 * width float64
@@ -295,7 +302,7 @@ class _KthProfiler:
         self.best = np.empty(self.num_positions)
 
     def profiles(self, segments):
-        """Each segment's negated-correlation profile, in order; read each before the next."""
+        """Each segment's MPdist profile, in order; read each before the next."""
         width, best = self.width, self.best
         for segment in segments:
             for lo, hi in self.splits:
@@ -324,11 +331,11 @@ class _KthProfiler:
                     candidates[:, width:] = self.windows[a:b]
                     candidates.partition(self.kth, axis=1)
                     best[lo + a : lo + b] = candidates[:, self.kth]
-            yield best
+            yield neg_correlation_to_distance(best, self.window_size, out=best)
 
 
 def _profiler(stats, params: MPdistParams):
-    """A profiler of ``params``' k for one thread: ``profiles(segments)`` yields one row each."""
+    """A profiler of ``params``' k for one thread; ``profiles(segments)`` yields their profiles."""
     return (_MinProfiler if params.k <= 2 else _KthProfiler)(stats, params)
 
 
@@ -372,6 +379,5 @@ def mpdist_profile(
     else:
         _check_stats(series, stats, params.window_size)
 
-    (best,) = _profiler(stats, params).profiles([segment_index])
-    values = neg_correlation_to_distance(best, params.window_size, out=best)
+    (values,) = _profiler(stats, params).profiles([segment_index])
     return MPdistProfile(segment_index=segment_index, values=values)

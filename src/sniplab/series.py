@@ -17,6 +17,11 @@ from pathlib import Path
 import numpy as np
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool, though an ``int``, is no count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _freeze(values: np.ndarray) -> np.ndarray:
     values = np.array(values)
     values.flags.writeable = False
@@ -89,12 +94,15 @@ def load_series(path, column: int = 0) -> TimeSeries:
     ValueError
         On a non-numeric or non-finite cell or a row the CSV reader
         rejects, such as one with a cell over its field size limit (the
-        message names the offending 1-based row), a column out of range,
-        or fewer than two usable rows.
+        message names the offending 1-based row), a column that is not a
+        non-negative integer or is out of range, or fewer than two usable
+        rows.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such series file: {path}")
+    if not _is_integer(column):
+        raise ValueError(f"column index must be an integer, got {column!r}")
     if column < 0:
         raise ValueError(f"column index must be non-negative, got {column}")
 

@@ -14,7 +14,8 @@ each entry's float64 bits.  Every greedy round bounds each area from
 below (round 1 by its exact area, later rounds from the codes) and
 takes exact areas, from float64 rows that are held or recomputed, in
 increasing bound order until a bound passes the smallest area so far,
-so the result is still bit for bit the float64 greedy's.
+so the result is still bit for bit the float64 greedy's.  Only the
+chosen rows become :class:`~sniplab.mpdist.MPdistProfile` objects.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mpdist import MPdistParams, MPdistProfile, _is_integer, _profiler
+from .mpdist import MPdistParams, MPdistProfile, _profiler
 from .mpdist import mpdist_profile  # noqa: F401  bench/layers.py wraps it by this name
-from .series import TimeSeries
-from .zdist import compute_sliding_stats, neg_correlation_to_distance
+from .series import TimeSeries, _is_integer
+from .zdist import compute_sliding_stats
 
 WORKERS_ENV = "SNIPLAB_WORKERS"
 
@@ -143,8 +144,8 @@ def segment_profiles(series: TimeSeries, params: MPdistParams) -> list[MPdistPro
     """MPdist profile of every segment, sharing one statistics pass."""
     num_segments = _check_count(series, params.snippet_size, 1)
     stats = compute_sliding_stats(series, params.window_size)
-    rows = _distance_rows(_profiler(stats, params), params, 0, num_segments)
-    return [MPdistProfile(segment_index=i, values=values) for i, values in rows]
+    rows = _profiler(stats, params).profiles(range(num_segments))
+    return [MPdistProfile(segment_index=i, values=values) for i, values in enumerate(rows)]
 
 
 def _nearest_rows(labelled_rows) -> tuple[np.ndarray, np.ndarray]:
@@ -165,17 +166,6 @@ def _nearest_rows(labelled_rows) -> tuple[np.ndarray, np.ndarray]:
         np.copyto(nearest, label, where=row < best)
         np.minimum(best, row, out=best)
     return best, nearest
-
-
-def _distance_rows(profiler, params: MPdistParams, first: int, stop: int):
-    """Profiles of segments ``[first, stop)`` from ``profiler``, as ``(index, distances)``.
-
-    Each row is converted in the profiler's memory, so the next one may
-    overwrite it: read each before asking for the next.  The rows are
-    bit for bit :func:`~sniplab.mpdist.mpdist_profile`'s.
-    """
-    for index, row in enumerate(profiler.profiles(range(first, stop)), first):
-        yield index, neg_correlation_to_distance(row, params.window_size, out=row)
 
 
 class _ProfileStore:
@@ -255,10 +245,11 @@ def select_snippets(
     takes exact areas in increasing (lower bound, index) order until a
     bound passes the smallest (area, index) so far; later rounds bound
     the areas from the codes.  The float64 rows those areas read are
-    ``profiles`` when given; else the pass keeps them all when there
-    are no more segments than ``params.profile_width`` (they then cost
-    no more than profiling a single segment), and otherwise each is
-    recomputed.  The picks, curve and attribution are bit for bit the
+    the values of ``profiles``, read in place, when given; else the
+    pass keeps a copy of each when there are no more segments than
+    ``params.profile_width`` (they then cost no more than profiling a
+    single segment), and otherwise each is recomputed on this thread's
+    profiler.  The picks, curve and attribution are bit for bit the
     float64 greedy's.
 
     Parameters
@@ -319,9 +310,9 @@ def select_snippets(
                 )
 
         def rows(first: int, stop: int):
-            return ((i, profiles[i].values) for i in range(first, stop))
+            return (profile.values for profile in profiles[first:stop])
 
-        fetch = profiles.__getitem__
+        fetch = [profile.values for profile in profiles].__getitem__
     else:
         stats = compute_sliding_stats(series, params.window_size)
         # This thread's profiler takes the first range and every row the
@@ -330,11 +321,11 @@ def select_snippets(
 
         def rows(first: int, stop: int):
             mine = profiler if first == 0 else _profiler(stats, params)
-            return _distance_rows(mine, params, first, stop)
+            return mine.profiles(range(first, stop))
 
-        def fetch(index: int) -> MPdistProfile:
-            ((_, values),) = _distance_rows(profiler, params, index, index + 1)
-            return MPdistProfile(segment_index=index, values=values)
+        def fetch(index: int) -> np.ndarray:
+            (values,) = profiler.profiles([index])
+            return values
 
         if num_segments <= params.profile_width:
             held = [None] * num_segments
@@ -352,12 +343,12 @@ def select_snippets(
         maxima[index] = values.max()
         store.keep(index, values)
         if held is not None:
-            held[index] = MPdistProfile(segment_index=index, values=values)
+            held[index] = values.copy()
         return index, values
 
     def profile_range(first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        with closing(rows(first, stop)) as pairs:
-            return _nearest_rows(take(i, values) for i, values in pairs)
+        with closing(rows(first, stop)) as values:
+            return _nearest_rows(take(i, row) for i, row in enumerate(values, first))
 
     # Each range, the first on this thread, writes its own entries of
     # lower, maxima, the codes and the held rows, and the ranges'
@@ -374,8 +365,10 @@ def select_snippets(
     # Every round takes exact areas in (bound, index) order and stops at
     # the first bound past the smallest (area, index) so far.  An
     # unscanned segment has (area, index) >= (bound, index) > that, so
-    # the smallest measured is the float64 argmin.
-    chosen: dict[int, MPdistProfile] = {}  # segment index -> profile, in pick order
+    # the smallest measured is the float64 argmin.  A fetched row may be
+    # the profiler's, which the next fetch overwrites: the round's best
+    # so far is copied.
+    chosen: dict[int, np.ndarray] = {}  # segment index -> profile values, in pick order
     curve = np.full(num_windows, np.inf)
     scratch = np.empty(num_windows)
     for _ in range(num_snippets):
@@ -386,12 +379,12 @@ def select_snippets(
         for index in np.argsort(lower, kind="stable"):
             if (lower[index], index) > (best_area, best_index):
                 break
-            profile = fetch(int(index))
-            area = np.minimum(profile.values, curve, out=scratch).sum()
+            values = fetch(int(index))
+            area = np.minimum(values, curve, out=scratch).sum()
             if (area, index) < (best_area, best_index):
-                best, best_area, best_index = profile, area, index
-        chosen[best.segment_index] = best
-        np.minimum(curve, best.values, out=curve)
+                best, best_area, best_index = values.copy(), area, index
+        chosen[int(best_index)] = best
+        np.minimum(curve, best, out=curve)
 
     counts = np.bincount(nearest, minlength=num_segments)
     snippets = [
@@ -405,7 +398,6 @@ def select_snippets(
         for index in chosen
     ]
     snippets = tuple(sorted(snippets, key=lambda s: (-s.frac, s.index)))
-    ordered_profiles = tuple(chosen[s.index] for s in snippets)
 
     return SnippetResult(
         snippet_size=params.snippet_size,
@@ -415,7 +407,7 @@ def select_snippets(
         snippets=snippets,
         curve=curve,
         profile_area=float(curve.sum()),
-        profiles=ordered_profiles,
+        profiles=tuple(MPdistProfile(s.index, chosen[s.index]) for s in snippets),
         profile_max=float(maxima.max()),
         segment_window_counts=counts,
         unassigned_windows=int(num_windows - counts[list(chosen)].sum()),

@@ -94,6 +94,25 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="step"):
             make_grid(4, 8, rule="arith", step=0)
 
+    @pytest.mark.parametrize(
+        "args, kwargs, name",
+        [
+            ((2, 8, "arith"), {"step": True}, "step"),
+            ((2, 8, "arith"), {"step": 1.5}, "step"),
+            ((2.5, 10), {}, "m_min"),
+            ((2, 10.0), {}, "m_max"),
+        ],
+        ids=["step-True", "step-1.5", "m_min-2.5", "m_max-10.0"],
+    )
+    def test_non_integer_argument_rejected(self, args, kwargs, name):
+        # A bool step gave a step-1 grid, a float step raised TypeError
+        # from range, and a float m_min gave [2.5, 5.0, 10.0].
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            make_grid(*args, **kwargs)
+
+    def test_numpy_integer_arguments(self):
+        assert make_grid(np.int64(4), np.int32(8), "arith", step=np.int64(2)) == [4, 6, 8]
+
 
 class TestSelectLength:
     def test_two_regime_prefers_period(self):

@@ -21,7 +21,7 @@ from sniplab import (
 )
 from sniplab import mpdist, snippets
 from sniplab.mpdist import _sliding_min_rows
-from sniplab.zdist import neg_correlation_matrix, neg_correlation_to_distance, neg_correlations
+from sniplab.zdist import neg_correlation_matrix, neg_correlations
 from oracles import brute_sliding_min, distance_space_profile, naive_mpdist_profile
 from seriesgen import random_series
 
@@ -256,7 +256,7 @@ class TestMPdistProfileExact:
 
 
 def _kth_pass(stats, params, segments, workers):
-    """Negated-correlation ``k > 2`` profiles of ``segments``, in order, each a copy.
+    """The ``k > 2`` profiles of ``segments``, in order, each a copy.
 
     As in a search, the segments split into ``min(workers, len(segments))``
     contiguous ranges, each profiled on a thread of its own by a profiler
@@ -287,8 +287,7 @@ def _assert_split_profile(series, seg, params, stats, expected):
     if params.k > 2:
         other = (seg + 1) % (series.n // params.snippet_size)
         _, row = mpdist._KthProfiler(stats, params).profiles([other, seg])
-        distances = neg_correlation_to_distance(row, params.window_size)
-        np.testing.assert_array_equal(distances, expected, err_msg=f"after segment {other}")
+        np.testing.assert_array_equal(row, expected, err_msg=f"after segment {other}")
 
 
 class TestMPdistProfileSplit:
@@ -441,8 +440,7 @@ class TestKthPass:
             for workers in (1, 2, 3):
                 rows = _kth_pass(stats, params, range(count), workers)
                 for i, row in enumerate(rows):
-                    distances = neg_correlation_to_distance(row, l)
-                    np.testing.assert_array_equal(distances, expected[i], err_msg=f"segment {i}")
+                    np.testing.assert_array_equal(row, expected[i], err_msg=f"segment {i}")
                 result = select_snippets(series, params, num_snippets, workers=workers)
                 assert result.to_dict() == reference.to_dict()
                 assert result.curve.tobytes() == reference.curve.tobytes()
@@ -798,8 +796,8 @@ class TestBatchedProfiles:
         last = data.draw(st.integers(min_value=first + 1, max_value=num_segments))
         with mock.patch.object(mpdist, "_batch_size", lambda *_: len(segments)):
             profiler = mpdist._MinProfiler(stats, params)
-        rows = snippets._distance_rows(profiler, params, first, last)
-        batched = [(index, row.copy()) for index, row in rows]
+        rows = profiler.profiles(range(first, last))
+        batched = [(index, row.copy()) for index, row in enumerate(rows, first)]
         assert [index for index, _ in batched] == list(range(first, last))
         for index, row in batched:
             profile = mpdist_profile(series, index, params, stats=stats)
@@ -843,6 +841,26 @@ class TestBatchedProfiles:
         reference = select_snippets(series, params, 3, profiles=profiles)
         assert result.to_dict() == reference.to_dict()
         assert result.curve.tobytes() == reference.curve.tobytes()
+
+    def test_one_profile_holds_one_segment_workspace(self):
+        # mpdist_profile asks a fresh profiler for one segment, which sizes
+        # its workspace by that request: three rows of n float64 and the
+        # profile's copy, not a batch of 3 segments (10 rows at m = 8 on
+        # 20,000 points).  A profiler whose first request is a range keeps
+        # full batches.
+        series = TimeSeries(np.cumsum(np.random.default_rng(1).standard_normal(20000)))
+        params = MPdistParams(snippet_size=8)
+        stats = compute_sliding_stats(series, params.window_size)
+        tracemalloc.start()
+        try:
+            mpdist_profile(series, 3, params, stats=stats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * series.n, f"peak {peak / (8 * series.n):.2f} rows of n float64"
+        profiler = mpdist._MinProfiler(stats, params)
+        next(profiler.profiles(range(2500)))
+        assert profiler.work.shape[1] == mpdist._batch_size(stats.sumsq.size, 2500) == 3
 
     def test_batch_size(self):
         # At n = 20000 three segments' kernel rows fill a block; at

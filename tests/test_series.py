@@ -121,6 +121,19 @@ class TestLoadSeries:
         with pytest.raises(ValueError, match="column index must be non-negative, got -1"):
             load_series(path, column=-1)
 
+    @pytest.mark.parametrize("column", [1.5, True], ids=["float", "bool"])
+    def test_non_integer_column(self, tmp_path, column):
+        # 1.5 raised TypeError from the row index, and True read column 1.
+        path = tmp_path / "s.csv"
+        path.write_text("1.0,10.0\n2.0,20.0\n")
+        with pytest.raises(ValueError, match="column index must be an integer"):
+            load_series(path, column=column)
+
+    def test_numpy_integer_column(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("1.0,10.0\n2.0,20.0\n")
+        np.testing.assert_array_equal(load_series(path, column=np.int64(1)).values, [10.0, 20.0])
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_names_row(self, tmp_path, cell):
         path = tmp_path / "s.csv"

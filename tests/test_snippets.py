@@ -166,6 +166,23 @@ class TestSelectSnippets:
             run_schedule(series, jobs, num_snippets, workers=2, training_log=False)
         assert calls == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("m", [16, 40], ids=["k2", "k4"])
+    def test_chosen_profiles_are_segment_profiles(self, m, workers):
+        # 125 segments at m = 16 (k = 2, width 9) and 50 at m = 40 (k = 4,
+        # width 21), more than the width, so the greedy recomputes rows on
+        # a profiler that reuses its memory: each result profile must be
+        # its segment's profile bit for bit, not a later recompute's row.
+        series = TimeSeries(random_series(np.random.default_rng(3), 2000))
+        params = MPdistParams(snippet_size=m)
+        assert series.n // m > params.profile_width
+        result = select_snippets(series, params, 4, workers=workers)
+        expected = segment_profiles(series, params)
+        assert len(result.profiles) == 4
+        for profile in result.profiles:
+            want = expected[profile.segment_index].values
+            assert profile.values.tobytes() == want.tobytes(), f"segment {profile.segment_index}"
+
     def test_profile_of_wrong_length_rejected(self):
         rng = np.random.default_rng(11)
         series = TimeSeries(random_series(rng, 60))
