@@ -795,9 +795,8 @@ class TestBatchedProfiles:
         first = data.draw(st.integers(min_value=0, max_value=num_segments - 1))
         last = data.draw(st.integers(min_value=first + 1, max_value=num_segments))
         with mock.patch.object(mpdist, "_batch_size", lambda *_: len(segments)):
-            profiler = mpdist._MinProfiler(stats, params)
-        rows = profiler.profiles(range(first, last))
-        batched = [(index, row.copy()) for index, row in enumerate(rows, first)]
+            rows = mpdist._MinProfiler(stats, params).profiles(range(first, last))
+            batched = [(index, row.copy()) for index, row in enumerate(rows, first)]
         assert [index for index, _ in batched] == list(range(first, last))
         for index, row in batched:
             profile = mpdist_profile(series, index, params, stats=stats)
